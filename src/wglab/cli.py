@@ -8,12 +8,14 @@ Subcommands:
   profile  stream per-draw alpha breakdowns as CSV
 
 Exit codes: 0 success, 1 runtime error, 2 configuration/usage error.
-The WGLAB_WORKERS environment variable overrides the worker count.
+The WGLAB_WORKERS environment variable overrides the worker count of tv and
+sweep.
 """
 
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DomainError, InvalidParameterError
 from .experiments import emit_csv, emit_figure1_svg, parse_config, run_sweep
@@ -107,6 +109,7 @@ def _cmd_clt(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     cfg = parse_config(args.config)
+    cfg = replace(cfg, workers=_workers_from_env(cfg.workers))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(cfg)
     csv_path = cfg.out_dir / "sweep.csv"

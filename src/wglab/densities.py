@@ -1,8 +1,8 @@
 """Log-densities of the two ensembles and the log-ratio machinery.
 
-The Wishart and shifted-GOE densities are both functions of the spectrum, so
-everything here takes eigenvalues.  The log density-ratio ``alpha`` is the
-central quantity: it is computed in a centered form
+The Wishart and shifted-GOE densities are both functions of the spectrum.
+The log density-ratio ``alpha`` is the central quantity: it is computed in a
+centered form
 
     alpha = sum_i h(lambda_i) + K(n, d),
 
@@ -10,6 +10,14 @@ with h(x) = (1/2) [ (d-n-1) log(x/d) - (x-d) + (x-d)^2 / (2d) ] and K(n, d)
 collecting every spectrum-independent constant.  The centered form avoids the
 catastrophic cancellation of subtracting two huge log-density values; the
 direct subtraction is kept as an independent cross-check path.
+
+Summed over the spectrum, h needs no eigenvalues: sum_i log(lambda_i / d) is
+log det(T / d), sum_i (lambda_i - d) is tr(T - dI) and sum_i (lambda_i - d)^2
+is ||T - dI||_F^2.  ``alpha_from_tridiagonal``, the Monte Carlo hot path,
+takes these from a batch of symmetric tridiagonal T in O(n) per draw: the
+determinant from the LDL^T pivot recurrence, and the Q-window and PSD flags
+from Sturm counts.  The eigenvalue functions stay as its test reference and
+serve the per-draw diagnostics.
 
 ``s_decomposition`` splits alpha into the constant, linear, quadratic, cubic
 and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
@@ -152,6 +160,69 @@ def alpha_from_eigenvalues(eigs: np.ndarray, n: int, d: int) -> np.ndarray:
         lam = eigs[psd]
         out[psd] = _h_vector(lam, n, d).sum(axis=1) + spectrum_constant(n, d)
     return out
+
+
+# a pivot of magnitude at most _SAFMIN * max(1, max off-diagonal^2) is
+# replaced by minus that bound, as LAPACK's dstebz does: it then counts as
+# negative, and the next division stays finite
+_SAFMIN = np.finfo(float).tiny
+
+
+def _guard(pivot: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(pivot) <= pivmin, -pivmin, pivot)
+
+
+def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
+                  pivmin: np.ndarray) -> np.ndarray:
+    """(len(shifts), size) counts of the eigenvalues below each shift of the
+    tridiagonal batch with diagonal a and squared off-diagonal b."""
+    shifts = shifts[:, None]
+    q = _guard(a[0] - shifts, pivmin)
+    count = (q < 0.0).astype(np.int64)
+    for i in range(1, a.shape[0]):
+        q = _guard(a[i] - shifts - b[i - 1] / q, pivmin)
+        count += q < 0.0
+    return count
+
+
+def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
+                           d: int):
+    """alpha, the Q-window flag and the PSD flag over a tridiagonal batch.
+
+    ``dev`` is the (n, size) array of diagonal deviations T_ii - d and
+    ``off2`` the (n - 1, size) array of squared off-diagonals, one column
+    per draw.  Returns ``(alpha, in_q, psd)``, each of shape (size,), with
+    the same meaning as ``alpha_from_eigenvalues`` and ``in_q_mask`` on the
+    eigenvalues of T and with psd meaning lambda_min >= -TOL_PSD_SCALE * d.
+
+    log det(T / d) is sum_i log1p(w_i) over the scaled pivots
+    w_i = dev_i / d - (off2_{i-1} / d^2) / (1 + w_{i-1}); alpha is -inf
+    unless every pivot 1 + w_i is positive.
+    """
+    if d < n:
+        raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
+    a = dev / d
+    b = off2 / float(d) ** 2
+    pivmin = _SAFMIN * np.max(b, axis=0, initial=1.0)
+    # a column whose pivot 1 + w_i is pivmin or less is not positive
+    # definite; what the recurrence computes after that pivot is discarded
+    w = a.copy()
+    p = np.empty_like(pivmin)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, n):
+            np.add(w[i - 1], 1.0, out=p)
+            np.divide(b[i - 1], p, out=p)
+            w[i] -= p
+        pd = np.all(1.0 + w > pivmin, axis=0)
+        logdet = np.log1p(w).sum(axis=0)
+    frob2 = (dev * dev).sum(axis=0) + 2.0 * off2.sum(axis=0)
+    alpha = (0.5 * ((d - n - 1) * logdet - dev.sum(axis=0) + frob2 / (2.0 * d))
+             + spectrum_constant(n, d))
+    alpha[~pd] = -np.inf
+    half = 3.0 * math.sqrt(n / d)
+    counts = _sturm_counts(a, b, np.array([-half, half, -1.0 - TOL_PSD_SCALE]),
+                           pivmin)
+    return alpha, (counts[0] == 0) & (counts[1] == n), counts[2] == 0
 
 
 def in_q(s: Spectrum, n: int, d: int) -> bool:

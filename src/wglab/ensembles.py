@@ -4,8 +4,18 @@ Conventions: ``sample_goe(n)`` draws a symmetric matrix with N(0, 2) diagonal
 and N(0, 1) strict upper triangle, all independent.  The moment-matched
 comparison ensemble is ``sqrt(d) * GOE + d * I``, and the Wishart matrix is
 the Gram matrix X X^T of an n-by-d standard normal matrix X.
+
+The Monte Carlo estimators draw neither dense matrix.  ``goe_tridiagonal`` and
+``wishart_tridiagonal`` draw a symmetric tridiagonal T whose spectrum has
+exactly the law of the dense ensemble's spectrum (the beta = 1 Hermite and
+Laguerre models of Dumitriu and Edelman, 2002), in O(n) per draw.  Both
+return T as the pair ``(dev, off2)``: an (n, size) array of the diagonal
+deviations T_ii - d and an (n - 1, size) array of the squared off-diagonals
+T_{i,i+1}^2, one column per draw.  The dense samplers stay as the reference
+the tridiagonal ones are tested against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,3 +134,36 @@ def sample_wishart_dense(n: int, d: int, size: int,
     w = x @ np.swapaxes(x, 1, 2)
     # enforce exact symmetry for the eigensolver
     return (w + np.swapaxes(w, 1, 2)) / 2.0
+
+
+def _chi2(dof: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
+    """(len(dof), size) chi-square variates, row k with dof[k] degrees."""
+    return 2.0 * gen.standard_gamma(0.5 * dof[:, None], size=(dof.size, size))
+
+
+def goe_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator):
+    """Batch of tridiagonal draws spectrally equal to sqrt(d) * GOE + d * I.
+
+    T - d I = sqrt(d) * tridiag(g, b) with g_i ~ N(0, 2) and
+    b_k^2 ~ chi^2_{n-k}: Householder tridiagonalization of this module's GOE,
+    whose diagonal is N(0, 2), so there is no 1/sqrt(2) factor.  Returns
+    ``(dev, off2)`` as described in the module docstring.
+    """
+    dev = math.sqrt(2.0 * d) * gen.standard_normal((n, size))
+    off2 = d * _chi2(np.arange(n - 1, 0, -1), size, gen)
+    return dev, off2
+
+
+def wishart_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator):
+    """Batch of tridiagonal draws spectrally equal to W(n, d), d >= n.
+
+    W = B B^T with B lower bidiagonal, c_i^2 ~ chi^2_{d-i+1} on the diagonal
+    and s_i^2 ~ chi^2_{n-i} below it, so diag(W)_i = c_i^2 + s_{i-1}^2 and
+    W_{i,i+1}^2 = s_i^2 c_i^2.  Returns ``(dev, off2)`` as described in the
+    module docstring.
+    """
+    c2 = _chi2(np.arange(d, d - n, -1), size, gen)
+    s2 = _chi2(np.arange(n - 1, 0, -1), size, gen)
+    dev = c2 - d
+    dev[1:] += s2
+    return dev, s2 * c2[:-1]

@@ -4,14 +4,19 @@ Streams are keyed by (seed, stream_id) on a Philox counter-based generator,
 so distinct stream ids give statistically independent sequences and a fixed
 key reproduces the same sequence on every run.  Worker substreams are derived
 by shifting the stream id, which leaves the parent stream's values untouched
-no matter how many workers are used.
+no matter how many workers are used.  Both the parent stream id and the
+worker index must fit in 32 bits, so that no two (parent, worker) pairs share
+a substream.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 _MASK64 = (1 << 64) - 1
+_LIMIT32 = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -29,5 +34,10 @@ class RngState:
 
     def substream(self, worker: int) -> "RngState":
         """Stream for the given worker index; disjoint across workers."""
-        mixed = ((self.stream_id << 32) + worker) & _MASK64
-        return RngState(self.seed, mixed)
+        if not 0 <= self.stream_id < _LIMIT32:
+            raise InvalidParameterError(
+                f"substreams need a stream id in [0, 2**32), got {self.stream_id}")
+        if not 0 <= worker < _LIMIT32:
+            raise InvalidParameterError(
+                f"worker index must be in [0, 2**32), got {worker}")
+        return RngState(self.seed, (self.stream_id << 32) + worker)

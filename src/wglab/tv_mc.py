@@ -7,23 +7,30 @@ otherwise; sampling from the Wishart side it is (1 - e^{-alpha})_+.  Each
 integrand value lies in [0, 1], so a normal-approximation confidence interval
 is well behaved.
 
+Each draw is a tridiagonal matrix with the exact spectral law of its
+ensemble, and alpha with the Q-window and PSD flags comes from O(n)
+recurrences on it, so a draw costs O(n): no dense matrix is formed and no
+eigenvalue is computed.
+
 Samples are partitioned across worker substreams and the per-worker partial
 sums are merged in fixed worker order, so a fixed (seed, worker count) gives
 bit-identical results whether or not the workers actually run in parallel.
+The pool never starts more processes than the machine has CPUs.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .densities import (TOL_PSD_SCALE, AlphaBreakdown, alpha_from_eigenvalues,
-                        in_q_mask, s_decomposition)
-from .ensembles import sample_goe_dense, sample_wishart_dense
+from .densities import AlphaBreakdown, alpha_from_tridiagonal, s_decomposition
+from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
-from .spectral import Spectrum, batch_eigenvalues
+from .spectral import Spectrum
 
 GOE_SIDE = "goe_side"
 WISHART_SIDE = "wishart_side"
@@ -31,8 +38,9 @@ WISHART_SIDE = "wishart_side"
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
 
-# matrix entries per sampling batch; bounds peak memory
-_BATCH_BUDGET = 2 ** 24
+# draws times n per sampling batch; a batch peaks at about ten (n, size)
+# float arrays, so this bounds its memory near 20 MB
+_BATCH_BUDGET = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -59,19 +67,8 @@ def _check_params(n: int, d: int, samples: int) -> None:
         raise InvalidParameterError(f"need samples >= 1, got {samples}")
 
 
-def _batch_size(n: int, d: int, side: str) -> int:
-    per_draw = n * d if side == WISHART_SIDE else n * n
-    return max(1, min(65536, _BATCH_BUDGET // per_draw))
-
-
-def _draw_eigenvalues(n: int, d: int, size: int, gen: np.random.Generator,
-                      side: str) -> np.ndarray:
-    if side == GOE_SIDE:
-        mats = math.sqrt(d) * sample_goe_dense(n, size, gen)
-        mats[:, np.arange(n), np.arange(n)] += d
-    else:
-        mats = sample_wishart_dense(n, d, size, gen)
-    return batch_eigenvalues(mats)
+def _batch_size(n: int) -> int:
+    return max(1, min(65536, _BATCH_BUDGET // n))
 
 
 def _integrand(alpha: np.ndarray, side: str) -> np.ndarray:
@@ -84,18 +81,18 @@ def _integrand(alpha: np.ndarray, side: str) -> np.ndarray:
 def _worker_values(n, d, count, rng, side):
     """Integrand values plus Q/PSD counts for one worker's substream."""
     gen = rng.generator()
-    batch = _batch_size(n, d, side)
+    sample = goe_tridiagonal if side == GOE_SIDE else wishart_tridiagonal
+    batch = _batch_size(n)
     chunks = []
     n_q = 0
     n_psd = 0
     done = 0
     while done < count:
         size = min(batch, count - done)
-        eigs = _draw_eigenvalues(n, d, size, gen, side)
-        alpha = alpha_from_eigenvalues(eigs, n, d)
+        alpha, q, psd = alpha_from_tridiagonal(*sample(n, d, size, gen), n, d)
         chunks.append(_integrand(alpha, side))
-        n_q += int(np.count_nonzero(in_q_mask(eigs, n, d)))
-        n_psd += int(np.count_nonzero(eigs[:, 0] >= -TOL_PSD_SCALE * d))
+        n_q += int(np.count_nonzero(q))
+        n_psd += int(np.count_nonzero(psd))
         done += size
     return np.concatenate(chunks), n_q, n_psd
 
@@ -107,18 +104,23 @@ def _worker_stats(args):
 
 
 def _partition(samples: int, workers: int) -> list[int]:
-    base, extra = divmod(samples, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+    """Sample counts of min(workers, samples) parts, all positive."""
+    parts = min(workers, samples)
+    base, extra = divmod(samples, parts)
+    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 def _estimate(n, d, samples, rng, side, workers):
     _check_params(n, d, samples)
     if workers < 1:
         raise InvalidParameterError(f"need workers >= 1, got {workers}")
-    counts = [c for c in _partition(samples, workers) if c > 0]
-    tasks = [(n, d, c, rng.substream(i), side) for i, c in enumerate(counts)]
+    tasks = [(n, d, c, rng.substream(i), side)
+             for i, c in enumerate(_partition(samples, workers))]
     if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        # more tasks than CPUs queue on the pool; the merge order, and so
+        # the result, depends on the task list alone
+        procs = min(len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             parts = list(pool.map(_worker_stats, tasks))
     else:
         parts = [_worker_stats(t) for t in tasks]
@@ -169,21 +171,25 @@ class ProfileRecord:
 def tv_profile(n: int, d: int, samples: int, rng: RngState):
     """Per-draw alpha breakdowns and integrands for GOE-side sampling.
 
-    Uses the same draw sequence as ``tv_estimate_goe_side`` with one worker,
-    so summary statistics recomputed from the stream match the estimator.
+    Uses the same draw sequence and the same batch alpha as
+    ``tv_estimate_goe_side`` with one worker, so the integrands reproduce
+    the estimator's mean; the breakdowns take the eigenvalues of each
+    tridiagonal draw.
     """
     _check_params(n, d, samples)
     gen = rng.substream(0).generator()
-    batch = _batch_size(n, d, GOE_SIDE)
+    batch = _batch_size(n)
     records = []
     done = 0
     while done < samples:
         size = min(batch, samples - done)
-        eigs = _draw_eigenvalues(n, d, size, gen, GOE_SIDE)
-        alpha = alpha_from_eigenvalues(eigs, n, d)
+        dev, off2 = goe_tridiagonal(n, d, size, gen)
+        alpha, _, _ = alpha_from_tridiagonal(dev, off2, n, d)
         vals = _integrand(alpha, GOE_SIDE)
-        for row, a, v in zip(eigs, alpha, vals):
-            bd = s_decomposition(Spectrum(row), n, d)
+        diag, off = dev.T + d, np.sqrt(off2.T)
+        for k, v in enumerate(vals):
+            eigs = eigvalsh_tridiagonal(diag[k], off[k])
+            bd = s_decomposition(Spectrum(eigs), n, d)
             records.append(ProfileRecord(bd, float(v)))
         done += size
     return records

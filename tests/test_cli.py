@@ -2,7 +2,9 @@ import io
 
 import pytest
 
+import wglab.cli
 from wglab.cli import PROFILE_HEADER, cli_dispatch
+from wglab.experiments import SweepRow
 
 
 def run_cli(args):
@@ -117,3 +119,22 @@ def test_sweep_command_bad_config(tmp_path):
     cfg.write_text("c_grid = 0.5, 0.25\nn_list = 4\n")
     assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
     assert cli_dispatch(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_sweep_workers_env_override(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_sweep(cfg):
+        seen.append(cfg.workers)
+        return [SweepRow(1.0, 4, 64, 0.5, 0.01, 0.16, 1.0, 0.0, cfg.seed)]
+
+    monkeypatch.setattr(wglab.cli, "run_sweep", fake_run_sweep)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("c_grid = 1.0\nn_list = 4\nworkers = 4\n"
+                   f"emit_svg = false\nout_dir = {tmp_path / 'out'}\n")
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 0
+    monkeypatch.setenv("WGLAB_WORKERS", "3")
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 0
+    monkeypatch.setenv("WGLAB_WORKERS", "0")
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
+    assert seen == [4, 3]

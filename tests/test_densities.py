@@ -3,14 +3,19 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wglab import (DomainError, InvalidParameterError, RngState, Spectrum,
                    alpha_exact, alpha_from_densities, in_q, log_gamma,
                    log_goe_density, log_wishart_density, s_decomposition,
                    sample_goe, shift_scale_goe, symmetric_eigenvalues,
                    taylor_coeffs)
-from wglab.densities import spectrum_constant
-from wglab.ensembles import sample_goe_dense
+from wglab.densities import (TOL_PSD_SCALE, alpha_from_eigenvalues,
+                             alpha_from_tridiagonal, in_q_mask,
+                             spectrum_constant)
+from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
+                             wishart_tridiagonal)
 from wglab.spectral import batch_eigenvalues
 
 
@@ -239,3 +244,106 @@ def test_in_q_high_probability():
     half = 3.0 * math.sqrt(d * n)
     frac = np.mean((eigs[:, 0] >= d - half) & (eigs[:, -1] <= d + half))
     assert frac >= 0.99
+
+
+# --- tridiagonal alpha against eigvalsh of the same T ---------------------
+
+def dense_tridiagonal(dev, off2, d):
+    """(size, n, n) dense form of a (dev, off2) tridiagonal batch."""
+    n, size = dev.shape
+    t = np.zeros((size, n, n))
+    i = np.arange(n)
+    t[:, i, i] = dev.T + d
+    off = np.sqrt(off2.T)
+    t[:, i[:-1], i[1:]] = off
+    t[:, i[1:], i[:-1]] = off
+    return t
+
+
+def eigenvalue_reference(dev, off2, n, d):
+    """(alpha, in_q, psd, eigenvalues) through the dense eigensolver path."""
+    eigs = batch_eigenvalues(dense_tridiagonal(dev, off2, d))
+    return (alpha_from_eigenvalues(eigs, n, d), in_q_mask(eigs, n, d),
+            eigs[:, 0] >= -TOL_PSD_SCALE * d, eigs)
+
+
+EQUIVALENCE_POINTS = [(1, 1), (2, 8), (3, 27), (8, 512), (32, 32768),
+                      (64, 262144), (3, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
+@pytest.mark.parametrize("n,d", EQUIVALENCE_POINTS)
+def test_tridiagonal_alpha_matches_eigenvalues(sampler, n, d):
+    dev, off2 = sampler(n, d, 400, RngState(900 + n + d).generator())
+    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
+    ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
+    np.testing.assert_array_equal(q, ref_q)
+    np.testing.assert_array_equal(psd, ref_psd)
+    finite = np.isfinite(ref_alpha)
+    np.testing.assert_array_equal(np.isfinite(alpha), finite)
+    assert np.all(alpha[~finite] == -np.inf)
+    if sampler is goe_tridiagonal and d <= 4:
+        # the non-PSD-heavy points must exercise the -inf rows
+        assert 0 < np.count_nonzero(finite) < finite.size
+    err = np.abs(alpha[finite] - ref_alpha[finite])
+    scale = np.maximum(1.0, np.abs(ref_alpha[finite]))
+    if sampler is wishart_tridiagonal and d == n:
+        # eigvalsh loses digits of the tiny smallest eigenvalue at d = n,
+        # which alpha weights by log; only a loose check is meaningful
+        assert np.all(err <= 1e-6 * scale)
+    else:
+        assert np.all(err <= 1e-9 * scale)
+
+
+def test_tridiagonal_alpha_rejects_d_below_n():
+    dev, off2 = goe_tridiagonal(3, 3, 2, RngState(0).generator())
+    with pytest.raises(InvalidParameterError):
+        alpha_from_tridiagonal(dev, off2, 3, 2)
+
+
+def test_tridiagonal_exactly_zero_pivots():
+    # n = 2, d = 8, so the Q window is [-4, 20].  Column 0 is T = [[0, 1],
+    # [1, 0]], whose first pivot of T / d is exactly zero; column 1 is
+    # T = [[-4, 2], [2, 8]], whose first Sturm pivot at the window's lower
+    # edge is exactly zero; column 2 is T = [[4, 4], [4, 19]], with
+    # eigenvalues 3 and 20, whose second Sturm pivot at the upper edge is
+    # exactly zero.  A zero pivot counts as negative, so an eigenvalue on
+    # the upper edge is inside the window, as in in_q_mask.
+    n, d = 2, 8
+    dev = np.array([[-8.0, -12.0, -4.0], [-8.0, 0.0, 11.0]])
+    off2 = np.array([[1.0, 4.0, 16.0]])
+    with np.errstate(all="raise"):
+        alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
+    ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
+    assert list(alpha[:2]) == [-np.inf, -np.inf] == list(ref_alpha[:2])
+    assert alpha[2] == pytest.approx(ref_alpha[2], rel=1e-12)
+    assert list(q) == [True, False, True]
+    assert list(q[:2]) == list(ref_q[:2])
+    assert list(psd) == [False, False, True] == list(ref_psd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10), ratio=st.integers(1, 100), data=st.data())
+def test_tridiagonal_alpha_property(n, ratio, data):
+    # T / d = I + tridiag(x, sqrt(y)) for arbitrary x in [-1, 1], y in [0, 1/4]
+    d = n * ratio
+    x = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    y = data.draw(st.lists(st.floats(0.0, 0.25), min_size=n - 1,
+                           max_size=n - 1))
+    dev = d * np.array(x, dtype=float).reshape(n, 1)
+    off2 = float(d) ** 2 * np.array(y, dtype=float).reshape(n - 1, 1)
+    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
+    ref_alpha, ref_q, ref_psd, eigs = eigenvalue_reference(dev, off2, n, d)
+    # keep every eigenvalue clear of zero and of the flag thresholds, where
+    # eigensolver rounding alone could flip the reference
+    half = 3.0 * math.sqrt(d * n)
+    for edge in (0.0, d - half, d + half, -TOL_PSD_SCALE * d):
+        assume(np.all(np.abs(eigs[0] - edge) > 1e-6 * d))
+    assert q[0] == ref_q[0] and psd[0] == ref_psd[0]
+    if ref_alpha[0] == -np.inf:
+        assert alpha[0] == -np.inf
+    else:
+        # log det error grows like the condition number of T
+        cond = eigs[0, -1] / eigs[0, 0]
+        tol = 1e-12 * cond * (d + 1) * n + 1e-9 * max(1.0, abs(ref_alpha[0]))
+        assert abs(alpha[0] - ref_alpha[0]) <= tol

@@ -5,8 +5,12 @@ import pytest
 from scipy import integrate
 from scipy.stats import chi2, norm
 
+import wglab.tv_mc as tv_mc
 from wglab import (InvalidParameterError, RngState, tv_estimate_goe_side,
                    tv_estimate_wishart_side, tv_profile)
+from wglab.densities import alpha_from_eigenvalues
+from wglab.ensembles import sample_goe_dense, sample_wishart_dense
+from wglab.spectral import batch_eigenvalues
 
 
 def tv_chi2_vs_normal(d):
@@ -111,3 +115,49 @@ def test_integrand_bounded_small_d():
     est = tv_estimate_goe_side(3, 3, 400, RngState(14))
     assert 0.0 <= est.mean <= 1.0
     assert est.frac_psd < 1.0
+
+
+def dense_integrand(n, d, samples, gen, side):
+    """Integrand values over the dense samplers and eigvalsh."""
+    if side == tv_mc.GOE_SIDE:
+        mats = math.sqrt(d) * sample_goe_dense(n, samples, gen)
+        mats += d * np.eye(n)
+    else:
+        mats = sample_wishart_dense(n, d, samples, gen)
+    alpha = alpha_from_eigenvalues(batch_eigenvalues(mats), n, d)
+    return tv_mc._integrand(alpha, side)
+
+
+@pytest.mark.parametrize("side", [tv_mc.GOE_SIDE, tv_mc.WISHART_SIDE])
+def test_tridiagonal_and_dense_draws_agree_in_law(side):
+    n, d, samples = 8, 512, 20_000
+    tri, _, _ = tv_mc._worker_values(n, d, samples, RngState(41), side)
+    dense = dense_integrand(n, d, samples, RngState(42).generator(), side)
+    se = math.hypot(tri.std(ddof=1), dense.std(ddof=1)) / math.sqrt(samples)
+    assert abs(tri.mean() - dense.mean()) <= 4 * se
+
+
+def test_worker_fan_out_is_bounded(monkeypatch):
+    pools = []
+
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: runs tasks inline."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(tv_mc, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(tv_mc.os, "cpu_count", lambda: 2)
+    huge = tv_estimate_goe_side(2, 8, 3, RngState(6), workers=10 ** 12)
+    assert pools == [2]
+    # three one-sample tasks, exactly as three workers would run them
+    assert huge == tv_estimate_goe_side(2, 8, 3, RngState(6), workers=3)
