@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime error, 2 configuration/usage error.
 The WGLAB_WORKERS environment variable overrides the worker count of tv and
-sweep.
+sweep.  The worker count only spreads the work over processes: a given seed
+gives the same output for any worker count.
 """
 
 import argparse

@@ -16,12 +16,14 @@ log det(T / d), sum_i (lambda_i - d) is tr(T - dI) and sum_i (lambda_i - d)^2
 is ||T - dI||_F^2.  ``alpha_from_tridiagonal``, the Monte Carlo hot path,
 takes these from a batch of symmetric tridiagonal T in O(n) per draw: the
 determinant from the LDL^T pivot recurrence, and the Q-window and PSD flags
-from Sturm counts.  The eigenvalue functions stay as its test reference and
-serve the per-draw diagnostics.
+from Sturm counts.  The eigenvalue functions stay as its test reference; the
+scalar ones are size-1 views of the batch ones.
 
 ``s_decomposition`` splits alpha into the constant, linear, quadratic, cubic
 and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
 structure that drives the whole phase-transition analysis.
+``breakdowns_from_tridiagonal`` gives the same split over a tridiagonal
+batch from O(n) trace formulas; a spectrum is the diagonal case.
 """
 
 import math
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
-from .spectral import Spectrum, centered_power_sums
+from .spectral import Spectrum
 
 # eigensolver noise threshold on a d-scale matrix: below this lambda_min is
 # treated as zero for the PSD diagnostic
@@ -123,20 +125,9 @@ def spectrum_constant(n: int, d: int) -> float:
     return math.fsum(base - log_gamma(0.5 * (d + 1 - i)) for i in range(1, n + 1))
 
 
-def _h_vector(lam: np.ndarray, n: int, d: int) -> np.ndarray:
-    # log1p on the relative deviation keeps accuracy for |x - d| << d
-    t = lam / d - 1.0
-    return 0.5 * ((d - n - 1) * np.log1p(t) - d * t + 0.5 * d * t * t)
-
-
 def alpha_exact(s: Spectrum, n: int, d: int) -> float:
     """log of the Wishart-to-GOE density ratio, centered form."""
-    if d < n:
-        raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
-    lam = s.eigenvalues
-    if lam[0] <= 0.0:
-        return -math.inf
-    return math.fsum(_h_vector(lam, n, d)) + spectrum_constant(n, d)
+    return float(alpha_from_eigenvalues(s.eigenvalues[None, :], n, d)[0])
 
 
 def alpha_from_densities(s: Spectrum, n: int, d: int) -> float:
@@ -157,8 +148,10 @@ def alpha_from_eigenvalues(eigs: np.ndarray, n: int, d: int) -> np.ndarray:
     psd = eigs[:, 0] > 0.0
     out = np.full(eigs.shape[0], -np.inf)
     if np.any(psd):
-        lam = eigs[psd]
-        out[psd] = _h_vector(lam, n, d).sum(axis=1) + spectrum_constant(n, d)
+        # log1p on the relative deviation keeps accuracy for |x - d| << d
+        t = eigs[psd] / d - 1.0
+        h = 0.5 * ((d - n - 1) * np.log1p(t) - d * t + 0.5 * d * t * t)
+        out[psd] = h.sum(axis=1) + spectrum_constant(n, d)
     return out
 
 
@@ -227,9 +220,7 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
 
 def in_q(s: Spectrum, n: int, d: int) -> bool:
     """All eigenvalues within d +- 3 sqrt(d n)."""
-    half = 3.0 * math.sqrt(d * n)
-    lam = s.eigenvalues
-    return bool(lam[0] >= d - half and lam[-1] <= d + half)
+    return bool(in_q_mask(s.eigenvalues[None, :], n, d)[0])
 
 
 def in_q_mask(eigs: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -255,19 +246,54 @@ def taylor_coeffs(n: int, d: int) -> TaylorCoeffs:
     return TaylorCoeffs(h1, h2, h3, h4, bound)
 
 
-def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
-    """Split alpha into s0..s4 plus remainder, with Q and PSD diagnostics."""
-    alpha = alpha_exact(s, n, d)
-    lam = s.eigenvalues
-    psd = bool(lam[0] >= -TOL_PSD_SCALE * d)
-    q = in_q(s, n, d)
-    if alpha == -math.inf:
-        return AlphaBreakdown(alpha, None, None, None, None, None, None, q, psd)
-    p1, p2, p3, p4 = centered_power_sums(s, float(d), 4)
+def breakdowns_from_tridiagonal(dev: np.ndarray, off2: np.ndarray,
+                                alpha: np.ndarray, q: np.ndarray,
+                                psd: np.ndarray, n: int,
+                                d: int) -> list[AlphaBreakdown]:
+    """One AlphaBreakdown per column of a tridiagonal batch.
+
+    ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal``, and alpha,
+    the Q-window flag q and the PSD flag are given per column.  s0..s4 come from O(n) trace formulas:
+    with a = dev, e^2 = off2 and r_i = a_i^2 + e_{i-1}^2 + e_i^2 the diagonal
+    of (T - dI)^2, the power sums p_k = tr((T - dI)^k) are
+
+        p1 = sum a,   p2 = sum a^2 + 2 sum e_i^2,
+        p3 = sum a^3 + 3 sum e_i^2 (a_i + a_{i+1}),
+        p4 = sum r^2 + 2 sum e_i^2 (a_i + a_{i+1})^2 + 2 sum e_i^2 e_{i+1}^2.
+    """
+    a2 = dev * dev
+    pair = dev[:-1] + dev[1:]
+    r = a2.copy()
+    r[:-1] += off2
+    r[1:] += off2
+    p1 = dev.sum(axis=0)
+    p2 = a2.sum(axis=0) + 2.0 * off2.sum(axis=0)
+    p3 = (a2 * dev).sum(axis=0) + 3.0 * (off2 * pair).sum(axis=0)
+    p4 = ((r * r).sum(axis=0) + 2.0 * (off2 * pair * pair).sum(axis=0)
+          + 2.0 * (off2[:-1] * off2[1:]).sum(axis=0))
     s0 = -n ** 3 / (12.0 * d)
     s1 = -(n + 1) / (2.0 * d) * p1
     s2 = (n + 1) / (4.0 * d ** 2) * p2
     s3 = (d - n - 1) / (6.0 * d ** 3) * p3
     s4 = -(d - n - 1) / (8.0 * d ** 4) * p4
     remainder = alpha - (s0 + s1 + s2 + s3 + s4)
-    return AlphaBreakdown(alpha, s0, s1, s2, s3, s4, remainder, q, psd)
+    # a column with alpha = -inf (not positive definite) has no s-fields
+    terms = zip(s1.tolist(), s2.tolist(), s3.tolist(), s4.tolist(),
+                remainder.tolist())
+    return [AlphaBreakdown(a, *((None,) * 6 if a == -math.inf else (s0, *t)),
+                           qa, pa)
+            for a, t, qa, pa in zip(alpha.tolist(), terms, q.tolist(),
+                                    psd.tolist())]
+
+
+def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
+    """Split alpha into s0..s4 plus remainder, with Q and PSD diagnostics.
+
+    The spectrum enters as a diagonal matrix: a size-1 tridiagonal batch
+    with no off-diagonal.
+    """
+    lam = s.eigenvalues[None, :]
+    return breakdowns_from_tridiagonal(
+        lam.T - d, np.zeros((lam.size - 1, 1)),
+        alpha_from_eigenvalues(lam, n, d), in_q_mask(lam, n, d),
+        lam[:, 0] >= -TOL_PSD_SCALE * d, n, d)[0]

@@ -5,10 +5,11 @@ GOE-side Monte Carlo estimator at each point next to the closed-form limit,
 and persists the rows as CSV.  The figure reproduces the limit curve with the
 finite-n estimates overlaid as points with 99% error bars.
 
-All artifact bytes are determined by (config, seed, workers): rows are
-produced in a fixed grid order, floats are written as shortest round-trip
-decimals, and the SVG is assembled by hand rather than through a plotting
-library so no timestamps or generated ids leak in.
+All artifact bytes are determined by the config, whatever its worker
+count: each estimate depends on its seed alone, rows are produced in a fixed
+grid order, floats are written as shortest round-trip decimals, and the SVG
+is assembled by hand rather than through a plotting library so no
+timestamps or generated ids leak in.
 """
 
 import time

@@ -18,7 +18,7 @@ from .errors import DomainError, InvalidParameterError
 from .rng import RngState
 from .spectral import batch_eigenvalues
 from .ensembles import sample_goe_dense
-from .tv_mc import Z99, TvEstimate
+from .tv_mc import TvEstimate, mc_summary
 
 
 @dataclass(frozen=True)
@@ -118,24 +118,10 @@ def limiting_tv_mc(p: LimitParams, samples: int, rng: RngState) -> TvEstimate:
     y = gen.standard_normal(samples) * math.sqrt(2.0)
     z = gen.standard_normal(samples) * math.sqrt(6.0)
     vals = _limit_integrand(p.c, y, 3.0 * y + z)
-    mean = float(vals.sum()) / samples
-    if samples > 1:
-        stderr = float(vals.std(ddof=1)) / math.sqrt(samples)
-    else:
-        stderr = 0.0
     return TvEstimate(
-        mean=mean,
-        stderr=stderr,
-        ci_lo=max(mean - Z99 * stderr, 0.0),
-        ci_hi=min(mean + Z99 * stderr, 1.0),
-        samples=samples,
-        side="limit",
-        seed=rng.seed,
-        n=0,
-        d=0,
-        frac_in_q=1.0,
-        frac_psd=1.0,
-    )
+        *mc_summary(float(vals.sum()), float((vals * vals).sum()), samples),
+        samples=samples, side="limit", seed=rng.seed, n=0, d=0, frac_in_q=1.0,
+        frac_psd=1.0)
 
 
 def asymptotic_tail(p: LimitParams) -> float:

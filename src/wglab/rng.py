@@ -2,11 +2,11 @@
 
 Streams are keyed by (seed, stream_id) on a Philox counter-based generator,
 so distinct stream ids give statistically independent sequences and a fixed
-key reproduces the same sequence on every run.  Worker substreams are derived
-by shifting the stream id, which leaves the parent stream's values untouched
-no matter how many workers are used.  Both the parent stream id and the
-worker index must fit in 32 bits, so that no two (parent, worker) pairs share
-a substream.
+key reproduces the same sequence on every run.  Substreams, one per sample
+block of a Monte Carlo run, are derived by shifting the stream id, which
+leaves the parent stream's values untouched and gives every block its own
+key for free.  Both the parent stream id and the substream index must fit
+in 32 bits, so that no two (parent, index) pairs share a substream.
 """
 
 from dataclasses import dataclass
@@ -32,12 +32,12 @@ class RngState:
                        dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, worker: int) -> "RngState":
-        """Stream for the given worker index; disjoint across workers."""
+    def substream(self, index: int) -> "RngState":
+        """Stream for the given substream index; disjoint across indices."""
         if not 0 <= self.stream_id < _LIMIT32:
             raise InvalidParameterError(
                 f"substreams need a stream id in [0, 2**32), got {self.stream_id}")
-        if not 0 <= worker < _LIMIT32:
+        if not 0 <= index < _LIMIT32:
             raise InvalidParameterError(
-                f"worker index must be in [0, 2**32), got {worker}")
-        return RngState(self.seed, (self.stream_id << 32) + worker)
+                f"substream index must be in [0, 2**32), got {index}")
+        return RngState(self.seed, (self.stream_id << 32) + index)

@@ -36,12 +36,7 @@ class NormalizedSpectrum:
 
 def symmetric_eigenvalues(a: SymmetricMatrix) -> Spectrum:
     """Eigenvalues of a symmetric matrix, ascending."""
-    dense = a.to_dense()
-    try:
-        vals = np.linalg.eigvalsh(dense)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(a.n, str(exc)) from exc
-    return Spectrum(vals)
+    return Spectrum(batch_eigenvalues(a.to_dense()[None])[0])
 
 
 def batch_eigenvalues(mats: np.ndarray) -> np.ndarray:

@@ -12,10 +12,11 @@ ensemble, and alpha with the Q-window and PSD flags comes from O(n)
 recurrences on it, so a draw costs O(n): no dense matrix is formed and no
 eigenvalue is computed.
 
-Samples are partitioned across worker substreams and the per-worker partial
-sums are merged in fixed worker order, so a fixed (seed, worker count) gives
-bit-identical results whether or not the workers actually run in parallel.
-The pool never starts more processes than the machine has CPUs.
+A run of draws is cut into fixed-size blocks, each drawn from its own
+substream.  Workers take contiguous ranges of blocks and the per-block
+partial sums are merged in block order, so the seed alone fixes every
+estimate: any worker count gives bit-identical results.  The pool never
+starts more processes than there are blocks or CPUs.
 """
 
 import math
@@ -24,13 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
-from .densities import AlphaBreakdown, alpha_from_tridiagonal, s_decomposition
+from .densities import (AlphaBreakdown, alpha_from_tridiagonal,
+                        breakdowns_from_tridiagonal)
 from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
-from .spectral import Spectrum
 
 GOE_SIDE = "goe_side"
 WISHART_SIDE = "wishart_side"
@@ -38,8 +38,10 @@ WISHART_SIDE = "wishart_side"
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
 
-# draws times n per sampling batch; a batch peaks at about ten (n, size)
-# float arrays, so this bounds its memory near 20 MB
+# draws times n per block; a block peaks at about ten (n, size) float arrays,
+# so this bounds its memory near 20 MB.  It also fixes the stream layout:
+# block b of a run draws from substream b, so changing the budget moves the
+# draws of every run longer than one block
 _BATCH_BUDGET = 2 ** 18
 
 
@@ -78,74 +80,69 @@ def _integrand(alpha: np.ndarray, side: str) -> np.ndarray:
     return np.where(alpha > 0.0, -np.expm1(np.minimum(-alpha, 0.0)), 0.0)
 
 
-def _worker_values(n, d, count, rng, side):
-    """Integrand values plus Q/PSD counts for one worker's substream."""
-    gen = rng.generator()
+def _block_count(n: int, samples: int) -> int:
+    return -(-samples // _batch_size(n))
+
+
+def _draw_blocks(n, d, samples, rng, side, first, stop):
+    """Yield the tridiagonal batch ``(dev, off2)`` of blocks first..stop-1.
+
+    A run of ``samples`` draws is cut into blocks of ``_batch_size(n)``
+    draws, the last holding the rest; block b draws from ``rng.substream(b)``
+    whichever process draws it, so the draws depend on the seed alone.
+    """
     sample = goe_tridiagonal if side == GOE_SIDE else wishart_tridiagonal
     batch = _batch_size(n)
-    chunks = []
-    n_q = 0
-    n_psd = 0
-    done = 0
-    while done < count:
-        size = min(batch, count - done)
-        alpha, q, psd = alpha_from_tridiagonal(*sample(n, d, size, gen), n, d)
-        chunks.append(_integrand(alpha, side))
-        n_q += int(np.count_nonzero(q))
-        n_psd += int(np.count_nonzero(psd))
-        done += size
-    return np.concatenate(chunks), n_q, n_psd
+    for b in range(first, stop):
+        size = min(batch, samples - b * batch)
+        yield sample(n, d, size, rng.substream(b).generator())
 
 
-def _worker_stats(args):
-    values, n_q, n_psd = _worker_values(*args)
-    return (float(values.sum()), float((values * values).sum()),
-            values.shape[0], n_q, n_psd)
+def _block_stats(task):
+    """(sum, sumsq, n_q, n_psd) of the integrand values of each block of one
+    task's range."""
+    n, d, samples, rng, side, first, stop = task
+    parts = []
+    for dev, off2 in _draw_blocks(n, d, samples, rng, side, first, stop):
+        alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
+        values = _integrand(alpha, side)
+        parts.append((float(values.sum()), float((values * values).sum()),
+                      int(np.count_nonzero(q)), int(np.count_nonzero(psd))))
+    return parts
 
 
-def _partition(samples: int, workers: int) -> list[int]:
-    """Sample counts of min(workers, samples) parts, all positive."""
-    parts = min(workers, samples)
-    base, extra = divmod(samples, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
+def mc_summary(s: float, ss: float, count: int):
+    """(mean, stderr, ci_lo, ci_hi) of ``count`` values in [0, 1] from their
+    sum and sum of squares; the 99% interval is clipped to [0, 1]."""
+    mean = s / count
+    if count > 1:
+        var = max(ss - s * s / count, 0.0) / (count - 1)
+        stderr = math.sqrt(var / count)
+    else:
+        stderr = 0.0
+    return (mean, stderr, max(mean - Z99 * stderr, 0.0),
+            min(mean + Z99 * stderr, 1.0))
 
 
 def _estimate(n, d, samples, rng, side, workers):
     _check_params(n, d, samples)
     if workers < 1:
         raise InvalidParameterError(f"need workers >= 1, got {workers}")
-    tasks = [(n, d, c, rng.substream(i), side)
-             for i, c in enumerate(_partition(samples, workers))]
-    if len(tasks) > 1:
-        # more tasks than CPUs queue on the pool; the merge order, and so
-        # the result, depends on the task list alone
-        procs = min(len(tasks), os.cpu_count() or 1)
+    blocks = _block_count(n, samples)
+    procs = min(workers, blocks, os.cpu_count() or 1)
+    # one contiguous range of blocks per process; the partials come back in
+    # block order, so the merge does not depend on the split
+    tasks = [(n, d, samples, rng, side, blocks * i // procs,
+              blocks * (i + 1) // procs) for i in range(procs)]
+    if procs > 1:
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = list(pool.map(_worker_stats, tasks))
+            parts = [p for task in pool.map(_block_stats, tasks) for p in task]
     else:
-        parts = [_worker_stats(t) for t in tasks]
-    total = sum(p[2] for p in parts)
-    s = math.fsum(p[0] for p in parts)
-    ss = math.fsum(p[1] for p in parts)
-    mean = s / total
-    if total > 1:
-        var = max(ss - s * s / total, 0.0) / (total - 1)
-        stderr = math.sqrt(var / total)
-    else:
-        stderr = 0.0
-    return TvEstimate(
-        mean=mean,
-        stderr=stderr,
-        ci_lo=max(mean - Z99 * stderr, 0.0),
-        ci_hi=min(mean + Z99 * stderr, 1.0),
-        samples=total,
-        side=side,
-        seed=rng.seed,
-        n=n,
-        d=d,
-        frac_in_q=sum(p[3] for p in parts) / total,
-        frac_psd=sum(p[4] for p in parts) / total,
-    )
+        parts = _block_stats(tasks[0])
+    s, ss, n_q, n_psd = (math.fsum(col) for col in zip(*parts))
+    return TvEstimate(*mc_summary(s, ss, samples), samples=samples, side=side,
+                      seed=rng.seed, n=n, d=d, frac_in_q=n_q / samples,
+                      frac_psd=n_psd / samples)
 
 
 def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
@@ -171,25 +168,16 @@ class ProfileRecord:
 def tv_profile(n: int, d: int, samples: int, rng: RngState):
     """Per-draw alpha breakdowns and integrands for GOE-side sampling.
 
-    Uses the same draw sequence and the same batch alpha as
-    ``tv_estimate_goe_side`` with one worker, so the integrands reproduce
-    the estimator's mean; the breakdowns take the eigenvalues of each
-    tridiagonal draw.
+    Draws the same blocks as ``tv_estimate_goe_side`` and takes the same
+    batch alpha, so the integrands reproduce the estimator's mean; s0..s4
+    come from O(n) trace formulas on each draw, with no eigenvalues.
     """
     _check_params(n, d, samples)
-    gen = rng.substream(0).generator()
-    batch = _batch_size(n)
     records = []
-    done = 0
-    while done < samples:
-        size = min(batch, samples - done)
-        dev, off2 = goe_tridiagonal(n, d, size, gen)
-        alpha, _, _ = alpha_from_tridiagonal(dev, off2, n, d)
-        vals = _integrand(alpha, GOE_SIDE)
-        diag, off = dev.T + d, np.sqrt(off2.T)
-        for k, v in enumerate(vals):
-            eigs = eigvalsh_tridiagonal(diag[k], off[k])
-            bd = s_decomposition(Spectrum(eigs), n, d)
-            records.append(ProfileRecord(bd, float(v)))
-        done += size
+    for dev, off2 in _draw_blocks(n, d, samples, rng, GOE_SIDE, 0,
+                                  _block_count(n, samples)):
+        flags = alpha_from_tridiagonal(dev, off2, n, d)
+        records.extend(map(ProfileRecord,
+                           breakdowns_from_tridiagonal(dev, off2, *flags, n, d),
+                           _integrand(flags[0], GOE_SIDE).tolist()))
     return records

@@ -83,9 +83,18 @@ def test_run_sweep_rows():
         assert r.runtime_s == 0.0
 
 
-def test_run_sweep_deterministic():
+def test_run_sweep_deterministic(tmp_path):
     cfg = small_config()
     assert run_sweep(cfg) == run_sweep(cfg)
+    # 8199 draws are two blocks at n = 32 and three at n = 64, so at two
+    # workers each point is split across processes
+    written = []
+    for workers in (1, 2):
+        path = tmp_path / f"sweep_w{workers}.csv"
+        emit_csv(run_sweep(small_config(n_list=(32, 64), samples=8199,
+                                        workers=workers)), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_csv_roundtrip(tmp_path):
