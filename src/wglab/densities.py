@@ -212,10 +212,16 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
     alpha = (0.5 * ((d - n - 1) * logdet - dev.sum(axis=0) + frob2 / (2.0 * d))
              + spectrum_constant(n, d))
     alpha[~pd] = -np.inf
-    half = 3.0 * math.sqrt(n / d)
+    # the Sturm shifts live on the scale of T / d
+    half = q_half_width(n, d) / d
     counts = _sturm_counts(a, b, np.array([-half, half, -1.0 - TOL_PSD_SCALE]),
                            pivmin)
     return alpha, (counts[0] == 0) & (counts[1] == n), counts[2] == 0
+
+
+def q_half_width(n: int, d: int) -> float:
+    """Half-width 3 sqrt(d n) of the Q window d +- 3 sqrt(d n)."""
+    return 3.0 * math.sqrt(d * n)
 
 
 def in_q(s: Spectrum, n: int, d: int) -> bool:
@@ -224,7 +230,7 @@ def in_q(s: Spectrum, n: int, d: int) -> bool:
 
 
 def in_q_mask(eigs: np.ndarray, n: int, d: int) -> np.ndarray:
-    half = 3.0 * math.sqrt(d * n)
+    half = q_half_width(n, d)
     return (eigs[:, 0] >= d - half) & (eigs[:, -1] <= d + half)
 
 
@@ -237,13 +243,20 @@ def taylor_coeffs(n: int, d: int) -> TaylorCoeffs:
     """
     if d <= 9 * n:
         raise InvalidParameterError(f"need d > 9n for the Q window, got n={n}, d={d}")
-    h1 = -(n + 1) / (2.0 * d)
-    h2 = (n + 1) / (2.0 * d ** 2)
-    h3 = (d - n - 1) / float(d) ** 3
-    h4 = -3.0 * (d - n - 1) / float(d) ** 4
-    half = 3.0 * math.sqrt(d * n)
+    half = q_half_width(n, d)
     bound = (d - n - 1) / (10.0 * (d - half) ** 5) * half ** 5
-    return TaylorCoeffs(h1, h2, h3, h4, bound)
+    return TaylorCoeffs(*(math.factorial(k) * t for k, t in
+                          enumerate(_taylor_terms(n, d), 1)), bound)
+
+
+def _taylor_terms(n: int, d: int) -> tuple[float, float, float, float]:
+    """The Taylor coefficients h_k / k!, k = 1..4, of h at d, for any d.
+
+    h_k / k! rather than h_k, so that s_k = (h_k / k!) p_k takes one
+    rounding per coefficient.
+    """
+    return (-(n + 1) / (2.0 * d), (n + 1) / (4.0 * d ** 2),
+            (d - n - 1) / (6.0 * d ** 3), -(d - n - 1) / (8.0 * d ** 4))
 
 
 def breakdowns_from_tridiagonal(dev: np.ndarray, off2: np.ndarray,
@@ -272,10 +285,9 @@ def breakdowns_from_tridiagonal(dev: np.ndarray, off2: np.ndarray,
     p4 = ((r * r).sum(axis=0) + 2.0 * (off2 * pair * pair).sum(axis=0)
           + 2.0 * (off2[:-1] * off2[1:]).sum(axis=0))
     s0 = -n ** 3 / (12.0 * d)
-    s1 = -(n + 1) / (2.0 * d) * p1
-    s2 = (n + 1) / (4.0 * d ** 2) * p2
-    s3 = (d - n - 1) / (6.0 * d ** 3) * p3
-    s4 = -(d - n - 1) / (8.0 * d ** 4) * p4
+    # s_k = h_k / k! * p_k: the k-th Taylor term of sum_i h(lambda_i) at d
+    s1, s2, s3, s4 = (t * p for t, p in zip(_taylor_terms(n, d),
+                                            (p1, p2, p3, p4)))
     remainder = alpha - (s0 + s1 + s2 + s3 + s4)
     # a column with alpha = -inf (not positive definite) has no s-fields
     terms = zip(s1.tolist(), s2.tolist(), s3.tolist(), s4.tolist(),

@@ -66,18 +66,6 @@ class SymmetricMatrix:
         return cls(n, a[np.triu_indices(n)].copy())
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Matrix order n and degrees of freedom d."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise InvalidParameterError(f"need n, d >= 1, got n={self.n}, d={self.d}")
-
-
 def _diag_packed_indices(n: int) -> np.ndarray:
     i = np.arange(n)
     return i * n - i * (i - 1) // 2
@@ -122,7 +110,8 @@ def shift_scale_goe(m: SymmetricMatrix, d: int) -> SymmetricMatrix:
 
 def sample_wishart(n: int, d: int, rng: RngState) -> SymmetricMatrix:
     """One n x n Wishart draw with d degrees of freedom (X X^T)."""
-    EnsembleParams(n, d)
+    if n < 1 or d < 1:
+        raise InvalidParameterError(f"need n, d >= 1, got n={n}, d={d}")
     x = rng.generator().standard_normal((n, d))
     return SymmetricMatrix.from_dense(x @ x.T)
 

@@ -19,12 +19,9 @@ from pathlib import Path
 from .errors import ConfigError
 from .limit_theory import LimitParams, limiting_tv_closed_form
 from .rng import RngState
-from .tv_mc import tv_estimate_goe_side
+from .tv_mc import Z99, tv_estimate_goe_side
 
 CSV_HEADER = "c,n,d,tv_mc,tv_stderr,tv_limit,frac_in_q,runtime_s,seed"
-
-# error-bar half width in stderr units (99% normal)
-ERRBAR_Z = 2.58
 
 
 @dataclass(frozen=True)
@@ -246,8 +243,8 @@ def emit_figure1_svg(rows: list[SweepRow], path) -> None:
     for r in rows:
         x = _xpix(r.c, cmin, cmax)
         y = _ypix(r.tv_mc)
-        ylo = _ypix(max(r.tv_mc - ERRBAR_Z * r.tv_stderr, 0.0))
-        yhi = _ypix(min(r.tv_mc + ERRBAR_Z * r.tv_stderr, 1.0))
+        ylo = _ypix(max(r.tv_mc - Z99 * r.tv_stderr, 0.0))
+        yhi = _ypix(min(r.tv_mc + Z99 * r.tv_stderr, 1.0))
         parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(ylo)}" x2="{_fmt(x)}" '
                      f'y2="{_fmt(yhi)}" stroke="#d62728"/>')
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '

@@ -18,7 +18,7 @@ from .errors import DomainError, InvalidParameterError
 from .rng import RngState
 from .spectral import batch_eigenvalues
 from .ensembles import sample_goe_dense
-from .tv_mc import TvEstimate, mc_summary
+from .tv_mc import GOE_SIDE, TvEstimate, _integrand, mc_summary
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,6 @@ class LimitParams:
     def __post_init__(self):
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"need finite c > 0, got {self.c}")
-
-
-@dataclass(frozen=True)
-class CltPair:
-    """One draw of the (first, third) normalized power-sum pair."""
-
-    n1: float
-    n3: float
 
 
 @dataclass(frozen=True)
@@ -57,17 +49,19 @@ def limiting_tv_closed_form(p: LimitParams) -> float:
 def limiting_tv_quadrature(p: LimitParams) -> float:
     """The limit as a 1-D integral against the N(0, 6) density.
 
-    The integrand is positive exactly for z <= 1 / (2 sqrt(c)), which sets
-    the upper limit of integration.
+    The exponent of the limit functional is -a + b z with Z = N3 - 3 N1 ~
+    N(0, 6): N1 drops out because its coefficient k1 + 3 k3 vanishes.  The
+    integrand is positive exactly for z <= a / b = 1 / (2 sqrt(c)), which
+    sets the upper limit of integration.
     """
-    c = p.c
-    a = 1.0 / (12.0 * c)
-    b = 1.0 / (6.0 * math.sqrt(c))
-    zmax = 0.5 / math.sqrt(c)
+    s0, k1, s2, k3, s4 = s_limit_vector(p.c)
+    a = -(s0 + (s2 + s4))
+    b = k3
+    zmax = a / b
     norm = 1.0 / math.sqrt(12.0 * math.pi)
 
     def f(z):
-        return -np.expm1(-a + b * z) * norm * np.exp(-z * z / 12.0)
+        return _integrand(-a + b * z, GOE_SIDE) * norm * np.exp(-z * z / 12.0)
 
     val, _ = integrate.quad(f, -np.inf, zmax, epsabs=1e-12, epsrel=1e-12,
                             limit=200)
@@ -100,24 +94,21 @@ def clt_covariance_estimate(n: int, reps: int, rng: RngState) -> CovMatrix2:
     return CovMatrix2(float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]))
 
 
-def _limit_integrand(c: float, n1: np.ndarray, n3: np.ndarray) -> np.ndarray:
-    sqc = math.sqrt(c)
-    expo = -1.0 / (12.0 * c) - n1 / (2.0 * sqc) + n3 / (6.0 * sqc)
-    return np.where(expo < 0.0, -np.expm1(np.minimum(expo, 0.0)), 0.0)
-
-
 def limiting_tv_mc(p: LimitParams, samples: int, rng: RngState) -> TvEstimate:
     """Monte Carlo over the Gaussian limit pair.
 
     (N1, N3) is realized as (Y, 3Y + Z) with independent Y ~ N(0, 2) and
-    Z ~ N(0, 6), which reproduces the covariance [[2, 6], [6, 24]].
+    Z ~ N(0, 6), which reproduces the covariance [[2, 6], [6, 24]].  The
+    exponent s0 + s2 + s4 + k1 N1 + k3 N3 takes its coefficients from
+    ``s_limit_vector`` and goes through the GOE-side TV integrand.
     """
     if samples < 1:
         raise InvalidParameterError(f"need samples >= 1, got {samples}")
+    s0, k1, s2, k3, s4 = s_limit_vector(p.c)
     gen = rng.generator()
     y = gen.standard_normal(samples) * math.sqrt(2.0)
     z = gen.standard_normal(samples) * math.sqrt(6.0)
-    vals = _limit_integrand(p.c, y, 3.0 * y + z)
+    vals = _integrand(s0 + (s2 + s4) + k1 * y + k3 * (3.0 * y + z), GOE_SIDE)
     return TvEstimate(
         *mc_summary(float(vals.sum()), float((vals * vals).sum()), samples),
         samples=samples, side="limit", seed=rng.seed, n=0, d=0, frac_in_q=1.0,

@@ -1,8 +1,8 @@
 """Eigenvalues and the spectral statistics built on them.
 
 Everything downstream of the samplers is a function of the spectrum alone:
-centered power sums, the normalized eigenvalues (lambda_i - d) / sqrt(d n),
-their empirical moments, and the semicircle reference moments.
+the normalized eigenvalues (lambda_i - d) / sqrt(d n), their empirical
+moments, and the semicircle reference moments.
 """
 
 import math
@@ -48,14 +48,6 @@ def batch_eigenvalues(mats: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(n, str(exc)) from exc
-
-
-def centered_power_sums(s: Spectrum, d: float, k_max: int) -> list[float]:
-    """[sum_i (lambda_i - d)^k for k = 1..k_max], compensated summation."""
-    if k_max < 1:
-        raise InvalidParameterError(f"need k_max >= 1, got {k_max}")
-    dev = s.eigenvalues - d
-    return [math.fsum(dev ** k) for k in range(1, k_max + 1)]
 
 
 def normalize_spectrum(s: Spectrum, n: int, d: int) -> NormalizedSpectrum:

@@ -166,18 +166,24 @@ class ProfileRecord:
 
 
 def tv_profile(n: int, d: int, samples: int, rng: RngState):
-    """Per-draw alpha breakdowns and integrands for GOE-side sampling.
+    """Iterator over the per-draw alpha breakdowns and integrands of
+    GOE-side sampling.
 
     Draws the same blocks as ``tv_estimate_goe_side`` and takes the same
     batch alpha, so the integrands reproduce the estimator's mean; s0..s4
-    come from O(n) trace formulas on each draw, with no eigenvalues.
+    come from O(n) trace formulas on each draw, with no eigenvalues.  The
+    parameters are checked at once, and the records are made one block at
+    a time as they are consumed, so memory stays bounded by one block.
     """
     _check_params(n, d, samples)
-    records = []
-    for dev, off2 in _draw_blocks(n, d, samples, rng, GOE_SIDE, 0,
-                                  _block_count(n, samples)):
-        flags = alpha_from_tridiagonal(dev, off2, n, d)
-        records.extend(map(ProfileRecord,
-                           breakdowns_from_tridiagonal(dev, off2, *flags, n, d),
-                           _integrand(flags[0], GOE_SIDE).tolist()))
-    return records
+    blocks = _draw_blocks(n, d, samples, rng, GOE_SIDE, 0,
+                          _block_count(n, samples))
+    return (rec for dev, off2 in blocks
+            for rec in _profile_block(dev, off2, n, d))
+
+
+def _profile_block(dev, off2, n, d):
+    flags = alpha_from_tridiagonal(dev, off2, n, d)
+    return map(ProfileRecord,
+               breakdowns_from_tridiagonal(dev, off2, *flags, n, d),
+               _integrand(flags[0], GOE_SIDE).tolist())

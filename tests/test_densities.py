@@ -218,6 +218,13 @@ def test_s_decomposition_sums_exactly():
     total = bd.s0 + bd.s1 + bd.s2 + bd.s3 + bd.s4 + bd.remainder
     assert bd.alpha == pytest.approx(total, rel=1e-12, abs=1e-12)
     assert bd.alpha == alpha_exact(s, n, d)
+    # s_k is the k-th Taylor term h_k / k! * p_k, p_k = sum_i (lambda_i - d)^k
+    tc = taylor_coeffs(n, d)
+    dev = s.eigenvalues - d
+    for k, (h, got) in enumerate(zip((tc.h1, tc.h2, tc.h3, tc.h4),
+                                     (bd.s1, bd.s2, bd.s3, bd.s4)), 1):
+        want = h / math.factorial(k) * math.fsum(dev ** k)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_s_decomposition_non_psd():

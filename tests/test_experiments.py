@@ -2,10 +2,13 @@ import io
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wglab import (ConfigError, ExperimentConfig, emit_csv, emit_figure1_svg,
-                   parse_config, run_sweep)
-from wglab.experiments import CSV_HEADER, degrees_of_freedom, read_csv
+from wglab import (ConfigError, ExperimentConfig, SweepRow, emit_csv,
+                   emit_figure1_svg, parse_config, run_sweep)
+from wglab.experiments import CSV_HEADER, _ypix, degrees_of_freedom, read_csv
+from wglab.tv_mc import Z99
 
 
 def small_config(**overrides):
@@ -109,6 +112,28 @@ def test_csv_roundtrip(tmp_path):
     assert read_csv(path) == rows
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(SweepRow, _FINITE, st.integers(), st.integers(),
+                          _FINITE, _FINITE, _FINITE, _FINITE, _FINITE,
+                          st.integers()), min_size=1, max_size=5))
+def test_csv_roundtrip_arbitrary_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+    emit_csv(rows, path)
+    assert read_csv(path) == rows
+
+
+def test_sweep_records_runtime(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("c_grid = 0.5, 1.0\nn_list = 4\nsamples = 200\n"
+                    "record_runtime = true\n")
+    csv = tmp_path / "sweep.csv"
+    emit_csv(run_sweep(parse_config(path)), csv)
+    assert all(r.runtime_s > 0.0 for r in read_csv(csv))
+
+
 def test_csv_single_row(tmp_path):
     rows = run_sweep(small_config(c_grid=(1.0,), n_list=(4,)))
     path = tmp_path / "one.csv"
@@ -136,6 +161,15 @@ def test_svg_wellformed_and_deterministic(tmp_path):
     assert len(circles) == len(rows)
     polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polylines) == 1
+    # each error bar spans the estimator's 99% interval mean +- Z99 stderr
+    bars = [e for e in root.iter() if e.tag.endswith("line")
+            and e.get("stroke") == "#d62728"]
+    assert len(bars) == len(rows)
+    for bar, r in zip(bars, rows):
+        lo = max(r.tv_mc - Z99 * r.tv_stderr, 0.0)
+        hi = min(r.tv_mc + Z99 * r.tv_stderr, 1.0)
+        assert abs(float(bar.get("y1")) - _ypix(lo)) <= 0.01
+        assert abs(float(bar.get("y2")) - _ypix(hi)) <= 0.01
 
 
 def test_svg_requires_five_c_values(tmp_path):

@@ -61,11 +61,22 @@ def test_quadrature_small_at_large_c():
     assert limiting_tv_quadrature(LimitParams(100.0)) < 0.03
 
 
-@pytest.mark.parametrize("c", [1.0 / 48.0, 1.0])
+@pytest.mark.parametrize("c", [1.0 / 48.0, 1.0, 10.0])
 def test_mc_matches_closed_form(c):
     p = LimitParams(c)
-    est = limiting_tv_mc(p, 200_000, RngState(1))
+    samples = 200_000
+    est = limiting_tv_mc(p, samples, RngState(1))
     assert abs(est.mean - limiting_tv_closed_form(p)) <= 3 * est.stderr
+    # the exponent from s_limit_vector against the limit functional
+    # written out, -1/(12c) - N1/(2 sqrt c) + N3/(6 sqrt c), on the same draws
+    gen = RngState(1).generator()
+    y = gen.standard_normal(samples) * math.sqrt(2.0)
+    z = gen.standard_normal(samples) * math.sqrt(6.0)
+    sqc = math.sqrt(c)
+    expo = -1.0 / (12.0 * c) - y / (2.0 * sqc) + (3.0 * y + z) / (6.0 * sqc)
+    vals = np.where(expo < 0.0, -np.expm1(np.minimum(expo, 0.0)), 0.0)
+    assert abs(est.mean - vals.mean()) <= 1e-12
+    assert abs(est.stderr - vals.std(ddof=1) / math.sqrt(samples)) <= 1e-12
 
 
 def test_mc_degenerate_sample():

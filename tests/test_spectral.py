@@ -1,14 +1,12 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
-from wglab import (InvalidParameterError, RngState, Spectrum, SymmetricMatrix,
-                   centered_power_sums, empirical_moment, normalize_spectrum,
-                   sample_goe, semicircle_moment, shift_scale_goe,
-                   symmetric_eigenvalues)
+from wglab import (RngState, Spectrum, SymmetricMatrix,
+                   empirical_moment, normalize_spectrum, sample_goe,
+                   semicircle_moment, shift_scale_goe, symmetric_eigenvalues)
 from wglab.ensembles import sample_goe_dense
 from wglab.spectral import batch_eigenvalues
 
@@ -45,29 +43,6 @@ def test_eigenvalues_sorted_and_trace_identity():
         tr = np.trace(m.to_dense())
         scale = 20 * max(abs(s.eigenvalues).max(), 1.0)
         assert abs(math.fsum(s.eigenvalues) - tr) <= 1e-10 * scale
-
-
-def test_centered_power_sums_trivial():
-    s = Spectrum(np.full(4, 5.0))
-    assert centered_power_sums(s, 5.0, 3) == [0.0, 0.0, 0.0]
-    s2 = Spectrum(np.array([4.0, 6.0]))
-    assert centered_power_sums(s2, 5.0, 4) == [0.0, 2.0, 0.0, 2.0]
-
-
-def test_centered_power_sums_high_precision_reference():
-    rng = RngState(10).generator()
-    lam = 100.0 + rng.standard_normal(5)
-    s = Spectrum(np.sort(lam))
-    got = centered_power_sums(s, 100.0, 4)
-    with mp.workdps(50):
-        for k in range(1, 5):
-            ref = mp.fsum((mp.mpf(x) - 100) ** k for x in s.eigenvalues)
-            assert abs(got[k - 1] - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
-
-
-def test_centered_power_sums_kmax_validated():
-    with pytest.raises(InvalidParameterError):
-        centered_power_sums(Spectrum(np.ones(2)), 1.0, 0)
 
 
 def test_normalize_trivial():

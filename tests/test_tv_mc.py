@@ -3,6 +3,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import chi2, norm
@@ -30,6 +32,9 @@ def test_invalid_parameters():
         tv_estimate_goe_side(2, 4, 0, RngState(0))
     with pytest.raises(InvalidParameterError):
         tv_estimate_wishart_side(2, 4, 10, RngState(0), workers=0)
+    # checked at the call, before any record is asked for
+    with pytest.raises(InvalidParameterError):
+        tv_profile(3, 2, 10, RngState(0))
 
 
 def test_single_sample_degenerate():
@@ -109,7 +114,7 @@ def test_wishart_side_all_psd():
 
 def test_profile_stream_length_and_consistency():
     n, d, samples = 4, 64, 300
-    records = tv_profile(n, d, samples, RngState(12))
+    records = list(tv_profile(n, d, samples, RngState(12)))
     assert len(records) == samples
     for rec in records:
         assert 0.0 <= rec.integrand <= 1.0
@@ -117,6 +122,24 @@ def test_profile_stream_length_and_consistency():
         if b.s0 is not None:
             total = b.s0 + b.s1 + b.s2 + b.s3 + b.s4 + b.remainder
             assert b.alpha == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+
+def test_profile_makes_records_one_block_at_a_time(monkeypatch):
+    calls = []
+    alpha = tv_mc.alpha_from_tridiagonal
+
+    def counting_alpha(*args):
+        calls.append(args[0].shape[1])
+        return alpha(*args)
+
+    monkeypatch.setattr(tv_mc, "alpha_from_tridiagonal", counting_alpha)
+    monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 4 * 16)
+    records = tv_profile(4, 64, 50, RngState(12))
+    assert calls == []
+    next(records)
+    assert calls == [16]
+    assert len(list(records)) == 49
+    assert calls == [16, 16, 16, 2]
 
 
 def test_profile_reproduces_estimator_mean():
@@ -134,7 +157,7 @@ def test_profile_matches_eigenvalue_decomposition(n, monkeypatch):
     # 128-draw blocks, so the records span three blocks
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 128 * n)
     d, samples, rng = n ** 3, 300, RngState(15 + n)
-    records = tv_profile(n, d, samples, rng)
+    records = list(tv_profile(n, d, samples, rng))
     draws = tv_mc._draw_blocks(n, d, samples, rng, tv_mc.GOE_SIDE, 0,
                                tv_mc._block_count(n, samples))
     dev, off2 = (np.concatenate(x, axis=1) for x in zip(*draws))
@@ -164,6 +187,16 @@ def test_integrand_bounded_small_d():
     est = tv_estimate_goe_side(3, 3, 400, RngState(14))
     assert 0.0 <= est.mean <= 1.0
     assert est.frac_psd < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+def test_integrand_in_unit_interval(alphas):
+    # any non-NaN alpha, +-inf and the extremes included, on both sides
+    alpha = np.array(alphas)
+    for side in (tv_mc.GOE_SIDE, tv_mc.WISHART_SIDE):
+        vals = tv_mc._integrand(alpha, side)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
 def dense_integrand(n, d, samples, gen, side):
