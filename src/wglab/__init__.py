@@ -16,10 +16,10 @@ from .errors import (ConfigError, DomainError, EigensolverError,
                      InvalidParameterError)
 from .experiments import (ExperimentConfig, SweepRow, emit_csv,
                           emit_figure1_svg, parse_config, run_sweep)
-from .limit_theory import (CovMatrix2, LimitParams, asymptotic_tail,
-                           clt_covariance_estimate, limiting_tv_closed_form,
-                           limiting_tv_mc, limiting_tv_quadrature,
-                           s_limit_vector)
+from .limit_theory import (CovMatrix2, LimitEstimate, LimitParams,
+                           asymptotic_tail, clt_covariance_estimate,
+                           limiting_tv_closed_form, limiting_tv_mc,
+                           limiting_tv_quadrature, s_limit_vector)
 from .rng import RngState
 from .spectral import (NormalizedSpectrum, Spectrum, empirical_moment,
                        normalize_spectrum, semicircle_moment,
@@ -30,8 +30,9 @@ from .tv_mc import (TvEstimate, tv_estimate_goe_side,
 __all__ = [
     "AlphaBreakdown", "ConfigError", "CovMatrix2", "DomainError",
     "EigensolverError", "ExperimentConfig", "InvalidParameterError",
-    "LimitParams", "NormalizedSpectrum", "RngState", "Spectrum", "SweepRow",
-    "SymmetricMatrix", "TaylorCoeffs", "TvEstimate", "alpha_exact",
+    "LimitEstimate", "LimitParams", "NormalizedSpectrum", "RngState",
+    "Spectrum", "SweepRow", "SymmetricMatrix", "TaylorCoeffs", "TvEstimate",
+    "alpha_exact",
     "alpha_from_densities", "asymptotic_tail", "clt_covariance_estimate",
     "emit_csv", "emit_figure1_svg", "empirical_moment", "in_q",
     "limiting_tv_closed_form", "limiting_tv_mc", "limiting_tv_quadrature",

@@ -5,7 +5,7 @@ Subcommands:
   limit    closed form, quadrature, and large-c asymptote at one c
   clt      empirical covariance of the (first, third) power-sum pair
   sweep    run a configured (c, n) grid, write CSV and optionally SVG
-  profile  stream per-draw alpha breakdowns as CSV
+  profile  stream per-evaluation alpha breakdowns as CSV
 
 Exit codes: 0 success, 1 runtime error, 2 configuration/usage error.
 The WGLAB_WORKERS environment variable overrides the worker count of tv and
@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tv = sub.add_parser("tv", help="single-point TV estimate")
     p_tv.add_argument("--n", type=int, required=True)
     p_tv.add_argument("--d", type=int, required=True)
-    p_tv.add_argument("--samples", type=int, default=100_000)
+    p_tv.add_argument("--samples", type=int, default=100_000,
+                      help="alpha evaluations; on the GOE side each draw is "
+                      "evaluated as drawn and mirrored (an antithetic pair)")
     p_tv.add_argument("--seed", type=int, default=0)
     p_tv.add_argument("--side", choices=[GOE_SIDE, WISHART_SIDE],
                       default=GOE_SIDE)
@@ -68,10 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a configured grid")
     p_sweep.add_argument("--config", required=True)
 
-    p_prof = sub.add_parser("profile", help="stream per-draw diagnostics")
+    p_prof = sub.add_parser("profile",
+                            help="stream per-evaluation diagnostics")
     p_prof.add_argument("--n", type=int, required=True)
     p_prof.add_argument("--d", type=int, required=True)
-    p_prof.add_argument("--samples", type=int, default=1000)
+    p_prof.add_argument("--samples", type=int, default=1000,
+                        help="alpha evaluations, one row each; each draw is "
+                        "evaluated as drawn and mirrored (an antithetic pair)")
     p_prof.add_argument("--seed", type=int, default=0)
     return parser
 

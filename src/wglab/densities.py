@@ -259,6 +259,11 @@ def _taylor_terms(n: int, d: int) -> tuple[float, float, float, float]:
             (d - n - 1) / (6.0 * d ** 3), -(d - n - 1) / (8.0 * d ** 4))
 
 
+def s0_term(n: int, d: float) -> float:
+    """s0 = -n^3 / (12 d), the constant Taylor term of alpha."""
+    return -n ** 3 / (12.0 * d)
+
+
 def breakdowns_from_tridiagonal(dev: np.ndarray, off2: np.ndarray,
                                 alpha: np.ndarray, q: np.ndarray,
                                 psd: np.ndarray, n: int,
@@ -284,7 +289,7 @@ def breakdowns_from_tridiagonal(dev: np.ndarray, off2: np.ndarray,
     p3 = (a2 * dev).sum(axis=0) + 3.0 * (off2 * pair).sum(axis=0)
     p4 = ((r * r).sum(axis=0) + 2.0 * (off2 * pair * pair).sum(axis=0)
           + 2.0 * (off2[:-1] * off2[1:]).sum(axis=0))
-    s0 = -n ** 3 / (12.0 * d)
+    s0 = s0_term(n, d)
     # s_k = h_k / k! * p_k: the k-th Taylor term of sum_i h(lambda_i) at d
     s1, s2, s3, s4 = (t * p for t, p in zip(_taylor_terms(n, d),
                                             (p1, p2, p3, p4)))

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .densities import s0_term
 from .errors import DomainError, InvalidParameterError
 from .rng import RngState
 from .spectral import batch_eigenvalues
 from .ensembles import sample_goe_dense
-from .tv_mc import GOE_SIDE, TvEstimate, _integrand, mc_summary
+from .tv_mc import GOE_SIDE, _integrand, mc_summary, sample_variance
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,18 @@ class LimitParams:
     def __post_init__(self):
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"need finite c > 0, got {self.c}")
+
+
+@dataclass(frozen=True)
+class LimitEstimate:
+    """Monte Carlo estimate of the limiting TV with a 99% interval."""
+
+    mean: float
+    stderr: float
+    ci_lo: float
+    ci_hi: float
+    samples: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -94,7 +107,8 @@ def clt_covariance_estimate(n: int, reps: int, rng: RngState) -> CovMatrix2:
     return CovMatrix2(float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]))
 
 
-def limiting_tv_mc(p: LimitParams, samples: int, rng: RngState) -> TvEstimate:
+def limiting_tv_mc(p: LimitParams, samples: int,
+                   rng: RngState) -> LimitEstimate:
     """Monte Carlo over the Gaussian limit pair.
 
     (N1, N3) is realized as (Y, 3Y + Z) with independent Y ~ N(0, 2) and
@@ -109,10 +123,10 @@ def limiting_tv_mc(p: LimitParams, samples: int, rng: RngState) -> TvEstimate:
     y = gen.standard_normal(samples) * math.sqrt(2.0)
     z = gen.standard_normal(samples) * math.sqrt(6.0)
     vals = _integrand(s0 + (s2 + s4) + k1 * y + k3 * (3.0 * y + z), GOE_SIDE)
-    return TvEstimate(
-        *mc_summary(float(vals.sum()), float((vals * vals).sum()), samples),
-        samples=samples, side="limit", seed=rng.seed, n=0, d=0, frac_in_q=1.0,
-        frac_psd=1.0)
+    s = float(vals.sum())
+    var = sample_variance(s, float((vals * vals).sum()), samples)
+    return LimitEstimate(*mc_summary(s / samples, math.sqrt(var / samples)),
+                         samples=samples, seed=rng.seed)
 
 
 def asymptotic_tail(p: LimitParams) -> float:
@@ -125,10 +139,11 @@ def s_limit_vector(c: float) -> tuple[float, float, float, float, float]:
 
     Positions 0, 2, 4 are the deterministic limits of s0, s2, s4; positions
     1 and 3 are the coefficients multiplying (N1, N3) in the limits of s1
-    and s3.
+    and s3.  s0 depends on (n, d) only through d / n^3, so its limit is
+    its value at n = 1, d = c.
     """
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
     sqc = math.sqrt(c)
-    return (-1.0 / (12.0 * c), -1.0 / (2.0 * sqc),
+    return (s0_term(1, c), -1.0 / (2.0 * sqc),
             1.0 / (4.0 * c), 1.0 / (6.0 * sqc), -1.0 / (4.0 * c))

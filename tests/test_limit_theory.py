@@ -4,10 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wglab import (DomainError, InvalidParameterError, LimitParams, RngState,
-                   asymptotic_tail, clt_covariance_estimate,
-                   limiting_tv_closed_form, limiting_tv_mc,
-                   limiting_tv_quadrature, s_limit_vector)
+from wglab import (DomainError, InvalidParameterError, LimitEstimate,
+                   LimitParams, RngState, asymptotic_tail,
+                   clt_covariance_estimate, limiting_tv_closed_form,
+                   limiting_tv_mc, limiting_tv_quadrature, s_limit_vector)
+from wglab.densities import s0_term
 from wglab.limit_theory import sample_clt_pairs
 
 C_GRID = [0.01, 0.1, 1.0 / 48.0, 0.5, 1.0, 10.0, 100.0]
@@ -85,6 +86,15 @@ def test_mc_degenerate_sample():
     assert 0.0 <= est.mean <= 1.0
 
 
+def test_mc_result_has_no_finite_n_fields():
+    est = limiting_tv_mc(LimitParams(1.0), 1000, RngState(3))
+    assert type(est) is LimitEstimate
+    assert est.samples == 1000 and est.seed == 3
+    assert est.ci_lo <= est.mean <= est.ci_hi
+    for field in ("n", "d", "side", "frac_in_q", "frac_psd"):
+        assert not hasattr(est, field)
+
+
 def test_mc_invalid_samples():
     with pytest.raises(InvalidParameterError):
         limiting_tv_mc(LimitParams(1.0), 0, RngState(0))
@@ -109,6 +119,15 @@ def test_s_limit_vector_values():
     for c in (0.1, 1.0, 7.5):
         v = s_limit_vector(c)
         assert v[2] + v[4] == 0.0
+
+
+@pytest.mark.parametrize("c", [0.01, 1.0 / 48.0, 1.0, 10.0])
+def test_s0_limit_is_the_finite_n_s0(c):
+    # one formula: s0 = -n^3 / (12 d) is a function of d / n^3 alone
+    assert s_limit_vector(c)[0] == s0_term(1, c) == -1.0 / (12.0 * c)
+    for n in (2, 8, 64):
+        assert s0_term(n, c * n ** 3) == pytest.approx(s_limit_vector(c)[0],
+                                                       rel=1e-15)
 
 
 def test_s_limit_vector_functional_reproduces_erf():
