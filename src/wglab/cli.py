@@ -18,14 +18,16 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, InvalidParameterError
 from .experiments import emit_csv, emit_figure1_svg, parse_config, run_sweep
 from .limit_theory import (LimitParams, asymptotic_tail,
                            clt_covariance_estimate, limiting_tv_closed_form,
                            limiting_tv_quadrature)
 from .rng import RngState
-from .tv_mc import (GOE_SIDE, WISHART_SIDE, tv_estimate_goe_side,
-                    tv_estimate_wishart_side, tv_profile)
+from .tv_mc import (GOE_SIDE, WISHART_SIDE, profile_columns,
+                    tv_estimate_goe_side, tv_estimate_wishart_side)
 
 PROFILE_HEADER = "alpha,s0,s1,s2,s3,s4,remainder,in_q,psd,integrand"
 
@@ -81,10 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _opt(v) -> str:
-    return "" if v is None else repr(v)
-
-
 def _cmd_tv(args, out) -> int:
     estimate = (tv_estimate_goe_side if args.side == GOE_SIDE
                 else tv_estimate_wishart_side)
@@ -129,15 +127,27 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_profile(args, out) -> int:
-    records = tv_profile(args.n, args.d, args.samples, RngState(args.seed))
+    groups = profile_columns(args.n, args.d, args.samples,
+                             RngState(args.seed))
     print(PROFILE_HEADER, file=out)
-    for rec in records:
-        b = rec.breakdown
-        print(",".join([repr(b.alpha), _opt(b.s0), _opt(b.s1), _opt(b.s2),
-                        _opt(b.s3), _opt(b.s4), _opt(b.remainder),
-                        str(b.in_q).lower(), str(b.psd).lower(),
-                        repr(rec.integrand)]), file=out)
+    for group in groups:
+        out.write("".join(row + "\n" for row in _profile_rows(*group)))
     return 0
+
+
+def _profile_rows(alpha, terms, q, psd, values):
+    """The CSV rows of one group of evaluations, built a column at a time:
+    floats as repr, flags as true/false, and no s-fields where alpha is
+    -inf."""
+    s0, *rest = terms
+    fields = [[repr(s0)] * alpha.size,
+              *(list(map(repr, col.tolist())) for col in rest)]
+    for j in np.flatnonzero(alpha == -np.inf).tolist():
+        for col in fields:
+            col[j] = ""
+    flags = (np.where(f, "true", "false").tolist() for f in (q, psd))
+    return map(",".join, zip(map(repr, alpha.tolist()), *fields, *flags,
+                             map(repr, values.tolist())))
 
 
 _COMMANDS = {"tv": _cmd_tv, "limit": _cmd_limit, "clt": _cmd_clt,

@@ -15,15 +15,17 @@ Summed over the spectrum, h needs no eigenvalues: sum_i log(lambda_i / d) is
 log det(T / d), sum_i (lambda_i - d) is tr(T - dI) and sum_i (lambda_i - d)^2
 is ||T - dI||_F^2.  ``alpha_from_tridiagonal``, the Monte Carlo hot path,
 takes these from a batch of symmetric tridiagonal T in O(n) per draw: the
-determinant from the LDL^T pivot recurrence, and the Q-window and PSD flags
-from Sturm counts.  The eigenvalue functions stay as its test reference; the
-scalar ones are size-1 views of the batch ones.
+determinant from the LDL^T pivot recurrence, the Q-window flag from a
+Gershgorin bound with Sturm counts where it cannot decide, and the PSD flag
+from the pivots with a Sturm count where they are not all positive.  The
+eigenvalue functions stay as its test reference; the scalar ones are size-1
+views of the batch ones.
 
 ``s_decomposition`` splits alpha into the constant, linear, quadratic, cubic
 and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
 structure that drives the whole phase-transition analysis.
-``breakdowns_from_tridiagonal`` gives the same split over a tridiagonal
-batch from O(n) trace formulas; a spectrum is the diagonal case.
+``breakdown_columns`` gives the same split over a tridiagonal batch from
+O(n) trace formulas; a spectrum is the diagonal case.
 """
 
 import math
@@ -179,44 +181,94 @@ def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
 
 
 def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
-                           d: int):
-    """alpha, the Q-window flag and the PSD flag over a tridiagonal batch.
+                           d: int, mirrors: int = 0):
+    """alpha, the Q-window flag and the PSD flag over a tridiagonal batch
+    and the mirrors of its first ``mirrors`` columns, in one pass.
 
     ``dev`` is the (n, size) array of diagonal deviations T_ii - d and
     ``off2`` the (n - 1, size) array of squared off-diagonals, one column
-    per draw.  Returns ``(alpha, in_q, psd)``, each of shape (size,), with
-    the same meaning as ``alpha_from_eigenvalues`` and ``in_q_mask`` on the
-    eigenvalues of T and with psd meaning lambda_min >= -TOL_PSD_SCALE * d.
+    per draw.  The mirror of a column is the same T with ``dev`` negated.
+    Returns ``(alpha, in_q, psd)``, each of shape (size + mirrors,): the
+    columns as given, then the mirrors, with the same meaning as
+    ``alpha_from_eigenvalues`` and ``in_q_mask`` on the eigenvalues of T
+    and with psd meaning lambda_min >= -TOL_PSD_SCALE * d.
 
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
     w_i = dev_i / d - (off2_{i-1} / d^2) / (1 + w_{i-1}); alpha is -inf
-    unless every pivot 1 + w_i is positive.
+    unless every pivot 1 + w_i is positive.  A column whose pivots are all
+    positive is positive definite, so it is PSD; the others take a Sturm
+    count at the PSD threshold.  A Gershgorin bound certifies most columns
+    inside the Q window; Sturm counts at the window's edges decide the
+    rest.  The window is symmetric about d and a mirror's spectrum is its
+    draw's reflected about d, so a mirror takes its draw's Q flag.  The
+    scaled T and the Q flag are computed once for a column and its mirror;
+    the pivot recurrence runs on each.
     """
     if d < n:
         raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
     a = dev / d
     b = off2 / float(d) ** 2
     pivmin = _SAFMIN * np.max(b, axis=0, initial=1.0)
-    # a column whose pivot 1 + w_i is pivmin or less is not positive
-    # definite; what the recurrence computes after that pivot is discarded
-    w = a.copy()
-    p = np.empty_like(pivmin)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, n):
-            np.add(w[i - 1], 1.0, out=p)
-            np.divide(b[i - 1], p, out=p)
-            w[i] -= p
-        pd = np.all(1.0 + w > pivmin, axis=0)
-        logdet = np.log1p(w).sum(axis=0)
-    frob2 = (dev * dev).sum(axis=0) + 2.0 * off2.sum(axis=0)
-    alpha = (0.5 * ((d - n - 1) * logdet - dev.sum(axis=0) + frob2 / (2.0 * d))
-             + spectrum_constant(n, d))
-    alpha[~pd] = -np.inf
-    # the Sturm shifts live on the scale of T / d
+    const = spectrum_constant(n, d)
+    alpha, psd = [], []
+    sides = [(1.0, slice(None))] + [(-1.0, slice(mirrors))] * (mirrors > 0)
+    for sign, cols in sides:
+        # each side sums over its own columns, as a batch of that width
+        # would: numpy sums a lone column in another order than several
+        x = dev[:, cols]
+        lin = sign * x.sum(axis=0)
+        frob2 = (x * x).sum(axis=0) + 2.0 * off2[:, cols].sum(axis=0)
+        # a column whose pivot 1 + w_i is pivmin or less is not positive
+        # definite; what the recurrence computes after that pivot is
+        # discarded
+        w = sign * a[:, cols]
+        bc, pc = b[:, cols], pivmin[cols]
+        p = np.empty_like(pc)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(1, n):
+                np.add(w[i - 1], 1.0, out=p)
+                np.divide(bc[i - 1], p, out=p)
+                w[i] -= p
+            pd = np.all(1.0 + w > pc, axis=0)
+            logdet = np.log1p(w, out=w).sum(axis=0)
+        side = (0.5 * ((d - n - 1) * logdet - lin + frob2 / (2.0 * d))
+                + const)
+        side[~pd] = -np.inf
+        alpha.append(side)
+        # pd becomes the PSD flag: a Sturm count decides the columns that
+        # are not positive definite
+        undecided = np.flatnonzero(~pd)
+        if undecided.size:
+            pd[undecided] = _sturm_counts(
+                sign * a[:, undecided], b[:, undecided],
+                np.array([-1.0 - TOL_PSD_SCALE]), pivmin[undecided])[0] == 0
+        psd.append(pd)
+    q = _q_flags(a, b, pivmin, n, d)
+    return (np.concatenate(alpha), np.concatenate([q, q[:mirrors]]),
+            np.concatenate(psd))
+
+
+def _q_flags(a: np.ndarray, b: np.ndarray, pivmin: np.ndarray, n: int,
+             d: int) -> np.ndarray:
+    """The Q-window flag of each column of the scaled batch (a, b)."""
+    # the window on the scale of T / d - I
     half = q_half_width(n, d) / d
-    counts = _sturm_counts(a, b, np.array([-half, half, -1.0 - TOL_PSD_SCALE]),
-                           pivmin)
-    return alpha, (counts[0] == 0) & (counts[1] == n), counts[2] == 0
+    # Gershgorin: every eigenvalue of T / d - I lies within
+    # max_i(|a_i| + e_{i-1} + e_i) of 0, with e = sqrt(b).  The margin of
+    # 1e-9 half dominates the rounding of this bound and of the Sturm
+    # count, which moves an eigenvalue by a few ulps of half, so a
+    # certified column is one the count would find inside
+    e = np.sqrt(b)
+    radius = np.abs(a)
+    radius[:-1] += e
+    radius[1:] += e
+    q = radius.max(axis=0) < half * (1.0 - 1e-9)
+    undecided = np.flatnonzero(~q)
+    if undecided.size:
+        counts = _sturm_counts(a[:, undecided], b[:, undecided],
+                               np.array([-half, half]), pivmin[undecided])
+        q[undecided] = (counts[0] == 0) & (counts[1] == n)
+    return q
 
 
 def q_half_width(n: int, d: int) -> float:
@@ -264,16 +316,17 @@ def s0_term(n: int, d: float) -> float:
     return -n ** 3 / (12.0 * d)
 
 
-def breakdowns_from_tridiagonal(dev: np.ndarray, off2: np.ndarray,
-                                alpha: np.ndarray, q: np.ndarray,
-                                psd: np.ndarray, n: int,
-                                d: int) -> list[AlphaBreakdown]:
-    """One AlphaBreakdown per column of a tridiagonal batch.
+def breakdown_columns(dev: np.ndarray, off2: np.ndarray, alpha: np.ndarray,
+                      n: int, d: int):
+    """s0..s4 and the remainder of each column of a tridiagonal batch.
 
-    ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal``, and alpha,
-    the Q-window flag q and the PSD flag are given per column.  s0..s4 come from O(n) trace formulas:
-    with a = dev, e^2 = off2 and r_i = a_i^2 + e_{i-1}^2 + e_i^2 the diagonal
-    of (T - dI)^2, the power sums p_k = tr((T - dI)^k) are
+    ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal`` and alpha is
+    given per column.  Returns ``(s0, s1, s2, s3, s4, remainder)``: s0 is
+    one float, the others arrays of shape (size,), and the entries of a
+    column with alpha = -inf (not positive definite) mean nothing.
+    s1..s4 come from O(n) trace formulas: with a = dev, e^2 = off2 and
+    r_i = a_i^2 + e_{i-1}^2 + e_i^2 the diagonal of (T - dI)^2, the power
+    sums p_k = tr((T - dI)^k) are
 
         p1 = sum a,   p2 = sum a^2 + 2 sum e_i^2,
         p3 = sum a^3 + 3 sum e_i^2 (a_i + a_{i+1}),
@@ -293,14 +346,20 @@ def breakdowns_from_tridiagonal(dev: np.ndarray, off2: np.ndarray,
     # s_k = h_k / k! * p_k: the k-th Taylor term of sum_i h(lambda_i) at d
     s1, s2, s3, s4 = (t * p for t, p in zip(_taylor_terms(n, d),
                                             (p1, p2, p3, p4)))
-    remainder = alpha - (s0 + s1 + s2 + s3 + s4)
+    return s0, s1, s2, s3, s4, alpha - (s0 + s1 + s2 + s3 + s4)
+
+
+def breakdown_records(alpha: np.ndarray, terms, q: np.ndarray,
+                      psd: np.ndarray) -> list[AlphaBreakdown]:
+    """One AlphaBreakdown per column, from alpha, the ``breakdown_columns``
+    terms, the Q-window flag q and the PSD flag."""
+    s0, *rest = terms
     # a column with alpha = -inf (not positive definite) has no s-fields
-    terms = zip(s1.tolist(), s2.tolist(), s3.tolist(), s4.tolist(),
-                remainder.tolist())
     return [AlphaBreakdown(a, *((None,) * 6 if a == -math.inf else (s0, *t)),
                            qa, pa)
-            for a, t, qa, pa in zip(alpha.tolist(), terms, q.tolist(),
-                                    psd.tolist())]
+            for a, t, qa, pa in zip(alpha.tolist(),
+                                    zip(*(x.tolist() for x in rest)),
+                                    q.tolist(), psd.tolist())]
 
 
 def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
@@ -310,7 +369,8 @@ def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
     with no off-diagonal.
     """
     lam = s.eigenvalues[None, :]
-    return breakdowns_from_tridiagonal(
-        lam.T - d, np.zeros((lam.size - 1, 1)),
-        alpha_from_eigenvalues(lam, n, d), in_q_mask(lam, n, d),
-        lam[:, 0] >= -TOL_PSD_SCALE * d, n, d)[0]
+    alpha = alpha_from_eigenvalues(lam, n, d)
+    terms = breakdown_columns(lam.T - d, np.zeros((lam.size - 1, 1)), alpha,
+                              n, d)
+    return breakdown_records(alpha, terms, in_q_mask(lam, n, d),
+                             lam[:, 0] >= -TOL_PSD_SCALE * d)[0]

@@ -126,8 +126,16 @@ def sample_wishart_dense(n: int, d: int, size: int,
 
 
 def _chi2(dof: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
-    """(len(dof), size) chi-square variates, row k with dof[k] degrees."""
-    return 2.0 * gen.standard_gamma(0.5 * dof[:, None], size=(dof.size, size))
+    """(len(dof), size) chi-square variates, row k with dof[k] degrees.
+
+    Row by row with a scalar shape: the same stream as one broadcast draw,
+    which numpy runs through a slower per-element path.
+    """
+    out = np.empty((dof.size, size))
+    for row, k in zip(out, dof.tolist()):
+        gen.standard_gamma(0.5 * k, out=row)
+    out *= 2.0
+    return out
 
 
 def goe_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator):
@@ -138,8 +146,10 @@ def goe_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator):
     whose diagonal is N(0, 2), so there is no 1/sqrt(2) factor.  Returns
     ``(dev, off2)`` as described in the module docstring.
     """
-    dev = math.sqrt(2.0 * d) * gen.standard_normal((n, size))
-    off2 = d * _chi2(np.arange(n - 1, 0, -1), size, gen)
+    dev = gen.standard_normal((n, size))
+    dev *= math.sqrt(2.0 * d)
+    off2 = _chi2(np.arange(n - 1, 0, -1), size, gen)
+    off2 *= d
     return dev, off2
 
 

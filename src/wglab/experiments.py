@@ -13,7 +13,7 @@ timestamps or generated ids leak in.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -82,8 +82,10 @@ def parse_config(path) -> ExperimentConfig:
 
     Recognized keys: c_grid and n_list (comma-separated), samples, seed,
     workers, out_dir, emit_svg, record_runtime.  Lines starting with '#'
-    are comments.
+    are comments.  An unknown or repeated key is an error, so a misspelled
+    key cannot fall back silently to its default.
     """
+    known = {f.name for f in fields(ExperimentConfig)}
     raw = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -96,7 +98,12 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{line_no}: repeated key {key!r}")
+        raw[key] = value.strip()
     try:
         kwargs = {}
         if "c_grid" in raw:

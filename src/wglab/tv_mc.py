@@ -18,8 +18,11 @@ do not change the spectrum, so a GOE-side draw (dev, off2) and its mirror
 twice, as drawn and mirrored: antithetic variates (Hammersley and Morton
 1956).  The limit exponent is linear in the odd power sums N1 and N3, so
 the two integrands of a pair are negatively correlated, and the stderr is
-taken over the pairs.  ``samples`` counts alpha evaluations, mirrored ones
-included.  GOE-side blocks hold an even number of evaluations, so only the
+taken over the pairs.  A block's draws and their mirrors are evaluated in
+one ``alpha_from_tridiagonal`` pass, which scales T and finds the Q flag
+once per pair (Gershgorin certificate, Sturm counts where it cannot decide)
+and takes PSD from the pivots.  ``samples`` counts alpha evaluations,
+mirrored ones included.  GOE-side blocks hold an even number of evaluations, so only the
 last block of an odd ``samples`` holds an unpaired draw.  The Wishart law
 has no such symmetry: there each draw is one evaluation.
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import (AlphaBreakdown, alpha_from_tridiagonal,
-                        breakdowns_from_tridiagonal)
+                        breakdown_columns, breakdown_records)
 from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
@@ -99,26 +102,25 @@ def _block_count(n: int, samples: int, side: str) -> int:
 
 
 def _draw_blocks(n, d, samples, rng, side, first, stop):
-    """Yield, for each of blocks first..stop-1, the tuple of tridiagonal
-    batches ``(dev, off2)`` its alpha evaluations run on, in order.
+    """Yield, for each of blocks first..stop-1, the tridiagonal batch
+    ``(dev, off2)`` its alpha evaluations run on and its mirror count.
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
     from ``rng.substream(b)`` whichever process draws it, so the draws
-    depend on the seed alone.  A Wishart-side block is one batch.  A
-    GOE-side block of ``size`` evaluations is two: its ceil(size / 2)
-    draws, then the first floor(size / 2) of them with the diagonal
-    negated, so pair j is column j of both.
+    depend on the seed alone.  A Wishart-side block of ``size``
+    evaluations is ``size`` draws and no mirror.  A GOE-side block is its
+    ceil(size / 2) draws, each evaluated as drawn, and the mirrors of the
+    first floor(size / 2) of them, so pair j is draw j and mirror j.
     """
     batch = _batch_size(n, side)
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
         gen = rng.substream(b).generator()
         if side == WISHART_SIDE:
-            yield (wishart_tridiagonal(n, d, size, gen),)
-            continue
-        dev, off2 = goe_tridiagonal(n, d, size - size // 2, gen)
-        yield (dev, off2), (-dev[:, :size // 2], off2[:, :size // 2])
+            yield (*wishart_tridiagonal(n, d, size, gen), 0)
+        else:
+            yield (*goe_tridiagonal(n, d, size - size // 2, gen), size // 2)
 
 
 def _block_stats(task):
@@ -127,13 +129,10 @@ def _block_stats(task):
     and PSD counts."""
     n, d, samples, rng, side, first, stop = task
     parts = []
-    for batches in _draw_blocks(n, d, samples, rng, side, first, stop):
-        evals = [alpha_from_tridiagonal(dev, off2, n, d)
-                 for dev, off2 in batches]
-        alpha, q, psd = (np.concatenate(x) for x in zip(*evals))
+    for dev, off2, m in _draw_blocks(n, d, samples, rng, side, first, stop):
+        alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d, m)
         values = _integrand(alpha, side)
-        # pair j is column j of the as-drawn and of the mirrored batch
-        m = batches[1][0].shape[1] if side == GOE_SIDE else 0
+        # pair j is draw j and its mirror, the last m evaluations
         pairs = values[:m] + values[values.size - m:]
         parts.append((float(values.sum()), float((values * values).sum()),
                       float(pairs.sum()), float((pairs * pairs).sum()),
@@ -203,7 +202,8 @@ def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
     """TV estimate from draws of the shifted-scaled GOE ensemble.
 
     ``samples`` alpha evaluations: each draw is evaluated as drawn and
-    mirrored, and the stderr is taken over the antithetic pairs.
+    mirrored, in one pass per block, and the stderr is taken over the
+    antithetic pairs.
     """
     return _estimate(n, d, samples, rng, GOE_SIDE, workers)
 
@@ -226,23 +226,39 @@ def tv_profile(n: int, d: int, samples: int, rng: RngState):
     """Iterator over the per-evaluation alpha breakdowns and integrands of
     GOE-side sampling.
 
-    Draws the same blocks as ``tv_estimate_goe_side`` and evaluates the
-    same batches, mirrored ones included, in the same order, so there is
-    one record per alpha evaluation and the integrands reproduce the
-    estimator's mean; s0..s4 come from O(n) trace formulas on each draw,
-    with no eigenvalues.  The parameters are checked at once, and the
-    records are made one batch at a time as they are consumed, so memory
-    stays bounded by one block.
+    Draws the same blocks as ``tv_estimate_goe_side`` and evaluates them
+    with the same one-pass call, mirrors included, in the same order, so
+    there is one record per alpha evaluation and the integrands reproduce
+    the estimator's mean; s0..s4 come from O(n) trace formulas on each
+    draw and each mirror, with no eigenvalues.  The parameters are checked
+    at once, and the records are made one block at a time as they are
+    consumed, so memory stays bounded by one block.
     """
+    groups = profile_columns(n, d, samples, rng)
+    return (ProfileRecord(*rec) for alpha, terms, q, psd, values in groups
+            for rec in zip(breakdown_records(alpha, terms, q, psd),
+                           values.tolist()))
+
+
+def profile_columns(n: int, d: int, samples: int, rng: RngState):
+    """The evaluations of ``tv_profile`` as columns: an iterator over
+    tuples ``(alpha, terms, in_q, psd, integrand)`` of arrays, with
+    ``terms`` as returned by ``breakdown_columns``; per block, one tuple for
+    the draws as drawn, then one for their mirrors.  The parameters are
+    checked at once."""
     _check_params(n, d, samples)
     blocks = _draw_blocks(n, d, samples, rng, GOE_SIDE, 0,
                           _block_count(n, samples, GOE_SIDE))
-    return (rec for batches in blocks for dev, off2 in batches
-            for rec in _profile_batch(dev, off2, n, d))
+    return (group for block in blocks
+            for group in _profile_groups(*block, n, d))
 
 
-def _profile_batch(dev, off2, n, d):
-    flags = alpha_from_tridiagonal(dev, off2, n, d)
-    return map(ProfileRecord,
-               breakdowns_from_tridiagonal(dev, off2, *flags, n, d),
-               _integrand(flags[0], GOE_SIDE).tolist())
+def _profile_groups(dev, off2, m, n, d):
+    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d, m)
+    k = dev.shape[1]
+    # the mirrors' power sums run on a batch of their own width, as the
+    # draws' do: numpy sums a lone column in another order than several
+    for tri, cols in (((dev, off2), slice(k)),
+                      ((-dev[:, :m], off2[:, :m]), slice(k, None))):
+        yield (alpha[cols], breakdown_columns(*tri, alpha[cols], n, d),
+               q[cols], psd[cols], _integrand(alpha[cols], GOE_SIDE))

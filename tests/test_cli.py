@@ -3,6 +3,8 @@ import io
 import pytest
 
 import wglab.cli
+import wglab.tv_mc
+from wglab import RngState, tv_profile
 from wglab.cli import PROFILE_HEADER, cli_dispatch
 from wglab.experiments import SweepRow
 
@@ -98,6 +100,44 @@ def test_profile_command():
     first = lines[1].split(",")
     assert len(first) == 10
     assert 0.0 <= float(first[-1]) <= 1.0
+
+
+def test_sweep_command_rejects_misspelled_key(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("c_grid = 0.25, 0.5, 1.0, 2.0, 4.0\nn_list = 4\n"
+                   f"sample = 10\nout_dir = {tmp_path / 'out'}\n")
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def reference_profile(n, d, samples, seed):
+    """The profile CSV written one record at a time, as rows were first
+    formatted: repr of each float, an empty field for None, true/false."""
+    def opt(v):
+        return "" if v is None else repr(v)
+
+    lines = [PROFILE_HEADER]
+    for rec in tv_profile(n, d, samples, RngState(seed)):
+        b = rec.breakdown
+        lines.append(",".join([repr(b.alpha), opt(b.s0), opt(b.s1),
+                               opt(b.s2), opt(b.s3), opt(b.s4),
+                               opt(b.remainder), str(b.in_q).lower(),
+                               str(b.psd).lower(), repr(rec.integrand)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,d,samples", [(3, 3, 41), (8, 512, 1003),
+                                         (1, 1, 1), (2, 8, 3)])
+def test_profile_output_matches_record_format(n, d, samples, monkeypatch):
+    # the column-built CSV equals the per-record rows byte for byte; d = n
+    # gives many -inf rows, and 128-evaluation blocks give several blocks
+    # whose last one holds an unpaired draw
+    monkeypatch.setattr(wglab.tv_mc, "_BATCH_BUDGET", 128 * n)
+    code, text = run_cli(["profile", "--n", str(n), "--d", str(d),
+                          "--samples", str(samples), "--seed", "9"])
+    assert code == 0
+    assert text == reference_profile(n, d, samples, 9)
+    assert len(text.splitlines()) == samples + 1
 
 
 def test_sweep_command(tmp_path):

@@ -11,9 +11,9 @@ from wglab import (DomainError, InvalidParameterError, RngState, Spectrum,
                    log_goe_density, log_wishart_density, s_decomposition,
                    sample_goe, shift_scale_goe, symmetric_eigenvalues,
                    taylor_coeffs)
-from wglab.densities import (TOL_PSD_SCALE, alpha_from_eigenvalues,
-                             alpha_from_tridiagonal, in_q_mask,
-                             spectrum_constant)
+from wglab.densities import (TOL_PSD_SCALE, _sturm_counts,
+                             alpha_from_eigenvalues, alpha_from_tridiagonal,
+                             in_q_mask, q_half_width, spectrum_constant)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              wishart_tridiagonal)
 from wglab.spectral import batch_eigenvalues
@@ -147,6 +147,28 @@ def test_alpha_path_equivalence_on_q_window_draws():
         a1 = alpha_exact(s, n, d)
         a2 = alpha_from_densities(s, n, d)
         assert abs(a1 - a2) <= 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), ratio=st.integers(1, 10 ** 5), data=st.data())
+def test_alpha_centered_matches_direct_subtraction(n, ratio, data):
+    # random spectra lambda = d (1 + u), some off the PSD cone
+    d = n * ratio
+    u = data.draw(st.lists(st.floats(-1.5, 3.0), min_size=n, max_size=n))
+    lam = np.sort(d * (1.0 + np.array(u)))
+    s = Spectrum(lam)
+    centered, direct = alpha_exact(s, n, d), alpha_from_densities(s, n, d)
+    if lam[0] <= 0.0:
+        assert centered == direct == -math.inf
+        return
+    # the direct path subtracts log densities assembled from terms as large
+    # as (d/2) sum |log lambda_i|, n log Gamma(d/2) ~ (n d / 2) log d and
+    # sum lambda / 2, each rounded to about one ulp: the tolerance is 8 ulps
+    # of this scale (the largest error seen over 4e4 random spectra was
+    # 0.93 ulp of it)
+    scale = (n * d * (1.0 + math.log(d)) + d * np.abs(np.log(lam)).sum()
+             + lam.sum())
+    assert abs(centered - direct) <= 8 * np.finfo(float).eps * scale
 
 
 def test_alpha_sum_h_approximation():
@@ -302,6 +324,74 @@ def test_tridiagonal_alpha_matches_eigenvalues(sampler, n, d):
         assert np.all(err <= 1e-9 * scale)
 
 
+def sturm_flags(dev, off2, n, d):
+    """(in_q, psd) from Sturm counts at the Q window's edges and at the PSD
+    threshold on every column: what the Gershgorin certificate and the
+    pivots stand in for."""
+    a, b = dev / d, off2 / float(d) ** 2
+    pivmin = np.finfo(float).tiny * np.max(b, axis=0, initial=1.0)
+    half = q_half_width(n, d) / d
+    counts = _sturm_counts(a, b, np.array([-half, half, -1.0 - TOL_PSD_SCALE]),
+                           pivmin)
+    return (counts[0] == 0) & (counts[1] == n), counts[2] == 0
+
+
+@pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
+@pytest.mark.parametrize("n,d", EQUIVALENCE_POINTS)
+def test_certified_flags_match_sturm_counts(sampler, n, d):
+    # the GOE-side batch with mirrors of its first 1000 columns, as the
+    # estimator evaluates it; the Wishart side has none
+    dev, off2 = sampler(n, d, 2001, RngState(700 + n + d).generator())
+    m = 1000 if sampler is goe_tridiagonal else 0
+    _, q, psd = alpha_from_tridiagonal(dev, off2, n, d, m)
+    flags = zip(sturm_flags(dev, off2, n, d),
+                sturm_flags(-dev[:, :m], off2[:, :m], n, d))
+    for got, (plain, mirror) in zip((q, psd), flags):
+        np.testing.assert_array_equal(got, np.concatenate([plain, mirror]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("size", [1, 2, 3, 6, 401, 402])
+def test_one_pass_matches_separate_calls(n, size):
+    # a block of `size` evaluations: ceil(size / 2) draws and the mirrors
+    # of the first floor(size / 2); one call gives bit for bit what a call
+    # on the draws and a call on the negated columns give
+    for d in (n, n ** 3):
+        k, m = size - size // 2, size // 2
+        dev, off2 = goe_tridiagonal(n, d, k, RngState(size, d).generator())
+        got = alpha_from_tridiagonal(dev, off2, n, d, m)
+        ref = zip(alpha_from_tridiagonal(dev, off2, n, d),
+                  alpha_from_tridiagonal(-dev[:, :m], off2[:, :m], n, d))
+        for g, (plain, mirror) in zip(got, ref):
+            assert g.tobytes() == np.concatenate([plain, mirror]).tobytes()
+
+
+def test_q_certificate_boundary():
+    # n = 2, d = 8: T / d - I = [[x, e], [e, x]] has eigenvalues x +- e and
+    # Gershgorin bound |x| + e, and the Q half-width on that scale is 1.5;
+    # scaling by d = 8 is exact.  The extreme eigenvalue t = |x| + e steps
+    # across the certificate's threshold 1.5 (1 - 1e-9) and across the
+    # window's edges, from above and from below
+    n, d, e = 2, 8, 0.5
+    half = q_half_width(n, d) / d
+    assert half == 1.5
+    edge = half * (1.0 - 1e-9)
+    t = np.array([half * (1.0 - 2e-9), np.nextafter(edge, 0.0), edge,
+                  np.nextafter(edge, 2.0), half * (1.0 - 1e-12),
+                  np.nextafter(half, 0.0), half, np.nextafter(half, 2.0),
+                  half * (1.0 + 1e-9)])
+    x = np.concatenate([t - e, e - t])
+    dev = d * np.vstack([x, x])
+    off2 = np.full((1, x.size), d * d * e * e)
+    bound = np.abs(x) + e
+    assert np.any(bound < edge) and np.any(bound >= edge)
+    _, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
+    ref_q, ref_psd = sturm_flags(dev, off2, n, d)
+    np.testing.assert_array_equal(q, ref_q)
+    np.testing.assert_array_equal(psd, ref_psd)
+    assert q[0] and q[x.size // 2] and not q[-1]
+
+
 def test_tridiagonal_alpha_rejects_d_below_n():
     dev, off2 = goe_tridiagonal(3, 3, 2, RngState(0).generator())
     with pytest.raises(InvalidParameterError):
@@ -315,18 +405,23 @@ def test_tridiagonal_exactly_zero_pivots():
     # edge is exactly zero; column 2 is T = [[4, 4], [4, 19]], with
     # eigenvalues 3 and 20, whose second Sturm pivot at the upper edge is
     # exactly zero.  A zero pivot counts as negative, so an eigenvalue on
-    # the upper edge is inside the window, as in in_q_mask.
+    # the upper edge is inside the window, as in in_q_mask.  Column 3 is
+    # T = [[4, 4], [4, 4]], singular and PSD: its second pivot of T / d is
+    # exactly zero, so alpha is -inf and psd comes from the Sturm count.
     n, d = 2, 8
-    dev = np.array([[-8.0, -12.0, -4.0], [-8.0, 0.0, 11.0]])
-    off2 = np.array([[1.0, 4.0, 16.0]])
+    dev = np.array([[-8.0, -12.0, -4.0, -4.0], [-8.0, 0.0, 11.0, -4.0]])
+    off2 = np.array([[1.0, 4.0, 16.0, 16.0]])
     with np.errstate(all="raise"):
         alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
     ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
     assert list(alpha[:2]) == [-np.inf, -np.inf] == list(ref_alpha[:2])
     assert alpha[2] == pytest.approx(ref_alpha[2], rel=1e-12)
-    assert list(q) == [True, False, True]
+    assert alpha[3] == -np.inf
+    assert list(q) == [True, False, True, True]
     assert list(q[:2]) == list(ref_q[:2])
-    assert list(psd) == [False, False, True] == list(ref_psd)
+    assert list(psd) == [False, False, True, True] == list(ref_psd)
+    for got, ref in zip((q, psd), sturm_flags(dev, off2, n, d)):
+        np.testing.assert_array_equal(got, ref)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from wglab import (InvalidParameterError, RngState, SymmetricMatrix,
                    sample_goe, sample_wishart, shift_scale_goe,
                    symmetric_eigenvalues)
-from wglab.ensembles import sample_goe_dense, sample_wishart_dense
+from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
+                             sample_wishart_dense, wishart_tridiagonal)
 
 
 def test_packed_storage_roundtrip():
@@ -135,3 +138,28 @@ def test_mean_structure():
         mean = batch.mean(axis=0)
         se = batch.std(axis=0) / np.sqrt(reps)
         assert np.all(np.abs(mean - target) < 4 * se)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_tridiagonal_streams_pinned(n):
+    # both samplers against the broadcast formulas they were written with,
+    # bit for bit on a fixed Philox key: the row-by-row chi-square draw and
+    # the in-place scaling move no variate
+    size = 37
+    for d in (n, n ** 3 + 3):
+        gen = RngState(2024, n).generator()
+        dev = math.sqrt(2.0 * d) * gen.standard_normal((n, size))
+        off2 = d * (2.0 * gen.standard_gamma(
+            0.5 * np.arange(n - 1, 0, -1)[:, None], size=(n - 1, size)))
+        got = goe_tridiagonal(n, d, size, RngState(2024, n).generator())
+        assert [x.tobytes() for x in got] == [dev.tobytes(), off2.tobytes()]
+        gen = RngState(2025, n).generator()
+        c2 = 2.0 * gen.standard_gamma(0.5 * np.arange(d, d - n, -1)[:, None],
+                                      size=(n, size))
+        s2 = 2.0 * gen.standard_gamma(0.5 * np.arange(n - 1, 0, -1)[:, None],
+                                      size=(n - 1, size))
+        dev = c2 - d
+        dev[1:] += s2
+        got = wishart_tridiagonal(n, d, size, RngState(2025, n).generator())
+        assert [x.tobytes() for x in got] == [dev.tobytes(),
+                                              (s2 * c2[:-1]).tobytes()]

@@ -74,6 +74,22 @@ def test_parse_config_errors(tmp_path):
         parse_config(tmp_path / "missing.cfg")
 
 
+@pytest.mark.parametrize("text,line,key", [
+    ("c_grid = 0.5\nn_list = 4\nsample = 10\n", 3, "sample"),
+    ("c_grid = 0.5\n# note\nn_list = 4\nseed = 1\nseed = 2\n", 5, "seed"),
+    ("c_grid = 0.5\nn_list = 4\nN_list = 8\n", 3, "N_list"),
+])
+def test_parse_config_rejects_unknown_and_repeated_keys(tmp_path, text, line,
+                                                        key):
+    # a misspelled key would otherwise run with its default, and a repeated
+    # one would silently overwrite the first
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert f":{line}:" in str(exc.value) and repr(key) in str(exc.value)
+
+
 def test_run_sweep_rows():
     cfg = small_config()
     rows = run_sweep(cfg)

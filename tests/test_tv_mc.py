@@ -137,22 +137,22 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
         draws.append(size)
         return sample(n, d, size, gen)
 
-    def counting_alpha(*args):
-        calls.append(args[0].shape[1])
-        return alpha(*args)
+    def counting_alpha(dev, off2, n, d, mirrors):
+        calls.append((dev.shape[1], mirrors))
+        return alpha(dev, off2, n, d, mirrors)
 
     monkeypatch.setattr(tv_mc, "goe_tridiagonal", counting_sample)
     monkeypatch.setattr(tv_mc, "alpha_from_tridiagonal", counting_alpha)
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 4 * 16)
     # blocks of 16, 16, 16 and 2 evaluations: 8, 8, 8 and 1 draws, each
-    # evaluated as drawn and mirrored
+    # evaluated as drawn and mirrored in one call per block
     records = tv_profile(4, 64, 50, RngState(12))
     assert draws == calls == []
     next(records)
-    assert draws == calls == [8]
+    assert draws == [8] and calls == [(8, 8)]
     assert len(list(records)) == 49
     assert draws == [8, 8, 8, 1]
-    assert calls == [8, 8, 8, 8, 8, 8, 1, 1]
+    assert calls == [(8, 8), (8, 8), (8, 8), (1, 1)]
 
 
 def test_profile_reproduces_estimator_mean():
@@ -174,7 +174,10 @@ def test_profile_matches_eigenvalue_decomposition(n, monkeypatch):
     records = list(tv_profile(n, d, samples, rng))
     blocks = tv_mc._draw_blocks(n, d, samples, rng, tv_mc.GOE_SIDE, 0,
                                 tv_mc._block_count(n, samples, tv_mc.GOE_SIDE))
-    batches = [batch for block in blocks for batch in block]
+    # each block's draws, then their mirrors: the plain batches of the
+    # evaluations in record order
+    batches = [batch for dev, off2, m in blocks
+               for batch in ((dev, off2), (-dev[:, :m], off2[:, :m]))]
     assert len(batches) == 6
     dev, off2 = (np.concatenate(x, axis=1) for x in zip(*batches))
     assert dev.shape == (n, samples)
@@ -234,9 +237,13 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
     n, d, samples = 8, 512, 20_000
     blocks = tv_mc._draw_blocks(n, d, samples, RngState(41), side, 0,
                                 tv_mc._block_count(n, samples, side))
-    groups = [np.concatenate(g) for g in zip(*(
-        [tv_mc._integrand(alpha_from_tridiagonal(dev, off2, n, d)[0], side)
-         for dev, off2 in block] for block in blocks))]
+    drawn, mirrored = [], []
+    for dev, off2, m in blocks:
+        values = tv_mc._integrand(
+            alpha_from_tridiagonal(dev, off2, n, d, m)[0], side)
+        drawn.append(values[:dev.shape[1]])
+        mirrored.append(values[dev.shape[1]:])
+    groups = [g for g in map(np.concatenate, (drawn, mirrored)) if g.size]
     assert len(groups) == (2 if side == tv_mc.GOE_SIDE else 1)
     assert sum(g.size for g in groups) == samples
     dense = dense_integrand(n, d, samples, RngState(42).generator(), side)
@@ -283,18 +290,16 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
 def test_mirrored_columns_match_eigenvalues(n):
-    # the mirrored batch is the first floor(size / 2) draws with the
-    # diagonal negated, and its alpha and flags match the eigenvalues of
-    # that mirrored T
+    # a block of 201 evaluations is 101 draws and the mirrors of the first
+    # 100; the mirrors' alpha and flags from the estimator's one-pass call
+    # match the eigenvalues of each draw with its diagonal negated
     d, samples = n ** 3, 201
-    [(plain, mirror)] = tv_mc._draw_blocks(n, d, samples, RngState(60 + n),
-                                           tv_mc.GOE_SIDE, 0, 1)
-    assert plain[0].shape == (n, 101) and mirror[0].shape == (n, 100)
-    np.testing.assert_array_equal(mirror[0], -plain[0][:, :100])
-    np.testing.assert_array_equal(mirror[1], plain[1][:, :100])
-    alpha, q, psd = alpha_from_tridiagonal(*mirror, n, d)
-    eigs = np.array([eigvalsh_tridiagonal(-plain[0][:, k] + d,
-                                          np.sqrt(plain[1][:, k]))
+    [(dev, off2, m)] = tv_mc._draw_blocks(n, d, samples, RngState(60 + n),
+                                          tv_mc.GOE_SIDE, 0, 1)
+    assert dev.shape == (n, 101) and m == 100
+    flags = alpha_from_tridiagonal(dev, off2, n, d, m)
+    alpha, q, psd = (x[101:] for x in flags)
+    eigs = np.array([eigvalsh_tridiagonal(-dev[:, k] + d, np.sqrt(off2[:, k]))
                      for k in range(100)])
     np.testing.assert_array_equal(q, in_q_mask(eigs, n, d))
     np.testing.assert_array_equal(psd, eigs[:, 0] >= -TOL_PSD_SCALE * d)
