@@ -41,8 +41,6 @@ from .spectral import Spectrum
 # treated as zero for the PSD diagnostic
 TOL_PSD_SCALE = 1e-8
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class AlphaBreakdown:
@@ -158,24 +156,31 @@ def alpha_from_eigenvalues(eigs: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 # a pivot of magnitude at most _SAFMIN * max(1, max off-diagonal^2) is
-# replaced by minus that bound, as LAPACK's dstebz does: it then counts as
-# negative, and the next division stays finite
+# replaced by that bound with the sign of a tie, minus unless a caller says
+# otherwise, as LAPACK's dstebz does: the next division stays finite
 _SAFMIN = np.finfo(float).tiny
 
 
-def _guard(pivot: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(pivot) <= pivmin, -pivmin, pivot)
+def _guard(pivot: np.ndarray, pivmin: np.ndarray,
+           tie: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(pivot) <= pivmin, tie, pivot)
 
 
 def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
-                  pivmin: np.ndarray) -> np.ndarray:
+                  pivmin: np.ndarray, ties=-1.0) -> np.ndarray:
     """(len(shifts), size) counts of the eigenvalues below each shift of the
-    tridiagonal batch with diagonal a and squared off-diagonal b."""
+    tridiagonal batch with diagonal a and squared off-diagonal b.
+
+    A pivot within pivmin of zero takes the sign of ``ties``, one value or
+    one per shift: at -1 an eigenvalue on the shift counts as below it, at
+    +1 as above it.
+    """
     shifts = shifts[:, None]
-    q = _guard(a[0] - shifts, pivmin)
+    tie = np.reshape(ties, (-1, 1)) * pivmin
+    q = _guard(a[0] - shifts, pivmin, tie)
     count = (q < 0.0).astype(np.int64)
     for i in range(1, a.shape[0]):
-        q = _guard(a[i] - shifts - b[i - 1] / q, pivmin)
+        q = _guard(a[i] - shifts - b[i - 1] / q, pivmin, tie)
         count += q < 0.0
     return count
 
@@ -198,11 +203,12 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
     unless every pivot 1 + w_i is positive.  A column whose pivots are all
     positive is positive definite, so it is PSD; the others take a Sturm
     count at the PSD threshold.  A Gershgorin bound certifies most columns
-    inside the Q window; Sturm counts at the window's edges decide the
-    rest.  The window is symmetric about d and a mirror's spectrum is its
-    draw's reflected about d, so a mirror takes its draw's Q flag.  The
-    scaled T and the Q flag are computed once for a column and its mirror;
-    the pivot recurrence runs on each.
+    inside the Q window; Sturm counts at its edges, which count an
+    eigenvalue on an edge as inside, decide the rest.  The window is
+    symmetric about d and a mirror's spectrum is its draw's reflected about
+    d, so a mirror takes its draw's Q flag.  The scaled T and the Q flag are
+    computed once for a column and its mirror; the pivot recurrence runs on
+    each.
     """
     if d < n:
         raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
@@ -265,8 +271,12 @@ def _q_flags(a: np.ndarray, b: np.ndarray, pivmin: np.ndarray, n: int,
     q = radius.max(axis=0) < half * (1.0 - 1e-9)
     undecided = np.flatnonzero(~q)
     if undecided.size:
+        # an eigenvalue on an edge counts as inside, as in in_q_mask.  The
+        # Sturm pivots of T at -half are then those of -T at +half,
+        # negated, so T and -T get the same flag
         counts = _sturm_counts(a[:, undecided], b[:, undecided],
-                               np.array([-half, half]), pivmin[undecided])
+                               np.array([-half, half]), pivmin[undecided],
+                               ties=np.array([1.0, -1.0]))
         q[undecided] = (counts[0] == 0) & (counts[1] == n)
     return q
 

@@ -6,13 +6,15 @@ by 1-D quadrature of the Gaussian functional the limit reduces to, and by
 Monte Carlo over the joint Gaussian limit (N1, N3) of the first and third
 normalized spectral power sums, which has mean zero and covariance
 [[2, 6], [6, 24]].
+
+Only the quadrature needs scipy, and it imports scipy itself, so every
+other command runs on numpy alone and starts without scipy's import time.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .densities import s0_term
 from .errors import DomainError, InvalidParameterError
@@ -67,6 +69,9 @@ def limiting_tv_quadrature(p: LimitParams) -> float:
     integrand is positive exactly for z <= a / b = 1 / (2 sqrt(c)), which
     sets the upper limit of integration.
     """
+    # imported here: scipy costs most of a cold start, and only this needs it
+    from scipy import integrate
+
     s0, k1, s2, k3, s4 = s_limit_vector(p.c)
     a = -(s0 + (s2 + s4))
     b = k3
@@ -81,13 +86,19 @@ def limiting_tv_quadrature(p: LimitParams) -> float:
     return val
 
 
+# matrix elements per sample_clt_pairs batch, 16 MB of float64, which
+# bounds clt's memory; the split does not move the stream, since one
+# generator fills the draws in order
+_CLT_BATCH_ELEMENTS = 2 ** 21
+
+
 def sample_clt_pairs(n: int, reps: int, rng: RngState) -> np.ndarray:
     """(reps, 2) array of (sum mu_i, sum mu_i^3) over GOE draws of order n."""
     if n < 2 or reps < 1:
         raise InvalidParameterError(f"need n >= 2, reps >= 1, got n={n}, reps={reps}")
     gen = rng.generator()
     out = np.empty((reps, 2))
-    batch = max(1, 2 ** 24 // (n * n))
+    batch = max(1, _CLT_BATCH_ELEMENTS // (n * n))
     done = 0
     while done < reps:
         size = min(batch, reps - done)

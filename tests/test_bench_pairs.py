@@ -1,0 +1,72 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+# stands in for perfbench/run.py: prints a status line, then one JSON
+# result whose wall_s is the checkout's WALL plus the seed / 1000
+FAKE_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print("workload fake: 2 attempted")
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {
+    "wall_s": {"value": WALL + seed / 1000, "unit": "s"},
+    "ok_frac": {"value": 1.0, "unit": "frac"}}}))
+"""
+
+DECLARED = {"run_seconds": 36, "end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ok_frac", "unit": "frac", "better": "higher", "bound": 0.01}]}
+
+
+def fake_checkout(root, wall):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        FAKE_RUN.replace("WALL", repr(wall)))
+    (root / "BENCHMARK.json").write_text(json.dumps(DECLARED))
+    return root
+
+
+def run_tool(parent, change, out, seeds):
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--parent", str(parent), "--change",
+         str(change), "--workload", "fake", "--seeds", *map(str, seeds),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
+def test_pairs_alternate_and_append(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 2.0)
+    change = fake_checkout(tmp_path / "change", 1.0)
+    out = tmp_path / "BENCH.json"
+    text = run_tool(parent, change, out, [1, 2, 3])
+    assert "wall_s: parent 2.002 (2.001-2.003), change 1.002 (1.001-1.003); " \
+           "change won 3/3" in text
+    assert "ok_frac" in text and "change won 0/3" in text
+    bench = json.loads(out.read_text())
+    assert [(r["commit"], r["seed"]) for r in bench["runs"]] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+        ("parent", 3), ("change", 3)]
+    assert [r["order"] for r in bench["runs"]] == list(range(6))
+    assert bench["runs"][0]["result"]["metrics"]["wall_s"]["value"] == 2.001
+    assert bench["runs"][1]["change_revision"] == "final"
+    assert bench["runs"][0]["change_revision"] is None
+    # a second invocation extends the same file and is summarized alone
+    text = run_tool(parent, change, out, [1, 4])
+    assert "2 complete pairs" in text and "change won 2/2" in text
+    runs = json.loads(out.read_text())["runs"]
+    assert len(runs) == 10 and [r["order"] for r in runs] == list(range(10))
+
+
+def test_failed_run_is_recorded(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 2.0)
+    change = fake_checkout(tmp_path / "change", 1.0)
+    (change / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
+    out = tmp_path / "BENCH.json"
+    text = run_tool(parent, change, out, [1])
+    assert "0 complete pairs" in text
+    runs = json.loads(out.read_text())["runs"]
+    assert runs[1]["result"] is None and runs[1]["error"].startswith("exit 3")

@@ -1,4 +1,9 @@
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +183,45 @@ def test_sweep_workers_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("WGLAB_WORKERS", "0")
     assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
     assert seen == [4, 3]
+
+
+# runs one command in a fresh interpreter and prints its exit code, its
+# output and the scipy modules it loaded; pytest's own process has scipy
+# loaded already, so only a fresh one can tell
+_FRESH_RUN = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+from wglab.cli import cli_dispatch
+out = io.StringIO()
+rc = cli_dispatch(sys.argv[2:], out=out)
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([rc, out.getvalue(), scipy]))
+"""
+
+
+def run_fresh(args):
+    src = str(Path(wglab.cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "WGLAB_WORKERS"}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, src, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_limit_imports_scipy(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("c_grid = 0.25, 0.5, 1, 2, 4\nn_list = 2, 3\nsamples = 20\n"
+                   f"emit_svg = true\nout_dir = {tmp_path / 'out'}\n")
+    tv = ["tv", "--n", "3", "--d", "27", "--samples", "50"]
+    commands = [tv, [*tv, "--side", "wishart_side"],
+                ["clt", "--n", "3", "--reps", "20"],
+                ["profile", "--n", "3", "--d", "27", "--samples", "10"],
+                ["sweep", "--config", str(cfg)]]
+    for args in commands:
+        rc, _, scipy_modules = run_fresh(args)
+        assert rc == 0 and scipy_modules == [], args
+    # the check sees scipy where it is loaded, and limit prints what it
+    # prints in-process
+    rc, text, scipy_modules = run_fresh(["limit", "--c", "0.5"])
+    assert rc == 0 and "scipy.integrate" in scipy_modules
+    assert text == run_cli(["limit", "--c", "0.5"])[1]

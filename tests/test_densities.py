@@ -325,15 +325,17 @@ def test_tridiagonal_alpha_matches_eigenvalues(sampler, n, d):
 
 
 def sturm_flags(dev, off2, n, d):
-    """(in_q, psd) from Sturm counts at the Q window's edges and at the PSD
-    threshold on every column: what the Gershgorin certificate and the
-    pivots stand in for."""
+    """(in_q, psd) from Sturm counts on every column: at the Q window's
+    upper edge on T and on -T (whose upper edge is T's lower one, so both
+    edges are closed) and at the PSD threshold.  This is what the
+    Gershgorin certificate and the pivots stand in for."""
     a, b = dev / d, off2 / float(d) ** 2
     pivmin = np.finfo(float).tiny * np.max(b, axis=0, initial=1.0)
     half = q_half_width(n, d) / d
-    counts = _sturm_counts(a, b, np.array([-half, half, -1.0 - TOL_PSD_SCALE]),
+    counts = _sturm_counts(a, b, np.array([half, -1.0 - TOL_PSD_SCALE]),
                            pivmin)
-    return (counts[0] == 0) & (counts[1] == n), counts[2] == 0
+    below = _sturm_counts(-a, b, np.array([half]), pivmin)[0]
+    return (counts[0] == n) & (below == n), counts[1] == 0
 
 
 @pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
@@ -390,6 +392,40 @@ def test_q_certificate_boundary():
     np.testing.assert_array_equal(q, ref_q)
     np.testing.assert_array_equal(psd, ref_psd)
     assert q[0] and q[x.size // 2] and not q[-1]
+
+
+@pytest.mark.parametrize("t,expected", [(18.0, [False, True, True]),
+                                        (54.0, [True, True, False])])
+def test_q_window_closed_at_both_edges(t, expected):
+    # n = 1, d = 36: the window is [18, 54], and T = [t] has the single
+    # eigenvalue t.  An eigenvalue on an edge is inside, as in in_q_mask,
+    # and one ulp outside is out.  The mirror [72 - t] of each T gets its
+    # flag, as does a direct count on the mirror
+    n, d = 1, 36
+    ts = np.array([np.nextafter(t, 0.0), t, np.nextafter(t, 100.0)])
+    dev, off2 = (ts - d).reshape(1, -1), np.zeros((0, 3))
+    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, 3)
+    _, q_mirror, _ = alpha_from_tridiagonal(-dev, off2, n, d)
+    assert list(in_q_mask(ts[:, None], n, d)) == expected
+    assert list(q) == expected * 2 and list(q_mirror) == expected
+    for sign in (1.0, -1.0):
+        assert list(sturm_flags(sign * dev, off2, n, d)[0]) == expected
+
+
+def test_q_window_closed_at_both_edges_n2():
+    # n = 2, d = 18: the window is [0, 36], and T = [[18, 18], [18, 18]]
+    # has eigenvalues 0 and 36, on both edges; T / d - I = [[0, 1], [1, 0]]
+    # is exact, and the second Sturm pivot at the upper edge is exactly
+    # zero, on T and on -T.  A larger off-diagonal moves both eigenvalues
+    # out, a smaller one both in
+    n, d = 2, 18
+    off2 = np.array([[324.0, np.nextafter(324.0, 0.0),
+                      np.nextafter(324.0, 1e3)]])
+    dev = np.zeros((2, 3))
+    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, 3)
+    assert list(q) == [True, True, False] * 2
+    np.testing.assert_array_equal(q[:3], sturm_flags(dev, off2, n, d)[0])
+    assert in_q_mask(np.array([[0.0, 36.0]]), n, d)[0]
 
 
 def test_tridiagonal_alpha_rejects_d_below_n():

@@ -1,8 +1,9 @@
 import io
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wglab import (ConfigError, ExperimentConfig, SweepRow, emit_csv,
@@ -57,6 +58,51 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.samples == 1000 and cfg.seed == 7 and cfg.workers == 2
     assert str(cfg.out_dir) == "results"
     assert cfg.emit_svg is False
+
+
+def _config_text(cfg, order):
+    """cfg as `key = value` lines in the given key order, floats as repr."""
+    values = {"c_grid": ", ".join(map(repr, cfg.c_grid)),
+              "n_list": ", ".join(map(str, cfg.n_list)),
+              "samples": cfg.samples, "seed": cfg.seed,
+              "workers": cfg.workers, "out_dir": cfg.out_dir,
+              "emit_svg": str(cfg.emit_svg).lower(),
+              "record_runtime": str(cfg.record_runtime).lower()}
+    return "".join(f"{key} = {values[key]}\n" for key in order)
+
+
+def _sorted_tuple(values):
+    return tuple(sorted(values))
+
+
+# c >= 1 keeps d = round(c n^3) >= n at every n
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    c_grid=st.lists(st.floats(1.0, 1e12), min_size=1, max_size=5,
+                    unique=True).map(_sorted_tuple),
+    n_list=st.lists(st.integers(1, 512), min_size=1, max_size=5,
+                    unique=True).map(_sorted_tuple),
+    samples=st.integers(1, 2 ** 40), seed=st.integers(0, 2 ** 64 - 1),
+    workers=st.integers(1, 64),
+    out_dir=st.from_regex(r"[\w.-]+(/[\w.-]+)*", fullmatch=True).map(Path),
+    emit_svg=st.booleans(), record_runtime=st.booleans())
+
+
+_KEYS = ["c_grid", "n_list", "samples", "seed", "workers", "out_dir",
+         "emit_svg", "record_runtime"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_CONFIGS, order=st.permutations(_KEYS))
+# floats one ulp apart and a seed that no float holds exactly
+@example(cfg=ExperimentConfig(
+    c_grid=(1.0, 1.0000000000000002), n_list=(1, 512), samples=2 ** 40,
+    seed=2 ** 64 - 1, workers=64, out_dir=Path("a/b.c"), emit_svg=False,
+    record_runtime=True), order=_KEYS[::-1])
+def test_parse_config_round_trip(tmp_path_factory, cfg, order):
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text(_config_text(cfg, order), encoding="utf-8")
+    assert parse_config(path) == cfg
 
 
 def test_parse_config_errors(tmp_path):

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import wglab.limit_theory
 from wglab import (DomainError, InvalidParameterError, LimitEstimate,
                    LimitParams, RngState, asymptotic_tail,
                    clt_covariance_estimate, limiting_tv_closed_form,
@@ -159,6 +160,36 @@ def test_clt_covariance_near_target():
     assert cov.c22 == pytest.approx(24.0, rel=0.15)
     # PSD by construction
     assert cov.c11 >= 0 and cov.c11 * cov.c22 - cov.c12 ** 2 >= 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_clt_covariance_matches_exact_finite_n(n):
+    # (sum mu, sum mu^3) of the GOE has covariance c11 = 2, c12 = 6 + 6/n,
+    # c22 = 24 + 54/n + 42/n^2 at every n (Wick moments of the tridiagonal
+    # model).  The law at small n is far from Gaussian, so the stderr of
+    # each entry is the spread of the centered products of the same pairs
+    reps, k = 50_000, 5.0
+    cov = clt_covariance_estimate(n, reps, RngState(11))
+    pairs = sample_clt_pairs(n, reps, RngState(11))
+    x, y = (pairs - pairs.mean(axis=0)).T
+    se = [p.std(ddof=1) / math.sqrt(reps) for p in (x * x, x * y, y * y)]
+    got = (cov.c11, cov.c12, cov.c22)
+    exact = (2.0, 6.0 + 6.0 / n, 24.0 + 54.0 / n + 42.0 / n ** 2)
+    for g, e, s in zip(got, exact, se):
+        assert abs(g - e) <= k * s
+    # the n -> infinity values are far outside these bounds
+    for g, e, s in zip(got[1:], (6.0, 24.0), se[1:]):
+        assert abs(g - e) > 3 * k * s
+
+
+def test_clt_batch_split_keeps_the_stream(monkeypatch):
+    # one generator fills the draws in order, so any batch size gives the
+    # same pairs bit for bit
+    ref = sample_clt_pairs(5, 101, RngState(8))
+    monkeypatch.setattr(wglab.limit_theory, "_CLT_BATCH_ELEMENTS", 3 * 25 + 1)
+    np.testing.assert_array_equal(sample_clt_pairs(5, 101, RngState(8)), ref)
+    monkeypatch.setattr(wglab.limit_theory, "_CLT_BATCH_ELEMENTS", 1)
+    np.testing.assert_array_equal(sample_clt_pairs(5, 101, RngState(8)), ref)
 
 
 def test_clt_covariance_validation():

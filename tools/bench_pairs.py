@@ -1,0 +1,139 @@
+"""Alternating benchmark pairs: the parent checkout against the change.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
+        --seeds 101 102 ... --out BENCH_<pr>.json
+
+For each seed, runs `perfbench/run.py --workload W --seed S --seconds T
+--trace 0` once from each checkout, one after the other, and switches which
+checkout goes first every pair.  T is the `run_seconds` of the change's
+BENCHMARK.json.  Each run's last line of standard output (its JSON result)
+is appended to --out, which is rewritten after every run; an existing file
+is extended, so several workloads can share it.  A run that fails is
+recorded with a null result and its error.
+
+At the end, prints for each end-to-end metric the median and quartiles of
+each side over this invocation's complete pairs, and the number of pairs
+the change won, by the metric's declared direction.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from importlib import metadata
+from pathlib import Path
+
+PAIRING = ("parent and change alternate, the first of each pair switching "
+           "every pair")
+
+
+def _rev(checkout: Path):
+    """The checked-out commit, or None where there is no git history."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _host() -> str:
+    versions = []
+    for name in ("numpy", "scipy"):
+        try:
+            versions.append(f"{name} {metadata.version(name)}")
+        except metadata.PackageNotFoundError:
+            versions.append(f"{name} absent")
+    return ", ".join([f"{os.cpu_count()} CPUs", *versions,
+                      f"Python {platform.python_version()}"])
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+    """(JSON result or None, error or None) of one perfbench run."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None, f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+    try:
+        return json.loads(lines[-1]), None
+    except ValueError as exc:
+        return None, f"last line is not JSON: {exc}"
+
+
+def summarize(runs, declared):
+    """Lines of per-side medians and quartiles and the pairs the change
+    won, over the pairs (runs of one seed) that both sides completed."""
+    by_seed = {}
+    for run in runs:
+        if run["result"] is not None:
+            by_seed.setdefault(run["seed"], {})[run["commit"]] = (
+                run["result"]["metrics"])
+    pairs = [p for p in by_seed.values() if len(p) == 2]
+    lines = [f"{len(pairs)} complete pairs"]
+    for m in declared:
+        name = m["name"]
+        values = [(p["parent"][name]["value"], p["change"][name]["value"])
+                  for p in pairs
+                  if name in p["parent"] and name in p["change"]]
+        if len(values) < 2:
+            continue
+        text = []
+        for side, side_values in zip(("parent", "change"), zip(*values)):
+            q1, med, q3 = statistics.quantiles(side_values, n=4)
+            text.append(f"{side} {med:.6g} ({q1:.6g}-{q3:.6g})")
+        lower = m["better"] == "lower"
+        won = sum((c < p) if lower else (c > p) for p, c in values)
+        lines.append(f"  {name}: {', '.join(text)}; change won "
+                     f"{won}/{len(values)}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    declared = json.loads((args.change / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+    seconds = declared["run_seconds"]
+    if args.out.is_file():
+        bench = json.loads(args.out.read_text(encoding="utf-8"))
+    else:
+        bench = {"command": "python3 perfbench/run.py --workload W --seed S "
+                            f"--seconds {seconds:g} --trace 0",
+                 "parent": _rev(args.parent), "host": _host(),
+                 "pairing": PAIRING,
+                 "series": {"final": "the committed change"}, "runs": []}
+    runs = bench["runs"]
+    start = len(runs)
+    for i, seed in enumerate(args.seeds):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for commit in order:
+            checkout = args.parent if commit == "parent" else args.change
+            result, error = run_once(checkout, args.workload, seed, seconds)
+            run = {"commit": commit,
+                   "change_revision": "final" if commit == "change" else None,
+                   "series": "final", "order": len(runs),
+                   "workload": args.workload, "seed": seed, "result": result}
+            if error is not None:
+                run["error"] = error
+            runs.append(run)
+            args.out.write_text(json.dumps(bench, indent=1) + "\n",
+                                encoding="utf-8")
+            status = "failed" if result is None else (
+                f"correct {result['correct']}")
+            print(f"{args.workload} seed {seed} {commit}: {status}",
+                  flush=True)
+    print(f"{args.workload}:")
+    for line in summarize(runs[start:], declared["end_to_end"]):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
