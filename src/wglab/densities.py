@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
+from .scratch import SCRATCH
 from .spectral import Spectrum
 
 # eigensolver noise threshold on a d-scale matrix: below this lambda_min is
@@ -201,84 +202,87 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
     w_i = dev_i / d - (off2_{i-1} / d^2) / (1 + w_{i-1}); alpha is -inf
     unless every pivot 1 + w_i is positive.  A column whose pivots are all
-    positive is positive definite, so it is PSD; the others take a Sturm
-    count at the PSD threshold.  A Gershgorin bound certifies most columns
-    inside the Q window; Sturm counts at its edges, which count an
-    eigenvalue on an edge as inside, decide the rest.  The window is
-    symmetric about d and a mirror's spectrum is its draw's reflected about
-    d, so a mirror takes its draw's Q flag.  The scaled T and the Q flag are
+    positive is positive definite, so it is PSD.  A Gershgorin bound
+    certifies most columns inside the Q window.  The window is symmetric
+    about d and a mirror's spectrum is its draw's reflected about d, so a
+    mirror takes its draw's Q flag.  One Sturm count, at the window's edges
+    (an eigenvalue on an edge is inside) and at the PSD thresholds of T and
+    its mirror, decides the columns left.  The scaled T and the Q flag are
     computed once for a column and its mirror; the pivot recurrence runs on
-    each.
+    each.  The (n, size) intermediates live in the scratch buffer.
     """
     if d < n:
         raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
-    a = dev / d
-    b = off2 / float(d) ** 2
-    pivmin = _SAFMIN * np.max(b, axis=0, initial=1.0)
+    k = dev.shape[1]
     const = spectrum_constant(n, d)
-    alpha, psd = [], []
-    sides = [(1.0, slice(None))] + [(-1.0, slice(mirrors))] * (mirrors > 0)
-    for sign, cols in sides:
-        # each side sums over its own columns, as a batch of that width
-        # would: numpy sums a lone column in another order than several
-        x = dev[:, cols]
-        lin = sign * x.sum(axis=0)
-        frob2 = (x * x).sum(axis=0) + 2.0 * off2[:, cols].sum(axis=0)
-        # a column whose pivot 1 + w_i is pivmin or less is not positive
-        # definite; what the recurrence computes after that pivot is
-        # discarded
-        w = sign * a[:, cols]
-        bc, pc = b[:, cols], pivmin[cols]
-        p = np.empty_like(pc)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, n):
-                np.add(w[i - 1], 1.0, out=p)
-                np.divide(bc[i - 1], p, out=p)
-                w[i] -= p
-            pd = np.all(1.0 + w > pc, axis=0)
-            logdet = np.log1p(w, out=w).sum(axis=0)
-        side = (0.5 * ((d - n - 1) * logdet - lin + frob2 / (2.0 * d))
-                + const)
-        side[~pd] = -np.inf
-        alpha.append(side)
-        # pd becomes the PSD flag: a Sturm count decides the columns that
-        # are not positive definite
-        undecided = np.flatnonzero(~pd)
-        if undecided.size:
-            pd[undecided] = _sturm_counts(
-                sign * a[:, undecided], b[:, undecided],
-                np.array([-1.0 - TOL_PSD_SCALE]), pivmin[undecided])[0] == 0
-        psd.append(pd)
-    q = _q_flags(a, b, pivmin, n, d)
+    # the Q window and the PSD threshold on the scale of T / d - I
+    half, low = q_half_width(n, d) / d, -1.0 - TOL_PSD_SCALE
+    alpha, pd = [], []
+    with SCRATCH.frame() as take:
+        a = np.divide(dev, d, out=take(dev.shape))
+        b = np.divide(off2, float(d) ** 2, out=take(off2.shape))
+        pivmin = _SAFMIN * np.max(b, axis=0, initial=1.0)
+        with SCRATCH.frame() as take:
+            # Gershgorin: every eigenvalue of T / d - I lies within
+            # max_i(|a_i| + e_{i-1} + e_i) of 0, with e = sqrt(b).  The
+            # margin of 1e-9 half dominates the rounding of this bound and
+            # of the Sturm count, which moves an eigenvalue by a few ulps
+            # of half, so a certified column is one the count would find
+            # inside
+            e = np.sqrt(b, out=take(b.shape))
+            radius = np.abs(a, out=take(a.shape))
+            radius[:-1] += e
+            radius[1:] += e
+            q = radius.max(axis=0) < half * (1.0 - 1e-9)
+        for sign, width in [(1.0, k)] + [(-1.0, mirrors)] * (mirrors > 0):
+            with SCRATCH.frame() as take:
+                cols = slice(width)
+                tmp = take((n, width))
+                # each side sums over its own columns, as a batch of that
+                # width would: numpy sums a lone column in another order
+                # than several; a full set of mirrors shares its draws' sums
+                if sign > 0 or width < k:
+                    x = dev[:, cols]
+                    total = x.sum(axis=0)
+                    frob2 = (np.multiply(x, x, out=tmp).sum(axis=0)
+                             + 2.0 * off2[:, cols].sum(axis=0))
+                # a column whose pivot 1 + w_i is pivmin or less is not
+                # positive definite; what the recurrence computes after
+                # that pivot is discarded
+                w = np.multiply(a[:, cols], sign, out=take((n, width)))
+                bc, pc = b[:, cols], pivmin[cols]
+                p = take((width,))
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    for i in range(1, n):
+                        np.add(w[i - 1], 1.0, out=p)
+                        np.divide(bc[i - 1], p, out=p)
+                        w[i] -= p
+                    above = np.greater(np.add(w, 1.0, out=tmp), pc,
+                                       out=take((n, width), bool))
+                    pd.append(above.all(axis=0))
+                    logdet = np.log1p(w, out=w).sum(axis=0)
+                side = (0.5 * ((d - n - 1) * logdet - sign * total
+                               + frob2 / (2.0 * d)) + const)
+                side[~pd[-1]] = -np.inf
+                alpha.append(side)
+        decided = q & pd[0]
+        decided[:mirrors] &= pd[-1][:mirrors]
+        cols = np.flatnonzero(~decided)
+        if cols.size:
+            # the Sturm pivots of T at -x are those of -T at x, negated,
+            # so the counts at -half and at -low, with ties the other way,
+            # are those of the mirror at half and at low
+            counts = _sturm_counts(a[:, cols], b[:, cols],
+                                   np.array([-half, half, low, -low]),
+                                   pivmin[cols],
+                                   ties=np.array([1.0, -1.0, -1.0, 1.0]))
+            q[cols] |= (counts[0] == 0) & (counts[1] == n)
+            pd[0][cols] |= counts[2] == 0
+            paired = cols < mirrors
+            pd[-1][cols[paired]] |= counts[3][paired] == n
     return (np.concatenate(alpha), np.concatenate([q, q[:mirrors]]),
-            np.concatenate(psd))
-
-
-def _q_flags(a: np.ndarray, b: np.ndarray, pivmin: np.ndarray, n: int,
-             d: int) -> np.ndarray:
-    """The Q-window flag of each column of the scaled batch (a, b)."""
-    # the window on the scale of T / d - I
-    half = q_half_width(n, d) / d
-    # Gershgorin: every eigenvalue of T / d - I lies within
-    # max_i(|a_i| + e_{i-1} + e_i) of 0, with e = sqrt(b).  The margin of
-    # 1e-9 half dominates the rounding of this bound and of the Sturm
-    # count, which moves an eigenvalue by a few ulps of half, so a
-    # certified column is one the count would find inside
-    e = np.sqrt(b)
-    radius = np.abs(a)
-    radius[:-1] += e
-    radius[1:] += e
-    q = radius.max(axis=0) < half * (1.0 - 1e-9)
-    undecided = np.flatnonzero(~q)
-    if undecided.size:
-        # an eigenvalue on an edge counts as inside, as in in_q_mask.  The
-        # Sturm pivots of T at -half are then those of -T at +half,
-        # negated, so T and -T get the same flag
-        counts = _sturm_counts(a[:, undecided], b[:, undecided],
-                               np.array([-half, half]), pivmin[undecided],
-                               ties=np.array([1.0, -1.0]))
-        q[undecided] = (counts[0] == 0) & (counts[1] == n)
-    return q
+            np.concatenate(pd))
 
 
 def q_half_width(n: int, d: int) -> float:

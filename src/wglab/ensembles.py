@@ -125,44 +125,48 @@ def sample_wishart_dense(n: int, d: int, size: int,
     return (w + np.swapaxes(w, 1, 2)) / 2.0
 
 
-def _chi2(dof: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
-    """(len(dof), size) chi-square variates, row k with dof[k] degrees.
+def _chi2(dof: np.ndarray, gen: np.random.Generator, out: np.ndarray,
+          scale: float) -> np.ndarray:
+    """Fill ``out``, of shape (len(dof), size), with chi-square variates
+    times ``scale``, row k with dof[k] degrees, and return it.
 
     Row by row with a scalar shape: the same stream as one broadcast draw,
     which numpy runs through a slower per-element path.
     """
-    out = np.empty((dof.size, size))
     for row, k in zip(out, dof.tolist()):
         gen.standard_gamma(0.5 * k, out=row)
-    out *= 2.0
+    out *= 2.0 * scale
     return out
 
 
-def goe_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator):
+def goe_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator,
+                    empty=np.empty):
     """Batch of tridiagonal draws spectrally equal to sqrt(d) * GOE + d * I.
 
     T - d I = sqrt(d) * tridiag(g, b) with g_i ~ N(0, 2) and
     b_k^2 ~ chi^2_{n-k}: Householder tridiagonalization of this module's GOE,
     whose diagonal is N(0, 2), so there is no 1/sqrt(2) factor.  Returns
-    ``(dev, off2)`` as described in the module docstring.
+    ``(dev, off2)`` as described in the module docstring, in arrays made by
+    ``empty(shape)``.
     """
-    dev = gen.standard_normal((n, size))
+    dev = gen.standard_normal(out=empty((n, size)))
     dev *= math.sqrt(2.0 * d)
-    off2 = _chi2(np.arange(n - 1, 0, -1), size, gen)
-    off2 *= d
-    return dev, off2
+    return dev, _chi2(np.arange(n - 1, 0, -1), gen, empty((n - 1, size)), d)
 
 
-def wishart_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator):
+def wishart_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator,
+                        empty=np.empty):
     """Batch of tridiagonal draws spectrally equal to W(n, d), d >= n.
 
     W = B B^T with B lower bidiagonal, c_i^2 ~ chi^2_{d-i+1} on the diagonal
     and s_i^2 ~ chi^2_{n-i} below it, so diag(W)_i = c_i^2 + s_{i-1}^2 and
     W_{i,i+1}^2 = s_i^2 c_i^2.  Returns ``(dev, off2)`` as described in the
-    module docstring.
+    module docstring, in arrays made by ``empty(shape)``.
     """
-    c2 = _chi2(np.arange(d, d - n, -1), size, gen)
-    s2 = _chi2(np.arange(n - 1, 0, -1), size, gen)
-    dev = c2 - d
-    dev[1:] += s2
-    return dev, s2 * c2[:-1]
+    c2 = _chi2(np.arange(d, d - n, -1), gen, empty((n, size)), 1.0)
+    s2 = _chi2(np.arange(n - 1, 0, -1), gen, empty((n - 1, size)), 1.0)
+    off2 = np.multiply(s2, c2[:-1], out=empty((n - 1, size)))
+    # c2 becomes dev in place
+    c2 -= d
+    c2[1:] += s2
+    return c2, off2

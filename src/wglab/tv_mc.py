@@ -19,23 +19,22 @@ twice, as drawn and mirrored: antithetic variates (Hammersley and Morton
 1956).  The limit exponent is linear in the odd power sums N1 and N3, so
 the two integrands of a pair are negatively correlated, and the stderr is
 taken over the pairs.  A block's draws and their mirrors are evaluated in
-one ``alpha_from_tridiagonal`` pass, which scales T and finds the Q flag
-once per pair (Gershgorin certificate, Sturm counts where it cannot decide)
-and takes PSD from the pivots.  ``samples`` counts alpha evaluations,
-mirrored ones included.  GOE-side blocks hold an even number of evaluations, so only the
-last block of an odd ``samples`` holds an unpaired draw.  The Wishart law
-has no such symmetry: there each draw is one evaluation.
+one ``alpha_from_tridiagonal`` pass.  ``samples`` counts alpha
+evaluations, mirrored ones included.  GOE-side blocks hold an even number
+of evaluations, so only the last block of an odd ``samples`` holds an
+unpaired draw.  The Wishart law has no such symmetry: there each draw is
+one evaluation.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
-substream.  Workers take contiguous ranges of blocks and the per-block
-partial sums are merged in block order, so the seed alone fixes every
-estimate: any worker count gives bit-identical results.  The pool never
-starts more processes than there are blocks or CPUs.
+substream into the process's scratch memory.  Workers take contiguous
+ranges of blocks and the per-block partial sums are merged in block order,
+so the seed alone fixes every estimate: any worker count gives
+bit-identical results.  The pool never starts more processes than there
+are blocks or CPUs, and a run of one block starts none.
 """
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ from .densities import (AlphaBreakdown, alpha_from_tridiagonal,
 from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
+from .scratch import SCRATCH
 
 GOE_SIDE = "goe_side"
 WISHART_SIDE = "wishart_side"
@@ -53,11 +53,14 @@ WISHART_SIDE = "wishart_side"
 Z99 = 2.5758293035489004
 
 # alpha evaluations times n per block (a GOE-side block draws half as many
-# tridiagonals); a block peaks at about ten (n, size) float arrays, so this
-# bounds its memory near 20 MB.  It also fixes the stream layout:
+# tridiagonals); a block's scratch peaks at about seven (n, size) float
+# arrays, so this bounds it near 16 MB.  It also fixes the stream layout:
 # block b of a run draws from substream b, so changing the budget moves the
 # draws of every run longer than one block
 _BATCH_BUDGET = 2 ** 18
+
+# imported on first use, as a run of one process starts no pool
+ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,10 @@ def _block_count(n: int, samples: int, side: str) -> int:
     return -(-samples // _batch_size(n, side))
 
 
-def _draw_blocks(n, d, samples, rng, side, first, stop):
+def _draw_blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
     """Yield, for each of blocks first..stop-1, the tridiagonal batch
-    ``(dev, off2)`` its alpha evaluations run on and its mirror count.
+    ``(dev, off2)`` its alpha evaluations run on, in arrays made by
+    ``empty(shape)``, and its mirror count.
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
@@ -111,16 +115,19 @@ def _draw_blocks(n, d, samples, rng, side, first, stop):
     depend on the seed alone.  A Wishart-side block of ``size``
     evaluations is ``size`` draws and no mirror.  A GOE-side block is its
     ceil(size / 2) draws, each evaluated as drawn, and the mirrors of the
-    first floor(size / 2) of them, so pair j is draw j and mirror j.
+    first floor(size / 2) of them, so pair j is draw j and mirror j.  A
+    block's arrays from ``SCRATCH.take`` are freed as the next is drawn.
     """
     batch = _batch_size(n, side)
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
         gen = rng.substream(b).generator()
-        if side == WISHART_SIDE:
-            yield (*wishart_tridiagonal(n, d, size, gen), 0)
-        else:
-            yield (*goe_tridiagonal(n, d, size - size // 2, gen), size // 2)
+        with SCRATCH.frame():
+            if side == WISHART_SIDE:
+                yield (*wishart_tridiagonal(n, d, size, gen, empty), 0)
+            else:
+                yield (*goe_tridiagonal(n, d, size - size // 2, gen, empty),
+                       size // 2)
 
 
 def _block_stats(task):
@@ -129,7 +136,8 @@ def _block_stats(task):
     and PSD counts."""
     n, d, samples, rng, side, first, stop = task
     parts = []
-    for dev, off2, m in _draw_blocks(n, d, samples, rng, side, first, stop):
+    for dev, off2, m in _draw_blocks(n, d, samples, rng, side, first, stop,
+                                     SCRATCH.take):
         alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d, m)
         values = _integrand(alpha, side)
         # pair j is draw j and its mirror, the last m evaluations
@@ -180,12 +188,15 @@ def _estimate(n, d, samples, rng, side, workers):
     if workers < 1:
         raise InvalidParameterError(f"need workers >= 1, got {workers}")
     blocks = _block_count(n, samples, side)
-    procs = min(workers, blocks, os.cpu_count() or 1)
+    procs = 1 if blocks == 1 else min(workers, blocks, os.cpu_count() or 1)
     # one contiguous range of blocks per process; the partials come back in
     # block order, so the merge does not depend on the split
     tasks = [(n, d, samples, rng, side, blocks * i // procs,
               blocks * (i + 1) // procs) for i in range(procs)]
     if procs > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
             parts = [p for task in pool.map(_block_stats, tasks) for p in task]
     else:

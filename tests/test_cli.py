@@ -186,16 +186,19 @@ def test_sweep_workers_env_override(tmp_path, monkeypatch):
 
 
 # runs one command in a fresh interpreter and prints its exit code, its
-# output and the scipy modules it loaded; pytest's own process has scipy
-# loaded already, so only a fresh one can tell
+# output and the slow-to-import modules it loaded (scipy, and the process
+# pool's); pytest's own process has them loaded already, so only a fresh
+# one can tell
 _FRESH_RUN = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 from wglab.cli import cli_dispatch
 out = io.StringIO()
 rc = cli_dispatch(sys.argv[2:], out=out)
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps([rc, out.getvalue(), scipy]))
+heavy = sorted(m for m in sys.modules
+               if m.split(".")[0] in ("scipy", "multiprocessing")
+               or m == "concurrent.futures.process")
+print(json.dumps([rc, out.getvalue(), heavy]))
 """
 
 
@@ -209,19 +212,27 @@ def run_fresh(args):
 
 
 def test_only_limit_imports_scipy(tmp_path):
+    # nor does a run of one block per estimate load the process pool's
+    # modules, whatever its worker count
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("c_grid = 0.25, 0.5, 1, 2, 4\nn_list = 2, 3\nsamples = 20\n"
-                   f"emit_svg = true\nout_dir = {tmp_path / 'out'}\n")
+                   f"workers = 2\nemit_svg = true\nout_dir = {tmp_path / 'out'}\n")
     tv = ["tv", "--n", "3", "--d", "27", "--samples", "50"]
-    commands = [tv, [*tv, "--side", "wishart_side"],
+    commands = [tv, [*tv, "--side", "wishart_side"], [*tv, "--workers", "2"],
                 ["clt", "--n", "3", "--reps", "20"],
                 ["profile", "--n", "3", "--d", "27", "--samples", "10"],
                 ["sweep", "--config", str(cfg)]]
     for args in commands:
-        rc, _, scipy_modules = run_fresh(args)
-        assert rc == 0 and scipy_modules == [], args
+        rc, _, heavy = run_fresh(args)
+        assert rc == 0 and heavy == [], args
     # the check sees scipy where it is loaded, and limit prints what it
     # prints in-process
-    rc, text, scipy_modules = run_fresh(["limit", "--c", "0.5"])
-    assert rc == 0 and "scipy.integrate" in scipy_modules
+    rc, text, heavy = run_fresh(["limit", "--c", "0.5"])
+    assert rc == 0 and "scipy.integrate" in heavy
     assert text == run_cli(["limit", "--c", "0.5"])[1]
+    # and the pool's modules where a run of four blocks starts one
+    if (os.cpu_count() or 1) > 1:
+        rc, _, heavy = run_fresh(["tv", "--n", "3", "--d", "27", "--samples",
+                                  "200000", "--workers", "2"])
+        assert rc == 0 and "concurrent.futures.process" in heavy
+        assert "multiprocessing" in heavy

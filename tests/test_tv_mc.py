@@ -133,9 +133,9 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
     draws, calls = [], []
     sample, alpha = tv_mc.goe_tridiagonal, tv_mc.alpha_from_tridiagonal
 
-    def counting_sample(n, d, size, gen):
+    def counting_sample(n, d, size, gen, *empty):
         draws.append(size)
-        return sample(n, d, size, gen)
+        return sample(n, d, size, gen, *empty)
 
     def counting_alpha(dev, off2, n, d, mirrors):
         calls.append((dev.shape[1], mirrors))
