@@ -138,7 +138,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             d = degrees_of_freedom(c, n)
             start = time.perf_counter()
             est = tv_estimate_goe_side(n, d, cfg.samples,
-                                       RngState(cfg.seed, stream_id=point),
+                                       RngState(cfg.seed, point, "sweep"),
                                        workers=cfg.workers)
             elapsed = time.perf_counter() - start
             rows.append(SweepRow(

@@ -12,7 +12,7 @@ other command runs on numpy alone and starts without scipy's import time.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,10 +93,11 @@ _CLT_BATCH_ELEMENTS = 2 ** 21
 
 
 def sample_clt_pairs(n: int, reps: int, rng: RngState) -> np.ndarray:
-    """(reps, 2) array of (sum mu_i, sum mu_i^3) over GOE draws of order n."""
+    """(reps, 2) array of (sum mu_i, sum mu_i^3) over GOE draws of order n,
+    from the stream of ``rng`` with the purpose "clt"."""
     if n < 2 or reps < 1:
         raise InvalidParameterError(f"need n >= 2, reps >= 1, got n={n}, reps={reps}")
-    gen = rng.generator()
+    gen = replace(rng, purpose="clt").generator()
     out = np.empty((reps, 2))
     batch = max(1, _CLT_BATCH_ELEMENTS // (n * n))
     done = 0
@@ -125,12 +126,13 @@ def limiting_tv_mc(p: LimitParams, samples: int,
     (N1, N3) is realized as (Y, 3Y + Z) with independent Y ~ N(0, 2) and
     Z ~ N(0, 6), which reproduces the covariance [[2, 6], [6, 24]].  The
     exponent s0 + s2 + s4 + k1 N1 + k3 N3 takes its coefficients from
-    ``s_limit_vector`` and goes through the GOE-side TV integrand.
+    ``s_limit_vector`` and goes through the GOE-side TV integrand.  The
+    draws come from the stream of ``rng`` with the purpose "limit".
     """
     if samples < 1:
         raise InvalidParameterError(f"need samples >= 1, got {samples}")
     s0, k1, s2, k3, s4 = s_limit_vector(p.c)
-    gen = rng.generator()
+    gen = replace(rng, purpose="limit").generator()
     y = gen.standard_normal(samples) * math.sqrt(2.0)
     z = gen.standard_normal(samples) * math.sqrt(6.0)
     vals = _integrand(s0 + (s2 + s4) + k1 * y + k3 * (3.0 * y + z), GOE_SIDE)

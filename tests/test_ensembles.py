@@ -143,8 +143,8 @@ def test_mean_structure():
 @pytest.mark.parametrize("n", [1, 2, 8, 32])
 def test_tridiagonal_streams_pinned(n):
     # both samplers against the broadcast formulas they were written with,
-    # bit for bit on a fixed Philox key: the row-by-row chi-square draw and
-    # the in-place scaling move no variate
+    # bit for bit on a fixed stream key (SFC64 on a SeedSequence): the
+    # row-by-row chi-square draw and the in-place scaling move no variate
     size = 37
     for d in (n, n ** 3 + 3):
         gen = RngState(2024, n).generator()

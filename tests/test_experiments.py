@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wglab import (ConfigError, ExperimentConfig, SweepRow, emit_csv,
-                   emit_figure1_svg, parse_config, run_sweep)
+from wglab import (ConfigError, ExperimentConfig, RngState, SweepRow, emit_csv,
+                   emit_figure1_svg, parse_config, run_sweep,
+                   tv_estimate_goe_side)
 from wglab.experiments import CSV_HEADER, _ypix, degrees_of_freedom, read_csv
 from wglab.tv_mc import Z99
 
@@ -146,6 +147,20 @@ def test_run_sweep_rows():
         assert 0.0 <= r.tv_limit <= 1.0
         assert r.seed == cfg.seed
         assert r.runtime_s == 0.0
+
+
+def test_sweep_points_read_the_sweep_streams():
+    # point p reads stream (seed, p) with the purpose "sweep", so point 0
+    # does not repeat the tv estimate of the same seed
+    cfg = small_config()
+    rows = run_sweep(cfg)
+    for point, row in enumerate(rows):
+        est = tv_estimate_goe_side(row.n, row.d, cfg.samples,
+                                   RngState(cfg.seed, point, "sweep"))
+        assert (row.tv_mc, row.tv_stderr) == (est.mean, est.stderr)
+    tv = tv_estimate_goe_side(rows[0].n, rows[0].d, cfg.samples,
+                              RngState(cfg.seed))
+    assert tv.mean != rows[0].tv_mc
 
 
 def test_run_sweep_deterministic(tmp_path):

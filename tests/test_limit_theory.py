@@ -10,7 +10,9 @@ from wglab import (DomainError, InvalidParameterError, LimitEstimate,
                    clt_covariance_estimate, limiting_tv_closed_form,
                    limiting_tv_mc, limiting_tv_quadrature, s_limit_vector)
 from wglab.densities import s0_term
+from wglab.ensembles import sample_goe_dense
 from wglab.limit_theory import sample_clt_pairs
+from wglab.spectral import batch_eigenvalues
 
 C_GRID = [0.01, 0.1, 1.0 / 48.0, 0.5, 1.0, 10.0, 100.0]
 
@@ -71,7 +73,7 @@ def test_mc_matches_closed_form(c):
     assert abs(est.mean - limiting_tv_closed_form(p)) <= 3 * est.stderr
     # the exponent from s_limit_vector against the limit functional
     # written out, -1/(12c) - N1/(2 sqrt c) + N3/(6 sqrt c), on the same draws
-    gen = RngState(1).generator()
+    gen = RngState(1, purpose="limit").generator()
     y = gen.standard_normal(samples) * math.sqrt(2.0)
     z = gen.standard_normal(samples) * math.sqrt(6.0)
     sqc = math.sqrt(c)
@@ -190,6 +192,16 @@ def test_clt_batch_split_keeps_the_stream(monkeypatch):
     np.testing.assert_array_equal(sample_clt_pairs(5, 101, RngState(8)), ref)
     monkeypatch.setattr(wglab.limit_theory, "_CLT_BATCH_ELEMENTS", 1)
     np.testing.assert_array_equal(sample_clt_pairs(5, 101, RngState(8)), ref)
+
+
+def test_clt_reads_the_clt_stream():
+    # whatever the purpose of the key it is given
+    gen = RngState(8, purpose="clt").generator()
+    mu = batch_eigenvalues(sample_goe_dense(5, 3, gen)) / math.sqrt(5)
+    ref = np.column_stack([mu.sum(axis=1), (mu ** 3).sum(axis=1)])
+    for purpose in ("tv", "clt"):
+        np.testing.assert_array_equal(
+            sample_clt_pairs(5, 3, RngState(8, purpose=purpose)), ref)
 
 
 def test_clt_covariance_validation():
