@@ -270,9 +270,9 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
         decided[:mirrors] &= pd[-1][:mirrors]
         cols = np.flatnonzero(~decided)
         if cols.size:
-            # the Sturm pivots of T at -x are those of -T at x, negated,
-            # so the counts at -half and at -low, with ties the other way,
-            # are those of the mirror at half and at low
+            # pd becomes the PSD flag.  The Sturm pivots of T at -x are
+            # those of -T at x, negated, so the counts at -half and at
+            # -low, with ties the other way, are the mirror's at half and low
             counts = _sturm_counts(a[:, cols], b[:, cols],
                                    np.array([-half, half, low, -low]),
                                    pivmin[cols],

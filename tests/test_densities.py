@@ -368,6 +368,25 @@ def test_one_pass_matches_separate_calls(n, size):
             assert g.tobytes() == np.concatenate([plain, mirror]).tobytes()
 
 
+def test_one_pass_matches_separate_calls_at_exact_ties():
+    # n = 1, d = 10^8: the mirrors of T = [2d + 1] and of T = [-1] are
+    # [-1] and [2d + 1], and -1 is exactly the PSD threshold -1e-8 d on the
+    # scale of T / d - I; d -+ 3 sqrt(d) are the Q window's edges.  The
+    # Sturm pivots of a mirror are exactly zero there, and the one call
+    # takes them from T with the tie the other way
+    n, d = 1, 10 ** 8
+    half = q_half_width(n, d)
+    dev = np.array([[d + 1.0, -d - 1.0, -half, half, 0.0]])
+    off2 = np.zeros((0, dev.shape[1]))
+    got = alpha_from_tridiagonal(dev, off2, n, d, dev.shape[1])
+    ref = zip(alpha_from_tridiagonal(dev, off2, n, d),
+              alpha_from_tridiagonal(-dev, off2, n, d))
+    for g, (plain, mirror) in zip(got, ref):
+        assert g.tobytes() == np.concatenate([plain, mirror]).tobytes()
+    assert list(got[2]) == [True, False, True, True, True,
+                            False, True, True, True, True]
+
+
 def test_q_certificate_boundary():
     # n = 2, d = 8: T / d - I = [[x, e], [e, x]] has eigenvalues x +- e and
     # Gershgorin bound |x| + e, and the Q half-width on that scale is 1.5;
