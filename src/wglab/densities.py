@@ -268,19 +268,19 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
                 alpha.append(side)
         decided = q & pd[0]
         decided[:mirrors] &= pd[-1][:mirrors]
-        cols = np.flatnonzero(~decided)
-        if cols.size:
+        undecided = np.flatnonzero(~decided)
+        if undecided.size:
             # pd becomes the PSD flag.  The Sturm pivots of T at -x are
             # those of -T at x, negated, so the counts at -half and at
             # -low, with ties the other way, are the mirror's at half and low
-            counts = _sturm_counts(a[:, cols], b[:, cols],
+            counts = _sturm_counts(a[:, undecided], b[:, undecided],
                                    np.array([-half, half, low, -low]),
-                                   pivmin[cols],
+                                   pivmin[undecided],
                                    ties=np.array([1.0, -1.0, -1.0, 1.0]))
-            q[cols] |= (counts[0] == 0) & (counts[1] == n)
-            pd[0][cols] |= counts[2] == 0
-            paired = cols < mirrors
-            pd[-1][cols[paired]] |= counts[3][paired] == n
+            q[undecided] |= (counts[0] == 0) & (counts[1] == n)
+            pd[0][undecided] |= counts[2] == 0
+            paired = undecided < mirrors
+            pd[-1][undecided[paired]] |= counts[3][paired] == n
     return (np.concatenate(alpha), np.concatenate([q, q[:mirrors]]),
             np.concatenate(pd))
 

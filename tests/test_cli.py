@@ -216,7 +216,8 @@ def test_only_limit_imports_scipy(tmp_path):
     # modules, whatever its worker count
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("c_grid = 0.25, 0.5, 1, 2, 4\nn_list = 2, 3\nsamples = 20\n"
-                   f"workers = 2\nemit_svg = true\nout_dir = {tmp_path / 'out'}\n")
+                   "workers = 2\nemit_svg = true\n"
+                   f"out_dir = {tmp_path / 'out'}\n")
     tv = ["tv", "--n", "3", "--d", "27", "--samples", "50"]
     commands = [tv, [*tv, "--side", "wishart_side"], [*tv, "--workers", "2"],
                 ["clt", "--n", "3", "--reps", "20"],

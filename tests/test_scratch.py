@@ -54,8 +54,8 @@ def test_samplers_fill_the_given_arrays(sampler):
 def test_alpha_reuses_scratch_exactly(monkeypatch):
     # calls at other (n, width, mirrors) in between reuse the buffer; each
     # result is what a call with a fresh buffer gives, in arrays of its own
-    cases = [(32, 32 ** 3, 4096, 4096), (3, 3, 5, 2), (32, 32 ** 3, 1808, 1808),
-             (8, 64, 301, 300)]
+    cases = [(32, 32 ** 3, 4096, 4096), (3, 3, 5, 2),
+             (32, 32 ** 3, 1808, 1808), (8, 64, 301, 300)]
     batches = [goe_tridiagonal(n, d, k, RngState(70 + n, k).generator())
                for n, d, k, _ in cases]
     with monkeypatch.context() as m:
