@@ -1,14 +1,15 @@
-"""Per-process scratch memory, which the Monte Carlo blocks of a process
+"""Per-thread scratch memory, which the Monte Carlo blocks of a process
 reuse instead of faulting in fresh pages for each block."""
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 
-class Scratch:
-    """A grow-only buffer lent out in stack order.
+class Scratch(threading.local):
+    """A grow-only buffer lent out in stack order, one per thread.
 
     Inside ``with scratch.frame() as take:``, ``take(shape, dtype)`` returns
     the next free bytes of the buffer as an uninitialised array, or a new

@@ -26,7 +26,7 @@ unpaired draw.  The Wishart law has no such symmetry: there each draw is
 one evaluation.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
-substream into the process's scratch memory.  Workers take contiguous
+substream into the thread's scratch memory.  Workers take contiguous
 ranges of blocks and the per-block partial sums are merged in block order,
 so the seed alone fixes every estimate: any worker count gives
 bit-identical results.  The pool never starts more processes than there

@@ -1,6 +1,7 @@
 import platform
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +121,19 @@ def test_repeat_estimate_reuses_its_memory():
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert int(proc.stdout.split()[-1]) < 200
+
+
+def test_threads_get_scratch_of_their_own():
+    # more threads than cores, each estimating while the others do; a
+    # buffer shared between them would mix their blocks
+    cases = [(8, 512 + i, 40001, RngState(i)) for i in range(6)]
+    refs = [tv_estimate_goe_side(*c) for c in cases]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda c: tv_estimate_goe_side(*c),
+                                cases * 3))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == refs * 3
