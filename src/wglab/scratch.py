@@ -1,4 +1,4 @@
-"""Per-thread scratch memory, which the Monte Carlo blocks of a process
+"""Per-thread scratch memory, which the Monte Carlo blocks run in a thread
 reuse instead of faulting in fresh pages for each block."""
 
 import math
