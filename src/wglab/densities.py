@@ -187,17 +187,18 @@ def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
 
 
 def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
-                           d: int, mirrors: int = 0):
+                           d: int, mirrored: bool = False):
     """alpha, the Q-window flag and the PSD flag over a tridiagonal batch
-    and the mirrors of its first ``mirrors`` columns, in one pass.
+    and, if ``mirrored``, over the mirrors of all its columns, in one pass.
 
-    ``dev`` is the (n, size) array of diagonal deviations T_ii - d and
-    ``off2`` the (n - 1, size) array of squared off-diagonals, one column
-    per draw.  The mirror of a column is the same T with ``dev`` negated.
-    Returns ``(alpha, in_q, psd)``, each of shape (size + mirrors,): the
-    columns as given, then the mirrors, with the same meaning as
-    ``alpha_from_eigenvalues`` and ``in_q_mask`` on the eigenvalues of T
-    and with psd meaning lambda_min >= -TOL_PSD_SCALE * d.
+    ``dev`` is the (n, k) array of diagonal deviations T_ii - d and
+    ``off2`` the (n - 1, k) array of squared off-diagonals, one column per
+    draw.  The mirror of a column is the same T with ``dev`` negated.
+    Returns ``(alpha, in_q, psd)``, each of shape (k,), or (2k,) with
+    mirrors: the columns as given, then their mirrors in the same order.
+    A caller that needs an odd number of evaluations drops the last mirror.
+    The flags mean what ``alpha_from_eigenvalues`` and ``in_q_mask`` mean on
+    the eigenvalues of T, and psd means lambda_min >= -TOL_PSD_SCALE * d.
 
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
     w_i = dev_i / d - (off2_{i-1} / d^2) / (1 + w_{i-1}); alpha is -inf
@@ -205,11 +206,11 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
     positive is positive definite, so it is PSD.  A Gershgorin bound
     certifies most columns inside the Q window.  The window is symmetric
     about d and a mirror's spectrum is its draw's reflected about d, so a
-    mirror takes its draw's Q flag.  One Sturm count, at the window's edges
-    (an eigenvalue on an edge is inside) and at the PSD thresholds of T and
-    its mirror, decides the columns left.  The scaled T and the Q flag are
-    computed once for a column and its mirror; the pivot recurrence runs on
-    each.  The (n, size) intermediates live in the scratch buffer.
+    mirror takes its draw's Q flag; it also takes its draw's trace, negated,
+    and Frobenius norm.  One Sturm count, at the window's edges (an
+    eigenvalue on an edge is inside) and at the PSD thresholds of T and its
+    mirror, decides the columns left.  The pivot recurrence runs on T and
+    on its mirror.  The (n, k) intermediates live in the scratch buffer.
     """
     if d < n:
         raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
@@ -234,41 +235,31 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
             radius[:-1] += e
             radius[1:] += e
             q = radius.max(axis=0) < half * (1.0 - 1e-9)
-        for sign, width in [(1.0, k)] + [(-1.0, mirrors)] * (mirrors > 0):
+            total = dev.sum(axis=0)
+            frob2 = (np.multiply(dev, dev, out=radius).sum(axis=0)
+                     + 2.0 * off2.sum(axis=0))
+        for sign in (1.0, -1.0)[:1 + mirrored]:
             with SCRATCH.frame() as take:
-                cols = slice(width)
-                tmp = take((n, width))
-                # each side sums over its own columns, as a batch of that
-                # width would: numpy sums a lone column in another order
-                # than several; a full set of mirrors shares its draws' sums
-                if sign > 0 or width < k:
-                    x = dev[:, cols]
-                    total = x.sum(axis=0)
-                    frob2 = (np.multiply(x, x, out=tmp).sum(axis=0)
-                             + 2.0 * off2[:, cols].sum(axis=0))
                 # a column whose pivot 1 + w_i is pivmin or less is not
                 # positive definite; what the recurrence computes after
                 # that pivot is discarded
-                w = np.multiply(a[:, cols], sign, out=take((n, width)))
-                bc, pc = b[:, cols], pivmin[cols]
-                p = take((width,))
+                w = np.multiply(a, sign, out=take((n, k)))
+                p = take((k,))
                 with np.errstate(divide="ignore", invalid="ignore",
                                  over="ignore"):
                     for i in range(1, n):
                         np.add(w[i - 1], 1.0, out=p)
-                        np.divide(bc[i - 1], p, out=p)
+                        np.divide(b[i - 1], p, out=p)
                         w[i] -= p
-                    above = np.greater(np.add(w, 1.0, out=tmp), pc,
-                                       out=take((n, width), bool))
+                    above = np.greater(np.add(w, 1.0, out=take((n, k))),
+                                       pivmin, out=take((n, k), bool))
                     pd.append(above.all(axis=0))
                     logdet = np.log1p(w, out=w).sum(axis=0)
-                side = (0.5 * ((d - n - 1) * logdet - sign * total
-                               + frob2 / (2.0 * d)) + const)
-                side[~pd[-1]] = -np.inf
-                alpha.append(side)
-        decided = q & pd[0]
-        decided[:mirrors] &= pd[-1][:mirrors]
-        undecided = np.flatnonzero(~decided)
+            side = (0.5 * ((d - n - 1) * logdet - sign * total
+                           + frob2 / (2.0 * d)) + const)
+            side[~pd[-1]] = -np.inf
+            alpha.append(side)
+        undecided = np.flatnonzero(~(q & pd[0] & pd[-1]))
         if undecided.size:
             # pd becomes the PSD flag.  The Sturm pivots of T at -x are
             # those of -T at x, negated, so the counts at -half and at
@@ -278,10 +269,9 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
                                    pivmin[undecided],
                                    ties=np.array([1.0, -1.0, -1.0, 1.0]))
             q[undecided] |= (counts[0] == 0) & (counts[1] == n)
-            pd[0][undecided] |= counts[2] == 0
-            paired = undecided < mirrors
-            pd[-1][undecided[paired]] |= counts[3][paired] == n
-    return (np.concatenate(alpha), np.concatenate([q, q[:mirrors]]),
+            for flag, psd in zip(pd, (counts[2] == 0, counts[3] == n)):
+                flag[undecided] |= psd
+    return (np.concatenate(alpha), np.concatenate([q] * len(pd)),
             np.concatenate(pd))
 
 

@@ -18,12 +18,12 @@ do not change the spectrum, so a GOE-side draw (dev, off2) and its mirror
 twice, as drawn and mirrored: antithetic variates (Hammersley and Morton
 1956).  The limit exponent is linear in the odd power sums N1 and N3, so
 the two integrands of a pair are negatively correlated, and the stderr is
-taken over the pairs.  A block's draws and their mirrors are evaluated in
-one ``alpha_from_tridiagonal`` pass.  ``samples`` counts alpha
-evaluations, mirrored ones included.  GOE-side blocks hold an even number
-of evaluations, so only the last block of an odd ``samples`` holds an
-unpaired draw.  The Wishart law has no such symmetry: there each draw is
-one evaluation.
+taken over the pairs.  A block's draws and all their mirrors are
+evaluated in one ``alpha_from_tridiagonal`` pass.  ``samples`` counts
+alpha evaluations, mirrored ones included.  GOE-side blocks hold an even
+number of evaluations, except the last block of an odd ``samples``,
+which drops its last mirror and so holds one unpaired draw.  The Wishart
+law has no such symmetry: there each draw is one evaluation.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
@@ -104,44 +104,44 @@ def _block_count(n: int, samples: int, side: str) -> int:
     return -(-samples // _batch_size(n, side))
 
 
-def _draw_blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
+def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
     """Yield, for each of blocks first..stop-1, the tridiagonal batch
-    ``(dev, off2)`` its alpha evaluations run on, in arrays made by
-    ``empty(shape)``, and its mirror count.
+    ``(dev, off2)`` it draws, in arrays made by ``empty(shape)``, and the
+    ``(alpha, in_q, psd, integrand)`` arrays of its evaluations.
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
     from ``rng.substream(b)`` whichever process draws it, so the draws
     depend on the seed alone.  A Wishart-side block of ``size``
-    evaluations is ``size`` draws and no mirror.  A GOE-side block is its
-    ceil(size / 2) draws, each evaluated as drawn, and the mirrors of the
-    first floor(size / 2) of them, so pair j is draw j and mirror j.  A
-    block's arrays from ``SCRATCH.take`` are freed as the next is drawn.
+    evaluations is ``size`` draws.  A GOE-side block is k = ceil(size / 2)
+    draws, each evaluated mirrored: the k draws, then their k mirrors, of
+    which an odd block drops the last.  So pair j is evaluations j and
+    k + j.  A block's arrays from ``SCRATCH.take`` are freed as the next
+    is drawn.
     """
     batch = _batch_size(n, side)
+    mirrored = side == GOE_SIDE
+    draw = goe_tridiagonal if mirrored else wishart_tridiagonal
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
         gen = rng.substream(b).generator()
         with SCRATCH.frame():
-            if side == WISHART_SIDE:
-                yield (*wishart_tridiagonal(n, d, size, gen, empty), 0)
-            else:
-                yield (*goe_tridiagonal(n, d, size - size // 2, gen, empty),
-                       size // 2)
+            dev, off2 = draw(n, d, size - size // 2 if mirrored else size,
+                             gen, empty)
+            alpha, q, psd = (x[:size] for x in alpha_from_tridiagonal(
+                dev, off2, n, d, mirrored))
+            yield dev, off2, alpha, q, psd, _integrand(alpha, side)
 
 
 def _block_stats(task):
     """Per-block partials of one task's range: (sum, sumsq) of the
     integrand values, (sum, sumsq) of the antithetic pair sums, and the Q
     and PSD counts."""
-    n, d, samples, rng, side, first, stop = task
     parts = []
-    for dev, off2, m in _draw_blocks(n, d, samples, rng, side, first, stop,
-                                     SCRATCH.take):
-        alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d, m)
-        values = _integrand(alpha, side)
-        # pair j is draw j and its mirror, the last m evaluations
-        pairs = values[:m] + values[values.size - m:]
+    for dev, _, _, q, psd, values in _blocks(*task, SCRATCH.take):
+        # draw j pairs with evaluation k + j; no draw does on the Wishart side
+        k = dev.shape[1]
+        pairs = values[:values.size - k] + values[k:]
         parts.append((float(values.sum()), float((values * values).sum()),
                       float(pairs.sum()), float((pairs * pairs).sum()),
                       int(np.count_nonzero(q)), int(np.count_nonzero(psd))))
@@ -214,7 +214,7 @@ def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
 
     ``samples`` alpha evaluations: each draw is evaluated as drawn and
     mirrored, in one pass per block, and the stderr is taken over the
-    antithetic pairs.
+    antithetic pairs; an odd ``samples`` drops the last mirror.
     """
     return _estimate(n, d, samples, rng, GOE_SIDE, workers)
 
@@ -237,8 +237,8 @@ def tv_profile(n: int, d: int, samples: int, rng: RngState):
     """Iterator over the per-evaluation alpha breakdowns and integrands of
     GOE-side sampling.
 
-    Draws the same blocks as ``tv_estimate_goe_side`` and evaluates them
-    with the same one-pass call, mirrors included, in the same order, so
+    Takes the same evaluations of the same blocks as
+    ``tv_estimate_goe_side``, mirrors included, in the same order, so
     there is one record per alpha evaluation and the integrands reproduce
     the estimator's mean; s0..s4 come from O(n) trace formulas on each
     draw and each mirror, with no eigenvalues.  The parameters are checked
@@ -258,18 +258,16 @@ def profile_columns(n: int, d: int, samples: int, rng: RngState):
     the draws as drawn, then one for their mirrors.  The parameters are
     checked at once."""
     _check_params(n, d, samples)
-    blocks = _draw_blocks(n, d, samples, rng, GOE_SIDE, 0,
-                          _block_count(n, samples, GOE_SIDE))
+    blocks = _blocks(n, d, samples, rng, GOE_SIDE, 0,
+                     _block_count(n, samples, GOE_SIDE))
     return (group for block in blocks
             for group in _profile_groups(*block, n, d))
 
 
-def _profile_groups(dev, off2, m, n, d):
-    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d, m)
+def _profile_groups(dev, off2, alpha, q, psd, values, n, d):
     k = dev.shape[1]
-    # the mirrors' power sums run on a batch of their own width, as the
-    # draws' do: numpy sums a lone column in another order than several
+    m = alpha.size - k
     for tri, cols in (((dev, off2), slice(k)),
                       ((-dev[:, :m], off2[:, :m]), slice(k, None))):
         yield (alpha[cols], breakdown_columns(*tri, alpha[cols], n, d),
-               q[cols], psd[cols], _integrand(alpha[cols], GOE_SIDE))
+               q[cols], psd[cols], values[cols])

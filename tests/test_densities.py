@@ -341,11 +341,12 @@ def sturm_flags(dev, off2, n, d):
 @pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
 @pytest.mark.parametrize("n,d", EQUIVALENCE_POINTS)
 def test_certified_flags_match_sturm_counts(sampler, n, d):
-    # the GOE-side batch with mirrors of its first 1000 columns, as the
-    # estimator evaluates it; the Wishart side has none
+    # the GOE-side batch with its mirrors, as the estimator evaluates it;
+    # the Wishart side has none
     dev, off2 = sampler(n, d, 2001, RngState(700 + n + d).generator())
-    m = 1000 if sampler is goe_tridiagonal else 0
-    _, q, psd = alpha_from_tridiagonal(dev, off2, n, d, m)
+    mirrored = sampler is goe_tridiagonal
+    m = dev.shape[1] if mirrored else 0
+    _, q, psd = alpha_from_tridiagonal(dev, off2, n, d, mirrored)
     flags = zip(sturm_flags(dev, off2, n, d),
                 sturm_flags(-dev[:, :m], off2[:, :m], n, d))
     for got, (plain, mirror) in zip((q, psd), flags):
@@ -353,17 +354,16 @@ def test_certified_flags_match_sturm_counts(sampler, n, d):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
-@pytest.mark.parametrize("size", [1, 2, 3, 6, 401, 402])
-def test_one_pass_matches_separate_calls(n, size):
-    # a block of `size` evaluations: ceil(size / 2) draws and the mirrors
-    # of the first floor(size / 2); one call gives bit for bit what a call
-    # on the draws and a call on the negated columns give
+@pytest.mark.parametrize("width", [1, 2, 3, 6, 201, 401, 402])
+def test_one_pass_matches_separate_calls(n, width):
+    # one mirrored call gives bit for bit what a call on the draws and a
+    # call on the negated columns, of the same width, give
     for d in (n, n ** 3):
-        k, m = size - size // 2, size // 2
-        dev, off2 = goe_tridiagonal(n, d, k, RngState(size, d).generator())
-        got = alpha_from_tridiagonal(dev, off2, n, d, m)
+        dev, off2 = goe_tridiagonal(n, d, width,
+                                    RngState(width, d).generator())
+        got = alpha_from_tridiagonal(dev, off2, n, d, True)
         ref = zip(alpha_from_tridiagonal(dev, off2, n, d),
-                  alpha_from_tridiagonal(-dev[:, :m], off2[:, :m], n, d))
+                  alpha_from_tridiagonal(-dev, off2, n, d))
         for g, (plain, mirror) in zip(got, ref):
             assert g.tobytes() == np.concatenate([plain, mirror]).tobytes()
 
@@ -378,7 +378,7 @@ def test_one_pass_matches_separate_calls_at_exact_ties():
     half = q_half_width(n, d)
     dev = np.array([[d + 1.0, -d - 1.0, -half, half, 0.0]])
     off2 = np.zeros((0, dev.shape[1]))
-    got = alpha_from_tridiagonal(dev, off2, n, d, dev.shape[1])
+    got = alpha_from_tridiagonal(dev, off2, n, d, True)
     ref = zip(alpha_from_tridiagonal(dev, off2, n, d),
               alpha_from_tridiagonal(-dev, off2, n, d))
     for g, (plain, mirror) in zip(got, ref):
@@ -423,7 +423,7 @@ def test_q_window_closed_at_both_edges(t, expected):
     n, d = 1, 36
     ts = np.array([np.nextafter(t, 0.0), t, np.nextafter(t, 100.0)])
     dev, off2 = (ts - d).reshape(1, -1), np.zeros((0, 3))
-    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, 3)
+    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, True)
     _, q_mirror, _ = alpha_from_tridiagonal(-dev, off2, n, d)
     assert list(in_q_mask(ts[:, None], n, d)) == expected
     assert list(q) == expected * 2 and list(q_mirror) == expected
@@ -441,7 +441,7 @@ def test_q_window_closed_at_both_edges_n2():
     off2 = np.array([[324.0, np.nextafter(324.0, 0.0),
                       np.nextafter(324.0, 1e3)]])
     dev = np.zeros((2, 3))
-    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, 3)
+    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, True)
     assert list(q) == [True, True, False] * 2
     np.testing.assert_array_equal(q[:3], sturm_flags(dev, off2, n, d)[0])
     assert in_q_mask(np.array([[0.0, 36.0]]), n, d)[0]

@@ -53,21 +53,21 @@ def test_samplers_fill_the_given_arrays(sampler):
 
 
 def test_alpha_reuses_scratch_exactly(monkeypatch):
-    # calls at other (n, width, mirrors) in between reuse the buffer; each
+    # calls at other (n, width, mirrored) in between reuse the buffer; each
     # result is what a call with a fresh buffer gives, in arrays of its own
-    cases = [(32, 32 ** 3, 4096, 4096), (3, 3, 5, 2),
-             (32, 32 ** 3, 1808, 1808), (8, 64, 301, 300)]
+    cases = [(32, 32 ** 3, 4096, True), (3, 3, 5, False),
+             (32, 32 ** 3, 1808, True), (8, 64, 301, True)]
     batches = [goe_tridiagonal(n, d, k, RngState(70 + n, k).generator())
                for n, d, k, _ in cases]
     with monkeypatch.context() as m:
         refs = []
-        for (n, d, _, mirrors), batch in zip(cases, batches):
+        for (n, d, _, mirrored), batch in zip(cases, batches):
             m.setattr(densities, "SCRATCH", Scratch())
             refs.append(densities.alpha_from_tridiagonal(*batch, n, d,
-                                                         mirrors))
+                                                         mirrored))
     for _ in range(2):
-        for (n, d, _, mirrors), batch, ref in zip(cases, batches, refs):
-            got = densities.alpha_from_tridiagonal(*batch, n, d, mirrors)
+        for (n, d, _, mirrored), batch, ref in zip(cases, batches, refs):
+            got = densities.alpha_from_tridiagonal(*batch, n, d, mirrored)
             for x, y in zip(got, ref):
                 assert x.tobytes() == y.tobytes()
                 assert not np.shares_memory(x, SCRATCH.buf)

@@ -137,9 +137,9 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
         draws.append(size)
         return sample(n, d, size, gen, *empty)
 
-    def counting_alpha(dev, off2, n, d, mirrors):
-        calls.append((dev.shape[1], mirrors))
-        return alpha(dev, off2, n, d, mirrors)
+    def counting_alpha(dev, off2, n, d, mirrored):
+        calls.append((dev.shape[1], mirrored))
+        return alpha(dev, off2, n, d, mirrored)
 
     monkeypatch.setattr(tv_mc, "goe_tridiagonal", counting_sample)
     monkeypatch.setattr(tv_mc, "alpha_from_tridiagonal", counting_alpha)
@@ -149,10 +149,10 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
     records = tv_profile(4, 64, 50, RngState(12))
     assert draws == calls == []
     next(records)
-    assert draws == [8] and calls == [(8, 8)]
+    assert draws == [8] and calls == [(8, True)]
     assert len(list(records)) == 49
     assert draws == [8, 8, 8, 1]
-    assert calls == [(8, 8), (8, 8), (8, 8), (1, 1)]
+    assert calls == [(8, True)] * 3 + [(1, True)]
 
 
 def test_profile_reproduces_estimator_mean():
@@ -172,11 +172,12 @@ def test_profile_matches_eigenvalue_decomposition(n, monkeypatch):
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 128 * n)
     d, samples, rng = n ** 3, 301, RngState(15 + n)
     records = list(tv_profile(n, d, samples, rng))
-    blocks = tv_mc._draw_blocks(n, d, samples, rng, tv_mc.GOE_SIDE, 0,
-                                tv_mc._block_count(n, samples, tv_mc.GOE_SIDE))
+    blocks = tv_mc._blocks(n, d, samples, rng, tv_mc.GOE_SIDE, 0,
+                           tv_mc._block_count(n, samples, tv_mc.GOE_SIDE))
     # each block's draws, then their mirrors: the plain batches of the
     # evaluations in record order
-    batches = [batch for dev, off2, m in blocks
+    batches = [batch for dev, off2, alpha, *_ in blocks
+               for m in [alpha.size - dev.shape[1]]
                for batch in ((dev, off2), (-dev[:, :m], off2[:, :m]))]
     assert len(batches) == 6
     dev, off2 = (np.concatenate(x, axis=1) for x in zip(*batches))
@@ -235,12 +236,10 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
     # the as-drawn columns and, on the GOE side, the mirrored columns each
     # against the dense ensemble; within a group the columns are independent
     n, d, samples = 8, 512, 20_000
-    blocks = tv_mc._draw_blocks(n, d, samples, RngState(41), side, 0,
-                                tv_mc._block_count(n, samples, side))
+    blocks = tv_mc._blocks(n, d, samples, RngState(41), side, 0,
+                           tv_mc._block_count(n, samples, side))
     drawn, mirrored = [], []
-    for dev, off2, m in blocks:
-        values = tv_mc._integrand(
-            alpha_from_tridiagonal(dev, off2, n, d, m)[0], side)
+    for dev, *_, values in blocks:
         drawn.append(values[:dev.shape[1]])
         mirrored.append(values[dev.shape[1]:])
     groups = [g for g in map(np.concatenate, (drawn, mirrored)) if g.size]
@@ -253,12 +252,13 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
         assert abs(tri.mean() - dense.mean()) <= 4 * se
 
 
-@pytest.mark.parametrize("samples", [2000, 2001])
+@pytest.mark.parametrize("samples", [2000, 2001, 1539])
 def test_pair_mean_matches_plain_path(samples, monkeypatch):
     # the antithetic estimate against the plain per-draw integrands of the
     # same T and of its mirror, block by block: each pair contributes the
     # mean of its two values; a budget of 511 evaluations rounds up to
-    # 512-evaluation blocks, so pairs never straddle one; four blocks
+    # 512-evaluation blocks, so pairs never straddle one; four blocks, the
+    # last of 3 evaluations at samples = 1539: two draws and one mirror
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 511 * 8)
     n, d, rng = 8, 512, RngState(31)
     est = tv_estimate_goe_side(n, d, samples, rng)
@@ -294,10 +294,9 @@ def test_mirrored_columns_match_eigenvalues(n):
     # 100; the mirrors' alpha and flags from the estimator's one-pass call
     # match the eigenvalues of each draw with its diagonal negated
     d, samples = n ** 3, 201
-    [(dev, off2, m)] = tv_mc._draw_blocks(n, d, samples, RngState(60 + n),
-                                          tv_mc.GOE_SIDE, 0, 1)
-    assert dev.shape == (n, 101) and m == 100
-    flags = alpha_from_tridiagonal(dev, off2, n, d, m)
+    [(dev, off2, *flags, _)] = tv_mc._blocks(n, d, samples, RngState(60 + n),
+                                             tv_mc.GOE_SIDE, 0, 1)
+    assert dev.shape == (n, 101) and flags[0].size == 201
     alpha, q, psd = (x[101:] for x in flags)
     eigs = np.array([eigvalsh_tridiagonal(-dev[:, k] + d, np.sqrt(off2[:, k]))
                      for k in range(100)])
