@@ -209,8 +209,9 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
     mirror takes its draw's Q flag; it also takes its draw's trace, negated,
     and Frobenius norm.  One Sturm count, at the window's edges (an
     eigenvalue on an edge is inside) and at the PSD thresholds of T and its
-    mirror, decides the columns left.  The pivot recurrence runs on T and
-    on its mirror.  The (n, k) intermediates live in the scratch buffer.
+    mirror (one on a threshold is PSD), decides the columns left.  The
+    pivot recurrence runs on T and on its mirror.  The (n, k)
+    intermediates live in the scratch buffer.
     """
     if d < n:
         raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
@@ -267,7 +268,7 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
             counts = _sturm_counts(a[:, undecided], b[:, undecided],
                                    np.array([-half, half, low, -low]),
                                    pivmin[undecided],
-                                   ties=np.array([1.0, -1.0, -1.0, 1.0]))
+                                   ties=np.array([1.0, -1.0, 1.0, -1.0]))
             q[undecided] |= (counts[0] == 0) & (counts[1] == n)
             for flag, psd in zip(pd, (counts[2] == 0, counts[3] == n)):
                 flag[undecided] |= psd

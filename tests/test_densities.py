@@ -327,13 +327,14 @@ def test_tridiagonal_alpha_matches_eigenvalues(sampler, n, d):
 def sturm_flags(dev, off2, n, d):
     """(in_q, psd) from Sturm counts on every column: at the Q window's
     upper edge on T and on -T (whose upper edge is T's lower one, so both
-    edges are closed) and at the PSD threshold.  This is what the
+    edges are closed) and at the PSD threshold, where an eigenvalue on the
+    threshold counts as above it, so it is PSD.  This is what the
     Gershgorin certificate and the pivots stand in for."""
     a, b = dev / d, off2 / float(d) ** 2
     pivmin = np.finfo(float).tiny * np.max(b, axis=0, initial=1.0)
     half = q_half_width(n, d) / d
     counts = _sturm_counts(a, b, np.array([half, -1.0 - TOL_PSD_SCALE]),
-                           pivmin)
+                           pivmin, ties=np.array([-1.0, 1.0]))
     below = _sturm_counts(-a, b, np.array([half]), pivmin)[0]
     return (counts[0] == n) & (below == n), counts[1] == 0
 
@@ -373,7 +374,8 @@ def test_one_pass_matches_separate_calls_at_exact_ties():
     # [-1] and [2d + 1], and -1 is exactly the PSD threshold -1e-8 d on the
     # scale of T / d - I; d -+ 3 sqrt(d) are the Q window's edges.  The
     # Sturm pivots of a mirror are exactly zero there, and the one call
-    # takes them from T with the tie the other way
+    # takes them from T with the tie the other way.  An eigenvalue on the
+    # threshold is PSD, as lambda_min >= -1e-8 d says, so every column is
     n, d = 1, 10 ** 8
     half = q_half_width(n, d)
     dev = np.array([[d + 1.0, -d - 1.0, -half, half, 0.0]])
@@ -383,8 +385,8 @@ def test_one_pass_matches_separate_calls_at_exact_ties():
               alpha_from_tridiagonal(-dev, off2, n, d))
     for g, (plain, mirror) in zip(got, ref):
         assert g.tobytes() == np.concatenate([plain, mirror]).tobytes()
-    assert list(got[2]) == [True, False, True, True, True,
-                            False, True, True, True, True]
+    assert list(got[2]) == [True] * 10
+    assert s_decomposition(Spectrum(np.array([-1.0])), n, d).psd
 
 
 def test_q_certificate_boundary():
