@@ -12,6 +12,7 @@ is assembled by hand rather than through a plotting library so no
 timestamps or generated ids leak in.
 """
 
+import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -39,8 +40,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.c_grid or not self.n_list:
             raise ConfigError("c_grid and n_list must be nonempty")
-        if any(c <= 0 for c in self.c_grid):
-            raise ConfigError("c_grid entries must be positive")
+        if not all(c > 0 and math.isfinite(c) for c in self.c_grid):
+            raise ConfigError("c_grid entries must be finite and positive")
         if list(self.c_grid) != sorted(set(self.c_grid)):
             raise ConfigError("c_grid must be strictly increasing")
         if list(self.n_list) != sorted(set(self.n_list)):

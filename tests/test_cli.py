@@ -166,6 +166,16 @@ def test_sweep_command_bad_config(tmp_path):
     assert cli_dispatch(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_sweep_command_rejects_non_finite_c(c, tmp_path):
+    # inf once escaped as an OverflowError from degrees_of_freedom
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"c_grid = 0.5, {c}\nn_list = 4\n"
+                   f"out_dir = {tmp_path / 'out'}\n")
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_workers_env_override(tmp_path, monkeypatch):
     seen = []
 

@@ -1,4 +1,5 @@
 import io
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -36,6 +37,9 @@ def test_config_validation():
         ExperimentConfig(c_grid=(0.5,), n_list=(8, 4))
     with pytest.raises(ConfigError):
         ExperimentConfig(c_grid=(-1.0,), n_list=(4,))
+    for c in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(c_grid=(c,), n_list=(4,))
     # d = round(c n^3) < n
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(c_grid=(0.001,), n_list=(4,))
