@@ -1,9 +1,15 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+pytestmark = pytest.mark.skipif(shutil.which("git") is None,
+                                reason="the tool measures git checkouts")
 
 # stands in for perfbench/run.py: prints a status line, then one JSON
 # result whose wall_s is the checkout's WALL plus the seed / 1000
@@ -21,21 +27,36 @@ DECLARED = {"run_seconds": 36, "end_to_end": [
     {"name": "ok_frac", "unit": "frac", "better": "higher", "bound": 0.01}]}
 
 
-def fake_checkout(root, wall):
+def git(root, *args):
+    return subprocess.run(
+        ["git", "-C", str(root), "-c", "user.name=bench",
+         "-c", "user.email=bench@example.com", *args],
+        capture_output=True, text=True, check=True).stdout.strip()
+
+
+def fake_tree(root, run_py):
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(
-        FAKE_RUN.replace("WALL", repr(wall)))
+    (root / "perfbench" / "run.py").write_text(run_py)
     (root / "BENCHMARK.json").write_text(json.dumps(DECLARED))
     return root
 
 
-def run_tool(parent, change, out, seeds):
+def fake_checkout(root, wall=None, run_py=None):
+    """A git repository with one commit of a fake benchmark."""
+    fake_tree(root, run_py or FAKE_RUN.replace("WALL", repr(wall)))
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "fake benchmark")
+    return root
+
+
+def run_tool(parent, change, out, seeds, check=True):
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--parent", str(parent), "--change",
          str(change), "--workload", "fake", "--seeds", *map(str, seeds),
          "--out", str(out)],
-        capture_output=True, text=True, timeout=120, check=True)
-    return proc.stdout
+        capture_output=True, text=True, timeout=120, check=check)
+    return proc.stdout if check else proc
 
 
 def test_pairs_alternate_and_append(tmp_path):
@@ -47,26 +68,53 @@ def test_pairs_alternate_and_append(tmp_path):
            "change won 3/3" in text
     assert "ok_frac" in text and "change won 0/3" in text
     bench = json.loads(out.read_text())
+    revs = {side: git(root, "rev-parse", "HEAD")
+            for side, root in (("parent", parent), ("change", change))}
+    assert {k: bench[k] for k in revs} == revs
     assert [(r["commit"], r["seed"]) for r in bench["runs"]] == [
         ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
         ("parent", 3), ("change", 3)]
     assert [r["order"] for r in bench["runs"]] == list(range(6))
     assert bench["runs"][0]["result"]["metrics"]["wall_s"]["value"] == 2.001
-    assert bench["runs"][1]["change_revision"] == "final"
-    assert bench["runs"][0]["change_revision"] is None
+    assert all(r["revision"] == revs[r["commit"]] for r in bench["runs"])
     # a second invocation extends the same file and is summarized alone
     text = run_tool(parent, change, out, [1, 4])
     assert "2 complete pairs" in text and "change won 2/2" in text
     runs = json.loads(out.read_text())["runs"]
     assert len(runs) == 10 and [r["order"] for r in runs] == list(range(10))
+    # but not once the change is another commit
+    (change / "BENCHMARK.json").write_text(json.dumps(DECLARED, indent=1))
+    git(change, "commit", "-q", "-am", "another commit")
+    proc = run_tool(parent, change, out, [5], check=False)
+    assert proc.returncode == 2 and "other commits" in proc.stderr
+    assert len(json.loads(out.read_text())["runs"]) == 10
 
 
 def test_failed_run_is_recorded(tmp_path):
     parent = fake_checkout(tmp_path / "parent", 2.0)
-    change = fake_checkout(tmp_path / "change", 1.0)
-    (change / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
+    change = fake_checkout(tmp_path / "change",
+                           run_py="raise SystemExit(3)\n")
     out = tmp_path / "BENCH.json"
     text = run_tool(parent, change, out, [1])
     assert "0 complete pairs" in text
     runs = json.loads(out.read_text())["runs"]
     assert runs[1]["result"] is None and runs[1]["error"].startswith("exit 3")
+
+
+@pytest.mark.parametrize("case", ["plain", "subdirectory", "dirty"])
+def test_unknown_or_unclean_checkout_is_refused(tmp_path, case):
+    # a plain copy, a directory inside another repository and a checkout
+    # whose tracked files differ from its commit do not say what they run
+    parent = fake_checkout(tmp_path / "parent", 2.0)
+    if case == "plain":
+        change = fake_tree(tmp_path / "change", FAKE_RUN.replace("WALL", "1"))
+    elif case == "subdirectory":
+        change = fake_tree(parent / "copy", FAKE_RUN.replace("WALL", "1"))
+    else:
+        change = fake_checkout(tmp_path / "change", 1.0)
+        (change / "perfbench" / "run.py").write_text("raise SystemExit(0)\n")
+    out = tmp_path / "BENCH.json"
+    proc = run_tool(parent, change, out, [1], check=False)
+    assert proc.returncode == 2
+    assert str(change) in proc.stderr and "git worktree add" in proc.stderr
+    assert not out.exists()

@@ -3,12 +3,17 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
         --seeds 101 102 ... --out BENCH_<pr>.json
 
+Each checkout must be a git checkout with no uncommitted changes to
+tracked files, so that the commit it names (`git rev-parse HEAD`) is what
+runs; `git worktree add DIR REV` makes one.  Otherwise the tool exits 2.
+
 For each seed, runs `perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once from each checkout, one after the other, and switches which
 checkout goes first every pair.  T is the `run_seconds` of the change's
 BENCHMARK.json.  Each run's last line of standard output (its JSON result)
-is appended to --out, which is rewritten after every run; an existing file
-is extended, so several workloads can share it.  A run that fails is
+is appended to --out with the commit it ran, and the file is rewritten
+after every run; an existing file is extended, so several workloads can
+share it, as long as it names the same two commits.  A run that fails is
 recorded with a null result and its error.
 
 At the end, prints for each end-to-end metric the median and quartiles of
@@ -30,11 +35,31 @@ PAIRING = ("parent and change alternate, the first of each pair switching "
            "every pair")
 
 
-def _rev(checkout: Path):
-    """The checked-out commit, or None where there is no git history."""
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+def _git(checkout: Path, *args):
+    """Standard output of a git command in the checkout, or None if it
+    fails."""
+    proc = subprocess.run(["git", "-C", str(checkout), *args],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def revision(checkout: Path) -> str:
+    """The commit the checkout runs; SystemExit(2) where it has none, or
+    has uncommitted changes to tracked files."""
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    rev = _git(checkout, "rev-parse", "--verify", "HEAD")
+    status = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    if not (top and rev) or status is None or (
+            Path(top).resolve() != checkout.resolve()):
+        problem = "has no readable git revision of its own"
+    elif status:
+        problem = "has uncommitted changes to tracked files"
+    else:
+        return rev
+    print(f"error: {checkout} {problem}; measure a clean checkout of the "
+          "commit, for example one made by `git worktree add DIR REV`",
+          file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _host() -> str:
@@ -98,16 +123,19 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    revs = {"parent": revision(args.parent), "change": revision(args.change)}
     declared = json.loads((args.change / "BENCHMARK.json").read_text(
         encoding="utf-8"))
     seconds = declared["run_seconds"]
     if args.out.is_file():
         bench = json.loads(args.out.read_text(encoding="utf-8"))
+        if {k: bench.get(k) for k in revs} != revs:
+            print(f"error: {args.out} measures other commits", file=sys.stderr)
+            return 2
     else:
         bench = {"command": "python3 perfbench/run.py --workload W --seed S "
                             f"--seconds {seconds:g} --trace 0",
-                 "parent": _rev(args.parent), "host": _host(),
-                 "pairing": PAIRING,
+                 **revs, "host": _host(), "pairing": PAIRING,
                  "series": {"final": "the committed change"}, "runs": []}
     runs = bench["runs"]
     start = len(runs)
@@ -116,8 +144,7 @@ def main() -> int:
         for commit in order:
             checkout = args.parent if commit == "parent" else args.change
             result, error = run_once(checkout, args.workload, seed, seconds)
-            run = {"commit": commit,
-                   "change_revision": "final" if commit == "change" else None,
+            run = {"commit": commit, "revision": revs[commit],
                    "series": "final", "order": len(runs),
                    "workload": args.workload, "seed": seed, "result": result}
             if error is not None:
