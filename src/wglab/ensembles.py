@@ -89,7 +89,7 @@ def sample_goe_dense(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """Batch of GOE draws as a (size, n, n) dense array.
 
     Consumes the stream in the same order as repeated single draws would
-    consume per-matrix blocks; used by the Monte Carlo loops.
+    consume per-matrix blocks; used only by ``clt`` and the tests.
     """
     packed = _packed_goe(n, size, gen)
     out = np.zeros((size, n, n))
