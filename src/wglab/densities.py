@@ -9,7 +9,9 @@ centered form
 with h(x) = (1/2) [ (d-n-1) log(x/d) - (x-d) + (x-d)^2 / (2d) ] and K(n, d)
 collecting every spectrum-independent constant.  The centered form avoids the
 catastrophic cancellation of subtracting two huge log-density values; the
-direct subtraction is kept as an independent cross-check path.
+direct subtraction is kept as an independent cross-check path.  Both take
+log Gamma from ``math.lgamma`` at (d + 1 - i) / 2 >= 1/2, i = 1..n, since
+every caller has checked d >= n.
 
 Summed over the spectrum, h needs no eigenvalues: sum_i log(lambda_i / d) is
 log det(T / d), sum_i (lambda_i - d) is tr(T - dI) and sum_i (lambda_i - d)^2
@@ -23,7 +25,8 @@ views of the batch ones.
 
 ``s_decomposition`` splits alpha into the constant, linear, quadratic, cubic
 and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
-structure that drives the whole phase-transition analysis.
+structure that drives the whole phase-transition analysis; the coefficients
+h_k / k! of h at d come from ``_taylor_terms`` alone.
 ``breakdown_columns`` gives the same split over a tridiagonal batch from
 O(n) trace formulas; a spectrum is the diagonal case.
 """
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 from .scratch import SCRATCH
 from .spectral import Spectrum
 
@@ -63,24 +66,6 @@ class AlphaBreakdown:
     psd: bool
 
 
-@dataclass(frozen=True)
-class TaylorCoeffs:
-    """Derivatives of h at d and a worst-case bound on the fifth-order term."""
-
-    h1: float
-    h2: float
-    h3: float
-    h4: float
-    remainder_bound: float
-
-
-def log_gamma(z: float) -> float:
-    """log Gamma(z) for z > 0."""
-    if z <= 0:
-        raise DomainError(f"log_gamma requires z > 0, got {z}")
-    return math.lgamma(z)
-
-
 def log_wishart_density(s: Spectrum, n: int, d: int) -> float:
     """Log density of the Wishart ensemble at a matrix with this spectrum.
 
@@ -95,7 +80,7 @@ def log_wishart_density(s: Spectrum, n: int, d: int) -> float:
              -0.5 * math.fsum(lam),
              -0.5 * d * n * math.log(2.0),
              -0.25 * n * (n - 1) * math.log(math.pi)]
-    terms.extend(-log_gamma(0.5 * (d + 1 - i)) for i in range(1, n + 1))
+    terms.extend(-math.lgamma(0.5 * (d + 1 - i)) for i in range(1, n + 1))
     return math.fsum(terms)
 
 
@@ -123,7 +108,8 @@ def spectrum_constant(n: int, d: int) -> float:
             - 0.5 * d
             + (0.25 * (n + 3) - 0.5 * d) * math.log(2.0)
             + 0.5 * math.log(math.pi))
-    return math.fsum(base - log_gamma(0.5 * (d + 1 - i)) for i in range(1, n + 1))
+    return math.fsum(base - math.lgamma(0.5 * (d + 1 - i))
+                     for i in range(1, n + 1))
 
 
 def alpha_exact(s: Spectrum, n: int, d: int) -> float:
@@ -291,23 +277,8 @@ def in_q_mask(eigs: np.ndarray, n: int, d: int) -> np.ndarray:
     return (eigs[:, 0] >= d - half) & (eigs[:, -1] <= d + half)
 
 
-def taylor_coeffs(n: int, d: int) -> TaylorCoeffs:
-    """Derivatives of h at d plus a worst-case fifth-order remainder bound.
-
-    The bound maximizes |(d-n-1) / (10 xi^5) * (x-d)^5| over the eigenvalue
-    window x, xi in [d - 3 sqrt(dn), d + 3 sqrt(dn)], which requires the
-    window's left edge to be safely positive (d > 9n).
-    """
-    if d <= 9 * n:
-        raise InvalidParameterError(f"need d > 9n for the Q window, got n={n}, d={d}")
-    half = q_half_width(n, d)
-    bound = (d - n - 1) / (10.0 * (d - half) ** 5) * half ** 5
-    return TaylorCoeffs(*(math.factorial(k) * t for k, t in
-                          enumerate(_taylor_terms(n, d), 1)), bound)
-
-
 def _taylor_terms(n: int, d: int) -> tuple[float, float, float, float]:
-    """The Taylor coefficients h_k / k!, k = 1..4, of h at d, for any d.
+    """The Taylor coefficients h_k / k!, k = 1..4, of h at d: their one home.
 
     h_k / k! rather than h_k, so that s_k = (h_k / k!) p_k takes one
     rounding per coefficient.

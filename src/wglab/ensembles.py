@@ -3,7 +3,10 @@
 Conventions: ``sample_goe(n)`` draws a symmetric matrix with N(0, 2) diagonal
 and N(0, 1) strict upper triangle, all independent.  The moment-matched
 comparison ensemble is ``sqrt(d) * GOE + d * I``, and the Wishart matrix is
-the Gram matrix X X^T of an n-by-d standard normal matrix X.
+the Gram matrix X X^T of an n-by-d standard normal matrix X.  A matrix is
+a dense numpy array: ``sample_goe`` and ``sample_wishart`` are size-1 views
+of the batch samplers ``sample_goe_dense`` and ``sample_wishart_dense``, so a
+scalar draw is bit for bit the one row of a batch on the same generator.
 
 The Monte Carlo estimators draw neither dense matrix.  ``goe_tridiagonal`` and
 ``wishart_tridiagonal`` draw a symmetric tridiagonal T whose spectrum has
@@ -16,7 +19,6 @@ the tridiagonal ones are tested against.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,94 +28,43 @@ from .rng import RngState
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Real symmetric matrix stored as its packed upper triangle.
-
-    ``packed`` holds the upper triangle in row-major order, length
-    n(n+1)/2.  Reconstruction mirrors the stored triangle, so the dense
-    form is symmetric exactly.
-    """
-
-    n: int
-    packed: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError(f"order must be positive, got {self.n}")
-        expected = self.n * (self.n + 1) // 2
-        if self.packed.shape != (expected,):
-            raise InvalidParameterError(
-                f"packed length {self.packed.shape} != {expected} for n={self.n}")
-        if not np.all(np.isfinite(self.packed)):
-            raise InvalidParameterError("non-finite entries")
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n)
-        a[iu] = self.packed
-        a.T[iu] = self.packed
-        return a
-
-    def entry(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        return float(self.packed[i * self.n - i * (i - 1) // 2 + (j - i)])
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SymmetricMatrix":
-        n = a.shape[0]
-        return cls(n, a[np.triu_indices(n)].copy())
-
-
-def _diag_packed_indices(n: int) -> np.ndarray:
-    i = np.arange(n)
-    return i * n - i * (i - 1) // 2
-
-
-def _packed_goe(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    z = gen.standard_normal((size, n * (n + 1) // 2))
-    z[:, _diag_packed_indices(n)] *= _SQRT2
-    return z
-
-
-def sample_goe(n: int, rng: RngState) -> SymmetricMatrix:
-    """One GOE draw of order n, deterministic given the stream key."""
+def sample_goe(n: int, rng: RngState) -> np.ndarray:
+    """One GOE draw of order n as a dense array, deterministic given the
+    stream key: the one draw of ``sample_goe_dense`` on its generator."""
     if n < 1:
         raise InvalidParameterError(f"order must be positive, got {n}")
-    packed = _packed_goe(n, 1, rng.generator())[0]
-    return SymmetricMatrix(n, packed)
+    return sample_goe_dense(n, 1, rng.generator())[0]
 
 
 def sample_goe_dense(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """Batch of GOE draws as a (size, n, n) dense array.
 
-    Consumes the stream in the same order as repeated single draws would
-    consume per-matrix blocks; used only by ``clt`` and the tests.
+    Each draw consumes n(n+1)/2 normals, its upper triangle in row-major
+    order, and the draws follow one another on the stream; the diagonal is
+    scaled to N(0, 2).  Every seeded GOE draw depends on this order.
     """
-    packed = _packed_goe(n, size, gen)
-    out = np.zeros((size, n, n))
     iu = np.triu_indices(n)
-    out[:, iu[0], iu[1]] = packed
-    out[:, iu[1], iu[0]] = packed
+    z = gen.standard_normal((size, iu[0].size))
+    z[:, iu[0] == iu[1]] *= _SQRT2
+    out = np.zeros((size, n, n))
+    out[:, iu[0], iu[1]] = z
+    out[:, iu[1], iu[0]] = z
     return out
 
 
-def shift_scale_goe(m: SymmetricMatrix, d: int) -> SymmetricMatrix:
+def shift_scale_goe(m: np.ndarray, d: int) -> np.ndarray:
     """The moment-matched ensemble: sqrt(d) * m + d * I."""
     if d < 1:
         raise InvalidParameterError(f"need d >= 1, got {d}")
-    packed = m.packed * np.sqrt(float(d))
-    packed[_diag_packed_indices(m.n)] += float(d)
-    return SymmetricMatrix(m.n, packed)
+    return m * math.sqrt(d) + d * np.eye(m.shape[0])
 
 
-def sample_wishart(n: int, d: int, rng: RngState) -> SymmetricMatrix:
-    """One n x n Wishart draw with d degrees of freedom (X X^T)."""
+def sample_wishart(n: int, d: int, rng: RngState) -> np.ndarray:
+    """One n x n Wishart draw with d degrees of freedom (X X^T) as a dense
+    array: the one draw of ``sample_wishart_dense`` on its generator."""
     if n < 1 or d < 1:
         raise InvalidParameterError(f"need n, d >= 1, got n={n}, d={d}")
-    x = rng.generator().standard_normal((n, d))
-    return SymmetricMatrix.from_dense(x @ x.T)
+    return sample_wishart_dense(n, d, 1, rng.generator())[0]
 
 
 def sample_wishart_dense(n: int, d: int, size: int,

@@ -13,6 +13,7 @@ timestamps or generated ids leak in.
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,12 +49,23 @@ class ExperimentConfig:
             raise ConfigError("n_list must be strictly increasing")
         if self.samples < 1 or self.workers < 1:
             raise ConfigError("samples and workers must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for c in self.c_grid:
             for n in self.n_list:
-                if degrees_of_freedom(c, n) < n:
+                try:
+                    d = degrees_of_freedom(c, n)
+                except OverflowError:  # c * n^3 is not a finite float
+                    d = math.inf
+                if d < n:
                     raise ConfigError(
                         f"d = round(c*n^3) < n at (c={c}, n={n}); "
                         "the Wishart density requires d >= n")
+                # alpha divides by d^2 in floating point
+                if d * d > sys.float_info.max:
+                    raise ConfigError(
+                        f"d = round(c*n^3) at (c={c}, n={n}) is too large: "
+                        "d^2 overflows a float")
 
 
 @dataclass(frozen=True)

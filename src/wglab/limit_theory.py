@@ -12,6 +12,7 @@ other command runs on numpy alone and starts without scipy's import time.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,8 +32,10 @@ class LimitParams:
     c: float
 
     def __post_init__(self):
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise DomainError(f"need finite c > 0, got {self.c}")
+        # below the least normal float 1 / (4c) overflows
+        if not sys.float_info.min <= self.c < math.inf:
+            raise DomainError(
+                f"need finite c >= {sys.float_info.min!r}, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,10 @@ def limiting_tv_quadrature(p: LimitParams) -> float:
     The exponent of the limit functional is -a + b z with Z = N3 - 3 N1 ~
     N(0, 6): N1 drops out because its coefficient k1 + 3 k3 vanishes.  The
     integrand is positive exactly for z <= a / b = 1 / (2 sqrt(c)), which
-    sets the upper limit of integration.
+    sets the upper limit of integration.  The integral is split at 0, where
+    the weight has its mass, so that quad finds that mass however far away
+    the upper limit is, and the upper limit is capped at 60, beyond which
+    the weight, below e^-300, adds nothing.
     """
     # imported here: scipy costs most of a cold start, and only this needs it
     from scipy import integrate
@@ -75,15 +81,14 @@ def limiting_tv_quadrature(p: LimitParams) -> float:
     s0, k1, s2, k3, s4 = s_limit_vector(p.c)
     a = -(s0 + (s2 + s4))
     b = k3
-    zmax = a / b
     norm = 1.0 / math.sqrt(12.0 * math.pi)
 
     def f(z):
         return _integrand(-a + b * z, GOE_SIDE) * norm * np.exp(-z * z / 12.0)
 
-    val, _ = integrate.quad(f, -np.inf, zmax, epsabs=1e-12, epsrel=1e-12,
-                            limit=200)
-    return val
+    return sum(integrate.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12,
+                              limit=200)[0]
+               for lo, hi in ((-np.inf, 0.0), (0.0, min(a / b, 60.0))))
 
 
 # matrix elements per sample_clt_pairs batch, 16 MB of float64, which

@@ -8,7 +8,8 @@ Substreams, one per sample block of a Monte Carlo run, are derived by
 shifting the stream id, which leaves the parent stream's values untouched
 and gives every block its own key for free.  Both the parent stream id and
 the substream index must fit in 32 bits, so that no two (parent, index)
-pairs share a substream.
+pairs share a substream.  The seed must lie in [0, 2**64), so that no two
+seeds share a stream.
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-_MASK64 = (1 << 64) - 1
+_LIMIT64 = 1 << 64
+_MASK64 = _LIMIT64 - 1
 _LIMIT32 = 1 << 32
 
 # what a stream is for, so that no two uses of one seed share a stream:
@@ -37,11 +39,14 @@ class RngState:
     def __post_init__(self):
         if self.purpose not in PURPOSES:
             raise InvalidParameterError(f"unknown purpose {self.purpose!r}")
+        if not 0 <= self.seed < _LIMIT64:
+            raise InvalidParameterError(
+                f"seed must be in [0, 2**64), got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         key = (PURPOSES.index(self.purpose), self.stream_id & _MASK64)
-        seq = np.random.SeedSequence(self.seed & _MASK64, spawn_key=key)
+        seq = np.random.SeedSequence(self.seed, spawn_key=key)
         return np.random.Generator(np.random.SFC64(seq))
 
     def substream(self, index: int) -> "RngState":

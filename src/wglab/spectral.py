@@ -2,7 +2,8 @@
 
 Everything downstream of the samplers is a function of the spectrum alone:
 the normalized eigenvalues (lambda_i - d) / sqrt(d n), their empirical
-moments, and the semicircle reference moments.
+moments, and the semicircle reference moments.  Matrices are dense numpy
+arrays; ``symmetric_eigenvalues`` is the size-1 view of ``batch_eigenvalues``.
 """
 
 import math
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import SymmetricMatrix
 from .errors import EigensolverError, InvalidParameterError
 
 
@@ -25,18 +25,9 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True)
-class NormalizedSpectrum:
-    """Normalized eigenvalues mu_i = (lambda_i - d) / sqrt(d n)."""
-
-    mu: np.ndarray
-    n: int
-    d: int
-
-
-def symmetric_eigenvalues(a: SymmetricMatrix) -> Spectrum:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    return Spectrum(batch_eigenvalues(a.to_dense()[None])[0])
+def symmetric_eigenvalues(a: np.ndarray) -> Spectrum:
+    """Eigenvalues of an (n, n) symmetric array, ascending."""
+    return Spectrum(batch_eigenvalues(a[None])[0])
 
 
 def batch_eigenvalues(mats: np.ndarray) -> np.ndarray:
@@ -50,21 +41,20 @@ def batch_eigenvalues(mats: np.ndarray) -> np.ndarray:
         raise EigensolverError(n, str(exc)) from exc
 
 
-def normalize_spectrum(s: Spectrum, n: int, d: int) -> NormalizedSpectrum:
-    """mu_i = (lambda_i - d) / sqrt(d n)."""
+def normalize_spectrum(s: Spectrum, n: int, d: int) -> np.ndarray:
+    """The normalized eigenvalues mu_i = (lambda_i - d) / sqrt(d n)."""
     if n != s.n:
         raise InvalidParameterError(f"n={n} does not match spectrum order {s.n}")
     if d < 1:
         raise InvalidParameterError(f"need d >= 1, got {d}")
-    mu = (s.eigenvalues - d) / math.sqrt(d * n)
-    return NormalizedSpectrum(mu, n, d)
+    return (s.eigenvalues - d) / math.sqrt(d * n)
 
 
-def empirical_moment(ns: NormalizedSpectrum, k: int) -> float:
-    """(1/n) sum_i mu_i^k."""
+def empirical_moment(mu: np.ndarray, k: int) -> float:
+    """(1/n) sum_i mu_i^k over the n normalized eigenvalues mu."""
     if k < 1:
         raise InvalidParameterError(f"need k >= 1, got {k}")
-    return math.fsum(ns.mu ** k) / ns.n
+    return math.fsum(mu ** k) / mu.size
 
 
 def semicircle_moment(k: int) -> float:

@@ -35,6 +35,7 @@ are blocks or CPUs, and a run of one block starts none.
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,10 @@ class TvEstimate:
 def _check_params(n: int, d: int, samples: int) -> None:
     if n < 1 or d < n:
         raise InvalidParameterError(f"need 1 <= n <= d, got n={n}, d={d}")
+    # alpha divides by d^2 in floating point
+    if d * d > sys.float_info.max:
+        raise InvalidParameterError(
+            f"d = {d} is too large: d^2 overflows a float")
     if samples < 1:
         raise InvalidParameterError(f"need samples >= 1, got {samples}")
 

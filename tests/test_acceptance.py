@@ -186,7 +186,7 @@ def test_criterion_10_invariants_suite():
         s = symmetric_eigenvalues(m)
         scale = 30 * max(np.max(np.abs(s.eigenvalues)), 1.0)
         trace_ok &= abs(math.fsum(s.eigenvalues)
-                        - np.trace(m.to_dense())) <= 1e-10 * scale
+                        - np.trace(m)) <= 1e-10 * scale
     # estimator side symmetry
     a = tv_estimate_goe_side(8, 512, 20_000, RngState(720))
     b = tv_estimate_wishart_side(8, 512, 20_000, RngState(721))

@@ -55,6 +55,8 @@ def test_limit_command():
 
 def test_limit_command_bad_c():
     assert cli_dispatch(["limit", "--c", "-1.0"]) == 2
+    # subnormal: 1 / (4c) overflows
+    assert cli_dispatch(["limit", "--c", "1e-320"]) == 2
 
 
 def test_tv_command_deterministic():
@@ -77,6 +79,25 @@ def test_tv_command_sides_differ_but_agree():
 
 def test_tv_command_invalid_params_exit_2():
     assert cli_dispatch(["tv", "--n", "4", "--d", "2", "--samples", "10"]) == 2
+
+
+@pytest.mark.parametrize("command", ["tv", "profile"])
+def test_d_with_overflowing_square_exits_2(command):
+    # alpha divides by d^2 in floating point; this d once escaped as an
+    # OverflowError
+    assert cli_dispatch([command, "--n", "4", "--d", "1" + "0" * 160,
+                         "--samples", "10"]) == 2
+
+
+def test_seed_outside_64_bits_exits_2():
+    # the seed used to be masked to 64 bits, so -1 and 2**64 - 1 shared a
+    # stream
+    for seed in (-1, 2 ** 64):
+        assert cli_dispatch(["tv", "--n", "4", "--d", "64", "--samples", "10",
+                             "--seed", str(seed)]) == 2
+    code, text = run_cli(["tv", "--n", "4", "--d", "64", "--samples", "10",
+                          "--seed", str(2 ** 64 - 1)])
+    assert code == 0 and "tv_mean=" in text
 
 
 def test_workers_env_override(monkeypatch):
@@ -171,6 +192,17 @@ def test_sweep_command_rejects_non_finite_c(c, tmp_path):
     # inf once escaped as an OverflowError from degrees_of_freedom
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"c_grid = 0.5, {c}\nn_list = 4\n"
+                   f"out_dir = {tmp_path / 'out'}\n")
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [4, 1000])
+def test_sweep_command_rejects_d_with_overflowing_square(n, tmp_path):
+    # at n = 4, d = round(c n^3) has a square beyond the float range; at
+    # n = 1000, c n^3 itself is, and rounding it raised an OverflowError
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"c_grid = 1e300\nn_list = {n}\n"
                    f"out_dir = {tmp_path / 'out'}\n")
     assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
     assert not (tmp_path / "out").exists()

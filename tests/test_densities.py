@@ -6,12 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wglab import (DomainError, InvalidParameterError, RngState, Spectrum,
-                   alpha_exact, alpha_from_densities, in_q, log_gamma,
-                   log_goe_density, log_wishart_density, s_decomposition,
-                   sample_goe, shift_scale_goe, symmetric_eigenvalues,
-                   taylor_coeffs)
-from wglab.densities import (TOL_PSD_SCALE, _sturm_counts,
+from wglab import (InvalidParameterError, RngState, Spectrum, alpha_exact,
+                   alpha_from_densities, in_q, log_goe_density,
+                   log_wishart_density, s_decomposition, sample_goe,
+                   shift_scale_goe, symmetric_eigenvalues)
+from wglab.densities import (TOL_PSD_SCALE, _sturm_counts, _taylor_terms,
                              alpha_from_eigenvalues, alpha_from_tridiagonal,
                              in_q_mask, q_half_width, spectrum_constant)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
@@ -31,36 +30,6 @@ def normal_logpdf(x, mean, var):
     with mp.workdps(50):
         v = -mp.mpf(x - mean) ** 2 / (2 * var) - mp.log(2 * mp.pi * var) / 2
         return float(v)
-
-
-# --- log_gamma ------------------------------------------------------------
-
-def test_log_gamma_integers():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-
-
-def test_log_gamma_half():
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
-
-
-def test_log_gamma_half_integer_recurrence():
-    # Gamma(10.5) = 9.5 * 8.5 * ... * 0.5 * Gamma(0.5)
-    ref = math.fsum(math.log(0.5 + k) for k in range(10)) + 0.5 * math.log(math.pi)
-    assert log_gamma(10.5) == pytest.approx(ref, rel=1e-14)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-2.5)
-
-
-def test_log_gamma_recurrence_grid():
-    for z in np.arange(0.5, 101.0, 1.0):
-        resid = log_gamma(z + 1) - log_gamma(z) - math.log(z)
-        assert abs(resid) <= 1e-13 * max(1.0, abs(log_gamma(z + 1)))
 
 
 # --- densities ------------------------------------------------------------
@@ -195,27 +164,9 @@ def test_alpha_sum_h_approximation():
 # --- taylor coefficients --------------------------------------------------
 
 def test_taylor_coeff_values():
-    tc = taylor_coeffs(3, 100)
-    assert tc.h1 == pytest.approx(-0.02)
-    assert tc.h2 == pytest.approx(2e-4)
-    assert tc.h3 == pytest.approx(9.6e-5)
-    assert tc.h4 == pytest.approx(-2.88e-6)
-    assert tc.remainder_bound > 0
-
-
-def test_taylor_precondition():
-    with pytest.raises(InvalidParameterError):
-        taylor_coeffs(10, 90)
-
-
-def test_taylor_remainder_scaling():
-    # with d = n^3 the per-matrix remainder bound n * bound decays like 1/n
-    prev = None
-    for n in (8, 16, 32, 64):
-        bound = taylor_coeffs(n, n ** 3).remainder_bound * n
-        if prev is not None:
-            assert bound < prev
-        prev = bound
+    # h_k / k! at n = 3, d = 100: h_1 = -0.02, h_2 = 2e-4, h_3 = 9.6e-5 and
+    # h_4 = -2.88e-6, each quotient correctly rounded
+    assert _taylor_terms(3, 100) == (-0.02, 1e-4, 1.6e-5, -1.2e-7)
 
 
 # --- S decomposition and the Q window -------------------------------------
@@ -241,11 +192,10 @@ def test_s_decomposition_sums_exactly():
     assert bd.alpha == pytest.approx(total, rel=1e-12, abs=1e-12)
     assert bd.alpha == alpha_exact(s, n, d)
     # s_k is the k-th Taylor term h_k / k! * p_k, p_k = sum_i (lambda_i - d)^k
-    tc = taylor_coeffs(n, d)
     dev = s.eigenvalues - d
-    for k, (h, got) in enumerate(zip((tc.h1, tc.h2, tc.h3, tc.h4),
+    for k, (t, got) in enumerate(zip(_taylor_terms(n, d),
                                      (bd.s1, bd.s2, bd.s3, bd.s4)), 1):
-        want = h / math.factorial(k) * math.fsum(dev ** k)
+        want = t * math.fsum(dev ** k)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 

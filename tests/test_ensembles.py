@@ -3,32 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from wglab import (InvalidParameterError, RngState, SymmetricMatrix,
-                   sample_goe, sample_wishart, shift_scale_goe,
-                   symmetric_eigenvalues)
+from wglab import (InvalidParameterError, RngState, sample_goe,
+                   sample_wishart, shift_scale_goe, symmetric_eigenvalues)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              sample_wishart_dense, wishart_tridiagonal)
 
 
-def test_packed_storage_roundtrip():
-    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-    m = SymmetricMatrix.from_dense(a)
-    assert m.packed.shape == (6,)
-    np.testing.assert_array_equal(m.to_dense(), a)
-    assert m.entry(2, 0) == 3.0
-    assert m.entry(0, 2) == 3.0
-
-
 def test_reconstruction_exactly_symmetric():
-    m = sample_goe(17, RngState(0))
-    dense = m.to_dense()
+    dense = sample_goe(17, RngState(0))
     assert np.array_equal(dense, dense.T)
     assert np.all(np.isfinite(dense))
 
 
-def test_packed_length_validated():
-    with pytest.raises(InvalidParameterError):
-        SymmetricMatrix(3, np.zeros(5))
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+def test_scalar_samplers_are_batch_rows(n):
+    # the scalar samplers are size-1 views of the batch ones, bit for bit
+    for seed in range(6):
+        rng = RngState(seed, n)
+        goe = sample_goe_dense(n, 1, rng.generator())[0]
+        m = sample_goe(n, rng)
+        assert m.tobytes() == goe.tobytes()
+        for d in (1, 9, n ** 3 + 1):
+            want = math.sqrt(d) * goe + d * np.eye(n)
+            assert shift_scale_goe(m, d).tobytes() == want.tobytes()
+        for d in (1, n, n + 3, 4 * n + 7):
+            w = sample_wishart_dense(n, d, 1, rng.generator())[0]
+            assert sample_wishart(n, d, rng).tobytes() == w.tobytes()
 
 
 def test_invalid_order_rejected():
@@ -43,15 +43,15 @@ def test_invalid_order_rejected():
 def test_goe_determinism():
     a = sample_goe(2, RngState(123, 5))
     b = sample_goe(2, RngState(123, 5))
-    np.testing.assert_array_equal(a.packed, b.packed)
+    np.testing.assert_array_equal(a, b)
     c = sample_goe(2, RngState(123, 6))
-    assert not np.array_equal(a.packed, c.packed)
+    assert not np.array_equal(a, c)
 
 
 def test_wishart_determinism():
     a = sample_wishart(3, 7, RngState(9))
     b = sample_wishart(3, 7, RngState(9))
-    np.testing.assert_array_equal(a.packed, b.packed)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_goe_scalar_variance():
@@ -82,12 +82,12 @@ def test_goe_entry_moments():
 def test_shift_scale_d1_adds_identity():
     m = sample_goe(4, RngState(1))
     shifted = shift_scale_goe(m, 1)
-    np.testing.assert_allclose(shifted.to_dense(), m.to_dense() + np.eye(4))
+    np.testing.assert_allclose(shifted, m + np.eye(4))
 
 
 def test_shift_scale_scalar_formula():
-    m = SymmetricMatrix(1, np.array([1.5]))
-    assert shift_scale_goe(m, 4).packed[0] == pytest.approx(2 * 1.5 + 4)
+    m = np.array([[1.5]])
+    assert shift_scale_goe(m, 4)[0, 0] == pytest.approx(2 * 1.5 + 4)
 
 
 def test_shift_scale_spectrum_relation():

@@ -44,6 +44,14 @@ def test_config_validation():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(c_grid=(0.001,), n_list=(4,))
     assert "0.001" in str(exc.value)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(c_grid=(1.0,), n_list=(4,), seed=seed)
+    # d = round(c n^3) with a square beyond the float range, and c n^3
+    # beyond it
+    for n in (4, 1000):
+        with pytest.raises(ConfigError, match="too large"):
+            ExperimentConfig(c_grid=(1e300,), n_list=(n,))
 
 
 def test_parse_config_roundtrip(tmp_path):

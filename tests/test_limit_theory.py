@@ -45,6 +45,8 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         LimitParams(math.inf)
     with pytest.raises(DomainError):
+        LimitParams(1e-320)
+    with pytest.raises(DomainError):
         s_limit_vector(-2.0)
 
 
@@ -59,6 +61,15 @@ def test_closed_form_strictly_decreasing():
 def test_quadrature_matches_closed_form(c):
     p = LimitParams(c)
     assert abs(limiting_tv_quadrature(p) - limiting_tv_closed_form(p)) <= 1e-9
+
+
+def test_quadrature_matches_closed_form_on_log_grid():
+    # the quadrature once missed the mass near z = 0 and read about 0 for
+    # every c <= 1e-4
+    for c in np.logspace(-300, 300, 49):
+        p = LimitParams(float(c))
+        assert abs(limiting_tv_quadrature(p)
+                   - limiting_tv_closed_form(p)) <= 1e-12, c
 
 
 def test_quadrature_small_at_large_c():

@@ -43,3 +43,11 @@ def test_generator_is_sfc64_keyed_by_spawn_key():
 def test_unknown_purpose_rejected():
     with pytest.raises(InvalidParameterError):
         RngState(7, purpose="profile")
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 + 7])
+def test_seed_outside_64_bits_rejected(seed):
+    # a seed masked to 64 bits would share the stream of seed % 2**64
+    with pytest.raises(InvalidParameterError):
+        RngState(seed)
+
