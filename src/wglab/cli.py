@@ -92,6 +92,7 @@ def _cmd_tv(args, out) -> int:
     print(f"tv_stderr={est.stderr!r}", file=out)
     print(f"ci99=[{est.ci_lo!r},{est.ci_hi!r}]", file=out)
     print(f"frac_in_q={est.frac_in_q!r} frac_psd={est.frac_psd!r}", file=out)
+    print(f"cv_var_ratio={est.var_ratio!r}", file=out)
     return 0
 
 

@@ -9,9 +9,10 @@ centered form
 with h(x) = (1/2) [ (d-n-1) log(x/d) - (x-d) + (x-d)^2 / (2d) ] and K(n, d)
 collecting every spectrum-independent constant.  The centered form avoids the
 catastrophic cancellation of subtracting two huge log-density values; the
-direct subtraction is kept as an independent cross-check path.  Both take
-log Gamma from ``math.lgamma`` at (d + 1 - i) / 2 >= 1/2, i = 1..n, since
-every caller has checked d >= n.
+direct subtraction is kept as an independent cross-check path.  Both need
+log Gamma at (d + 1 - i) / 2 >= 1/2, i = 1..n, since every caller has
+checked d >= n: the check path from ``math.lgamma``, K from its Stirling
+remainder, so that the log d terms cancel exactly.
 
 Summed over the spectrum, h needs no eigenvalues: sum_i log(lambda_i / d) is
 log det(T / d), sum_i (lambda_i - d) is tr(T - dI) and sum_i (lambda_i - d)^2
@@ -28,7 +29,9 @@ and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
 structure that drives the whole phase-transition analysis; the coefficients
 h_k / k! of h at d come from ``_taylor_terms`` alone.
 ``breakdown_columns`` gives the same split over a tridiagonal batch from
-O(n) trace formulas; a spectrum is the diagonal case.
+O(n) trace formulas, p1..p3 from ``power_sums``, which also feeds the
+Monte Carlo control variates; a spectrum is the diagonal case.  Their
+exact means under the GOE are ``power_sum_moments``.
 """
 
 import math
@@ -94,22 +97,50 @@ def log_goe_density(s: Spectrum, n: int, d: int) -> float:
             - 0.5 * n * math.log(2.0))
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Stirling series of lgamma: B_2k / (2k (2k - 1)), k = 1..7
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156)
+
+
+def _stirling_remainder(x: float) -> float:
+    """R(x) = lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2), x >= 1/2.
+
+    From its series in 1/x for x >= 8, where the first omitted term is
+    below 1e-15; directly otherwise, where every part is small.
+    """
+    if x < 8.0:
+        return math.lgamma(x) - ((x - 0.5) * math.log(x) - x + _HALF_LOG_2PI)
+    r = 1.0 / x
+    r2 = r * r
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = c + r2 * acc
+    return r * acc
+
+
 @lru_cache(maxsize=None)
 def spectrum_constant(n: int, d: int) -> float:
-    """K(n, d): the spectrum-independent part of alpha.
+    """K(n, d): the spectrum-independent part of alpha,
 
-    Each i-term groups the big log-Gamma value against the matching
-    (d log d)-scale pieces before summation, so intermediate magnitudes stay
-    far below the raw constants and K comes out with ~1e-9 absolute error
-    even when the grouped pieces are ~1e5.
+        K = sum_i [ (d - n - 1)/2 log d + (n + 1)/4 log d - d/2
+                    + ((n + 3)/4 - d/2) log 2 + log(pi)/2
+                    - lgamma((d + 1 - i)/2) ],  i = 1..n.
+
+    With lgamma(x) = (x - 1/2) log x - x + log(2 pi)/2 + R(x) at
+    x = (d + 1 - i)/2, the log d and log 2 terms cancel exactly in the sum:
+
+        K = -n(n - 1)/4 - sum_i [ (d - i)/2 log1p((1 - i)/d) + R(x) ].
+
+    Each term is O(i) and R(x) ~ 1/(6d), so K keeps an absolute error near
+    1e-12 at any d; grouping lgamma against the log d terms instead loses
+    digits as d grows (3.5e-4 at n = 1024, d = 1024^3).
     """
-    base = (0.5 * (d - n - 1) * math.log(d)
-            + 0.25 * (n + 1) * math.log(d)
-            - 0.5 * d
-            + (0.25 * (n + 3) - 0.5 * d) * math.log(2.0)
-            + 0.5 * math.log(math.pi))
-    return math.fsum(base - math.lgamma(0.5 * (d + 1 - i))
-                     for i in range(1, n + 1))
+    return -math.fsum([0.25 * n * (n - 1)]
+                      + [0.5 * (d - i) * math.log1p((1 - i) / d)
+                         + _stirling_remainder(0.5 * (d + 1 - i))
+                         for i in range(1, n + 1)])
 
 
 def alpha_exact(s: Spectrum, n: int, d: int) -> float:
@@ -173,7 +204,7 @@ def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
 
 
 def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
-                           d: int, mirrored: bool = False):
+                           d: int, mirrored: bool = False, sums=None):
     """alpha, the Q-window flag and the PSD flag over a tridiagonal batch
     and, if ``mirrored``, over the mirrors of all its columns, in one pass.
 
@@ -185,6 +216,8 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
     A caller that needs an odd number of evaluations drops the last mirror.
     The flags mean what ``alpha_from_eigenvalues`` and ``in_q_mask`` mean on
     the eigenvalues of T, and psd means lambda_min >= -TOL_PSD_SCALE * d.
+    A (3, k) array ``sums``, if given, receives the ``power_sums`` of the
+    columns as given: the pass needs p1 and p2, and p3 costs little more.
 
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
     w_i = dev_i / d - (off2_{i-1} / d^2) / (1 + w_{i-1}); alpha is -inf
@@ -210,6 +243,8 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
         a = np.divide(dev, d, out=take(dev.shape))
         b = np.divide(off2, float(d) ** 2, out=take(off2.shape))
         pivmin = _SAFMIN * np.max(b, axis=0, initial=1.0)
+        sums = take((3, k)) if sums is None else sums
+        total, frob2 = sums[:2]
         with SCRATCH.frame() as take:
             # Gershgorin: every eigenvalue of T / d - I lies within
             # max_i(|a_i| + e_{i-1} + e_i) of 0, with e = sqrt(b).  The
@@ -222,9 +257,7 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
             radius[:-1] += e
             radius[1:] += e
             q = radius.max(axis=0) < half * (1.0 - 1e-9)
-            total = dev.sum(axis=0)
-            frob2 = (np.multiply(dev, dev, out=radius).sum(axis=0)
-                     + 2.0 * off2.sum(axis=0))
+            power_sums(dev, off2, radius, sums)
         for sign in (1.0, -1.0)[:1 + mirrored]:
             with SCRATCH.frame() as take:
                 # a column whose pivot 1 + w_i is pivmin or less is not
@@ -238,9 +271,8 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
                         np.add(w[i - 1], 1.0, out=p)
                         np.divide(b[i - 1], p, out=p)
                         w[i] -= p
-                    above = np.greater(np.add(w, 1.0, out=take((n, k))),
-                                       pivmin, out=take((n, k), bool))
-                    pd.append(above.all(axis=0))
+                    # 1 + w_i > pivmin for every i: x -> 1 + x is monotone
+                    pd.append(np.add(w.min(axis=0), 1.0) > pivmin)
                     logdet = np.log1p(w, out=w).sum(axis=0)
             side = (0.5 * ((d - n - 1) * logdet - sign * total
                            + frob2 / (2.0 * d)) + const)
@@ -281,15 +313,54 @@ def _taylor_terms(n: int, d: int) -> tuple[float, float, float, float]:
     """The Taylor coefficients h_k / k!, k = 1..4, of h at d: their one home.
 
     h_k / k! rather than h_k, so that s_k = (h_k / k!) p_k takes one
-    rounding per coefficient.
+    rounding per coefficient.  The cubic and quartic ones are correctly
+    rounded quotients of Python integers, since d^3 and d^4 pass the float
+    range long before d^2 does (d^4 at d ~ 1.2e77).
     """
     return (-(n + 1) / (2.0 * d), (n + 1) / (4.0 * d ** 2),
-            (d - n - 1) / (6.0 * d ** 3), -(d - n - 1) / (8.0 * d ** 4))
+            (d - n - 1) / (6 * d ** 3), -(d - n - 1) / (8 * d ** 4))
 
 
 def s0_term(n: int, d: float) -> float:
     """s0 = -n^3 / (12 d), the constant Taylor term of alpha."""
     return -n ** 3 / (12.0 * d)
+
+
+def power_sums(dev: np.ndarray, off2: np.ndarray, square: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The power sums p_k = tr((T - dI)^k), k = 1, 2, 3, of each column of a
+    tridiagonal batch, written to the rows of ``out``, of shape (3, k), and
+    returned.
+
+    ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal``; ``square``,
+    an array of dev's shape, is overwritten with dev^2.  With a = dev and
+    e^2 = off2,
+
+        p1 = sum a,   p2 = sum a^2 + 2 sum e_i^2,
+        p3 = sum a^3 + 3 sum e_i^2 (a_i + a_{i+1}),
+
+    p3 from column dot products, which make no other (n, k) array.
+    """
+    p1, p2, p3 = out
+    dev.sum(axis=0, out=p1)
+    np.multiply(dev, dev, out=square).sum(axis=0, out=p2)
+    p2 += 2.0 * off2.sum(axis=0)
+    np.einsum("ij,ij->j", square, dev, out=p3)
+    p3 += 3.0 * (np.einsum("ij,ij->j", off2, dev[:-1])
+                 + np.einsum("ij,ij->j", off2, dev[1:]))
+    return out
+
+
+def power_sum_moments(n: int) -> tuple[int, int, int, int]:
+    """The exact means (E p1^2, E p2, E p1 p3, E p3^2) of the power sums
+    p_k = tr(G^k) of an n x n GOE matrix G (N(0, 2) diagonal).
+
+    Wick moments of the tridiagonal model: a_i ~ N(0, 2) on the diagonal
+    and independent b_i^2 ~ chi^2_{n-i} off it.  p1^2, p2, p1 p3 and p3^2
+    are even under G -> -G, so a GOE-side draw and its mirror share them.
+    """
+    return (2 * n, n * (n + 1), 6 * n * (n + 1),
+            24 * n ** 3 + 54 * n ** 2 + 42 * n)
 
 
 def breakdown_columns(dev: np.ndarray, off2: np.ndarray, alpha: np.ndarray,
@@ -300,22 +371,16 @@ def breakdown_columns(dev: np.ndarray, off2: np.ndarray, alpha: np.ndarray,
     given per column.  Returns ``(s0, s1, s2, s3, s4, remainder)``: s0 is
     one float, the others arrays of shape (size,), and the entries of a
     column with alpha = -inf (not positive definite) mean nothing.
-    s1..s4 come from O(n) trace formulas: with a = dev, e^2 = off2 and
-    r_i = a_i^2 + e_{i-1}^2 + e_i^2 the diagonal of (T - dI)^2, the power
-    sums p_k = tr((T - dI)^k) are
+    s1..s4 come from O(n) trace formulas: p1..p3 from ``power_sums`` and,
+    with r_i = a_i^2 + e_{i-1}^2 + e_i^2 the diagonal of (T - dI)^2,
 
-        p1 = sum a,   p2 = sum a^2 + 2 sum e_i^2,
-        p3 = sum a^3 + 3 sum e_i^2 (a_i + a_{i+1}),
         p4 = sum r^2 + 2 sum e_i^2 (a_i + a_{i+1})^2 + 2 sum e_i^2 e_{i+1}^2.
     """
-    a2 = dev * dev
+    r = np.empty_like(dev)
+    p1, p2, p3 = power_sums(dev, off2, r, np.empty((3, dev.shape[1])))
     pair = dev[:-1] + dev[1:]
-    r = a2.copy()
     r[:-1] += off2
     r[1:] += off2
-    p1 = dev.sum(axis=0)
-    p2 = a2.sum(axis=0) + 2.0 * off2.sum(axis=0)
-    p3 = (a2 * dev).sum(axis=0) + 3.0 * (off2 * pair).sum(axis=0)
     p4 = ((r * r).sum(axis=0) + 2.0 * (off2 * pair * pair).sum(axis=0)
           + 2.0 * (off2[:-1] * off2[1:]).sum(axis=0))
     s0 = s0_term(n, d)

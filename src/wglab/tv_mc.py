@@ -25,12 +25,29 @@ number of evaluations, except the last block of an odd ``samples``,
 which drops its last mirror and so holds one unpaired draw.  The Wishart
 law has no such symmetry: there each draw is one evaluation.
 
+What is left of a pair sum u = v + v' is even under G -> -G, and its
+leading terms are products of the odd power sums.  With p_k = tr X^k,
+X = (T - dI) / sqrt(d), the even statistics p1^2, p2, p1 p3 and p3^2 of a
+draw, which its mirror shares, have exact finite-n means
+(``densities.power_sum_moments``), so they serve as control variates
+(Lavenberg and Welch 1981; Glasserman 2004, section 4.1): the GOE-side
+estimate is u-bar - beta . x-bar over the P pairs, with x those
+statistics less their means and beta the least-squares coefficients of u
+on x, and its stderr comes from the residuals, with P - 5 degrees of
+freedom.  At n = 32, c = 1 the pair variance falls about 4x.  beta is
+fitted on the draws it corrects, which biases the estimate by O(1 / P):
+about 0.2 stderr at P = 500, 0.1 at P = 2000.  With 5 pairs or fewer, or
+at n = 1, where the controls are collinear, beta = 0 and the estimate is
+the plain pair mean.  The unpaired draw of an odd ``samples`` enters
+uncontrolled.
+
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
-ranges of blocks and the per-block partial sums are merged in block order,
-so the seed alone fixes every estimate: any worker count gives
-bit-identical results.  The pool never starts more processes than there
-are blocks or CPUs, and a run of one block starts none.
+ranges of blocks and the per-block partial sums, the control variates'
+cross-products among them, are merged in block order and beta is fitted
+once after the merge, so the seed alone fixes every estimate: any worker
+count gives bit-identical results.  The pool never starts more processes
+than there are blocks or CPUs, and a run of one block starts none.
 """
 
 import math
@@ -41,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import (AlphaBreakdown, alpha_from_tridiagonal,
-                        breakdown_columns, breakdown_records)
+                        breakdown_columns, breakdown_records,
+                        power_sum_moments)
 from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
@@ -79,6 +97,8 @@ class TvEstimate:
     d: int
     frac_in_q: float
     frac_psd: float
+    # plain over controlled variance of a GOE-side pair sum; 1 without control
+    var_ratio: float
 
 
 def _check_params(n: int, d: int, samples: int) -> None:
@@ -111,8 +131,10 @@ def _block_count(n: int, samples: int, side: str) -> int:
 
 def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
     """Yield, for each of blocks first..stop-1, the tridiagonal batch
-    ``(dev, off2)`` it draws, in arrays made by ``empty(shape)``, and the
-    ``(alpha, in_q, psd, integrand)`` arrays of its evaluations.
+    ``(dev, off2)`` it draws, in arrays made by ``empty(shape)``, the
+    ``(alpha, in_q, psd, integrand)`` arrays of its evaluations and, on the
+    GOE side, a (6, k) array for the ``_pair_gram`` of its k draws, with
+    their ``power_sums`` in rows 2 to 4 (None on the Wishart side).
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
@@ -133,24 +155,60 @@ def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
         with SCRATCH.frame():
             dev, off2 = draw(n, d, size - size // 2 if mirrored else size,
                              gen, empty)
+            rows = empty((6, dev.shape[1])) if mirrored else None
             alpha, q, psd = (x[:size] for x in alpha_from_tridiagonal(
-                dev, off2, n, d, mirrored))
-            yield dev, off2, alpha, q, psd, _integrand(alpha, side)
+                dev, off2, n, d, mirrored, rows[2:5] if mirrored else None))
+            yield dev, off2, alpha, q, psd, _integrand(alpha, side), rows
+
+
+# the upper triangle of a symmetric 6 x 6 matrix, row by row, and the place
+# of its entry (i, j) in that list
+_UPPER = np.triu_indices(6)
+_AT = np.zeros((6, 6), int)
+_AT[_UPPER] = _AT[_UPPER[::-1]] = np.arange(21)
+_AT = _AT.tolist()
 
 
 def _block_stats(task):
     """Per-block partials of one task's range: (sum, sumsq) of the
-    integrand values, (sum, sumsq) of the antithetic pair sums, and the Q
-    and PSD counts."""
+    integrand values, the Q and PSD counts and, on the GOE side, the
+    ``_pair_gram`` of the block's antithetic pairs."""
+    n, d = task[:2]
     parts = []
-    for dev, _, _, q, psd, values in _blocks(*task, SCRATCH.take):
-        # draw j pairs with evaluation k + j; no draw does on the Wishart side
-        k = dev.shape[1]
-        pairs = values[:values.size - k] + values[k:]
+    for dev, _, _, q, psd, values, rows in _blocks(*task, SCRATCH.take):
         parts.append((float(values.sum()), float((values * values).sum()),
-                      float(pairs.sum()), float((pairs * pairs).sum()),
-                      int(np.count_nonzero(q)), int(np.count_nonzero(psd))))
+                      int(np.count_nonzero(q)), int(np.count_nonzero(psd)),
+                      *([] if rows is None else
+                        _pair_gram(values, rows, n, d))))
     return parts
+
+
+def _pair_gram(values, rows, n, d):
+    """The upper triangle of sum z z^T over a GOE-side block's antithetic
+    pairs, as a list of 21 floats; ``rows`` is the block's (6, k) array
+    from ``_blocks``, which becomes z, one column per pair.
+
+    Draw j pairs with evaluation k + j, so z = (1, u, x) for pair j has the
+    pair sum u = v_j + v_{k+j} and the four control statistics x of draw j:
+    with p_k = tr X^k, X = (T - dI) / sqrt(d), the even products p1^2, p2,
+    p3^2 and p1 p3, less their exact means ``power_sum_moments(n)``.  A
+    draw and its mirror share x.
+    """
+    k = rows.shape[1]
+    m = values.size - k
+    z = rows[:, :m]
+    z[0] = 1.0
+    np.add(values[:m], values[k:], out=z[1])
+    # p1, p2 and p3 of T - dI to those of X, then p1 p3 and the squares
+    root = math.sqrt(d)
+    z[2:5] *= np.array([[1.0 / root], [1.0 / d], [1.0 / (d * root)]])
+    np.multiply(z[2], z[4], out=z[5])
+    np.square(z[2:5:2], out=z[2:5:2])
+    p1p1, p2, p1p3, p3p3 = power_sum_moments(n)
+    z[2:] -= np.array([[p1p1], [p2], [p3p3], [p1p3]], float)
+    # numpy's own loop: z @ z.T would fault in half a megabyte of BLAS
+    # buffers in a process that made no BLAS call before
+    return np.einsum("ij,kj->ik", z, z)[_UPPER].tolist()
 
 
 def sample_variance(s: float, ss: float, count: int) -> float:
@@ -168,27 +226,69 @@ def mc_summary(mean: float, stderr: float):
             min(mean + Z99 * stderr, 1.0))
 
 
-def _stderr(s, ss, ps, pss, samples, side):
-    """Standard error of the mean of N = ``samples`` integrand values v.
+def _pair_fit(gram):
+    """Control variates over the P antithetic pairs from the merged
+    ``_pair_gram``: (beta . sum x, the variance of one pair sum about the
+    fit, the plain variance of a pair sum over that).
 
-    On the Wishart side the values are independent: sqrt(var(v) / N).  On
-    the GOE side the independent units are the P = floor(N / 2) antithetic
-    pairs, with sums u = v + v', and, for odd N, one unpaired value:
-
-        stderr = sqrt(P var(u) + (N mod 2) var(v)) / N.
-
-    var is the sample variance over the pair sums or over all N values,
-    taken as 0 for fewer than two of them, so N = 1 gives stderr 0.
+    The pair sums u are regressed on the centered controls x (Lavenberg
+    and Welch 1981): beta solves Cxx beta = Cxu on the centered
+    cross-products, and the residual variance, (Cuu - beta . Cxu) / (P - 5),
+    has P - 5 degrees of freedom.  Gaussian elimination needs no pivoting,
+    as Cxx is positive definite; its i-th pivot is the part of control i's
+    variance that the ones before it leave unexplained.  Where a pivot is
+    below 1e-10 of that variance the controls are collinear, as at n = 1,
+    where p2 = p1^2 leaves a share of rounding size, 1e-16; the least
+    measured at n >= 2 was 2e-7 (n = 2, 7 pairs).  There, and where P <= 5,
+    beta = 0: the variance is the plain sample variance of u and the ratio
+    is 1.  The 4 x 4 system is solved in Python: in a sweep point a LAPACK
+    call costs more than the rest of the fit together.
     """
-    if side == WISHART_SIDE:
-        return math.sqrt(sample_variance(s, ss, samples) / samples)
-    pairs, single = divmod(samples, 2)
-    var = (pairs * sample_variance(ps, pss, pairs)
-           + single * sample_variance(s, ss, samples))
-    return math.sqrt(var) / samples
+    pairs = int(gram[0])
+    # sum u and sum u^2 are G_01 and G_11
+    plain = sample_variance(gram[1], gram[6], pairs)
+    if pairs <= 5:
+        return 0.0, plain, 1.0
+    # rows [Cxx | Cxu] of the centered cross-products; G_0i is sum z_i
+    rows = [[gram[_AT[i][j]] - gram[i] * gram[j] / pairs
+             for j in (2, 3, 4, 5, 1)] for i in (2, 3, 4, 5)]
+    var = [rows[i][i] for i in range(4)]
+    cxu = [row[4] for row in rows]
+    for i, row in enumerate(rows):
+        if not row[i] > 1e-10 * var[i]:
+            return 0.0, plain, 1.0
+        for below in rows[i + 1:]:
+            f = below[i] / row[i]
+            for j in range(i + 1, 5):
+                below[j] -= f * row[j]
+    beta = [0.0] * 4
+    for i in (3, 2, 1, 0):
+        row = rows[i]
+        beta[i] = (row[4] - _dot(row[i + 1:4], beta[i + 1:])) / row[i]
+    resid = gram[6] - gram[1] ** 2 / pairs - _dot(beta, cxu)
+    resid = max(resid, 0.0) / (pairs - 5)
+    shift = _dot(beta, gram[2:6])
+    return shift, resid, plain / resid if resid > 0 else 1.0
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _estimate(n, d, samples, rng, side, workers):
+    """The estimate of N = ``samples`` integrand values v.
+
+    On the Wishart side the values are independent: the mean, and stderr
+    sqrt(var(v) / N).  On the GOE side the independent units are the
+    P = floor(N / 2) antithetic pairs and, for odd N, one unpaired value;
+    the mean is (sum v - beta . sum x) / N, with beta and the pair
+    variance var(u) from ``_pair_fit``, and
+
+        stderr = sqrt(P var(u) + (N mod 2) var(v)) / N.
+
+    var(v) is the sample variance over all N values, taken as 0 for fewer
+    than two of them, so N = 1 gives stderr 0.
+    """
     _check_params(n, d, samples)
     if workers < 1:
         raise InvalidParameterError(f"need workers >= 1, got {workers}")
@@ -206,11 +306,18 @@ def _estimate(n, d, samples, rng, side, workers):
             parts = [p for task in pool.map(_block_stats, tasks) for p in task]
     else:
         parts = _block_stats(tasks[0])
-    s, ss, ps, pss, n_q, n_psd = (math.fsum(col) for col in zip(*parts))
-    return TvEstimate(*mc_summary(s / samples,
-                                  _stderr(s, ss, ps, pss, samples, side)),
+    s, ss, n_q, n_psd, *gram = (math.fsum(col) for col in zip(*parts))
+    var = sample_variance(s, ss, samples)
+    if side == WISHART_SIDE:
+        shift, stderr, ratio = 0.0, math.sqrt(var / samples), 1.0
+    else:
+        pairs, single = divmod(samples, 2)
+        shift, var_pair, ratio = _pair_fit(gram)
+        stderr = math.sqrt(pairs * var_pair + single * var) / samples
+    return TvEstimate(*mc_summary((s - shift) / samples, stderr),
                       samples=samples, side=side, seed=rng.seed, n=n, d=d,
-                      frac_in_q=n_q / samples, frac_psd=n_psd / samples)
+                      frac_in_q=n_q / samples, frac_psd=n_psd / samples,
+                      var_ratio=ratio)
 
 
 def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
@@ -218,8 +325,9 @@ def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
     """TV estimate from draws of the shifted-scaled GOE ensemble.
 
     ``samples`` alpha evaluations: each draw is evaluated as drawn and
-    mirrored, in one pass per block, and the stderr is taken over the
-    antithetic pairs; an odd ``samples`` drops the last mirror.
+    mirrored, in one pass per block, and the pair sums are corrected by
+    the even power-sum control variates; the stderr is taken over the
+    antithetic pairs, and an odd ``samples`` drops the last mirror.
     """
     return _estimate(n, d, samples, rng, GOE_SIDE, workers)
 
@@ -244,11 +352,13 @@ def tv_profile(n: int, d: int, samples: int, rng: RngState):
 
     Takes the same evaluations of the same blocks as
     ``tv_estimate_goe_side``, mirrors included, in the same order, so
-    there is one record per alpha evaluation and the integrands reproduce
-    the estimator's mean; s0..s4 come from O(n) trace formulas on each
-    draw and each mirror, with no eigenvalues.  The parameters are checked
-    at once, and the records are made one block at a time as they are
-    consumed, so memory stays bounded by one block.
+    there is one record per alpha evaluation.  The integrands' mean is the
+    plain antithetic estimate; with p_k = s_k / (h_k / k!) of each draw as
+    drawn they also rebuild the estimator's controlled one.  s0..s4 come
+    from O(n) trace formulas on each draw and each mirror, with no
+    eigenvalues.  The parameters are checked at once, and the records are
+    made one block at a time as they are consumed, so memory stays bounded
+    by one block.
     """
     groups = profile_columns(n, d, samples, rng)
     return (ProfileRecord(*rec) for alpha, terms, q, psd, values in groups
@@ -269,7 +379,7 @@ def profile_columns(n: int, d: int, samples: int, rng: RngState):
             for group in _profile_groups(*block, n, d))
 
 
-def _profile_groups(dev, off2, alpha, q, psd, values, n, d):
+def _profile_groups(dev, off2, alpha, q, psd, values, _, n, d):
     k = dev.shape[1]
     m = alpha.size - k
     for tri, cols in (((dev, off2), slice(k)),

@@ -67,6 +67,19 @@ def test_tv_command_deterministic():
     assert text1 == text2
     mean = float(parse_kv(text1)["tv_mean"])
     assert 0.0 <= mean <= 1.0
+    # the control variates' gain, on a line of its own
+    assert "\ncv_var_ratio=" in text1
+    assert float(parse_kv(text1)["cv_var_ratio"]) > 1.0
+
+
+def test_tv_command_at_large_d():
+    # TV at c = d / n^3 ~ 1.6e13 is Erf(1 / (4 sqrt(3c))) ~ 4e-8; a spectrum
+    # constant off by 2 (grouping lgamma against d log d per term) made it
+    # 0.86
+    code, text = run_cli(["tv", "--n", "4", "--d", str(10 ** 15),
+                          "--samples", "2000", "--seed", "3"])
+    assert code == 0
+    assert 0.0 <= float(parse_kv(text)["tv_mean"]) < 1e-6
 
 
 def test_tv_command_sides_differ_but_agree():
@@ -126,6 +139,16 @@ def test_profile_command():
     first = lines[1].split(",")
     assert len(first) == 10
     assert 0.0 <= float(first[-1]) <= 1.0
+
+
+@pytest.mark.parametrize("d", [10 ** 100, 10 ** 150])
+def test_profile_command_at_huge_d(d):
+    # d^4 and d^3 pass the float range below the d^2 bound that tv and
+    # profile check; the Taylor coefficients must not overflow
+    code, text = run_cli(["profile", "--n", "4", "--d", str(d),
+                          "--samples", "20"])
+    assert code == 0
+    assert len(text.splitlines()) == 21
 
 
 def test_sweep_command_rejects_misspelled_key(tmp_path):

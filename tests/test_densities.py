@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,8 @@ from wglab import (InvalidParameterError, RngState, Spectrum, alpha_exact,
                    shift_scale_goe, symmetric_eigenvalues)
 from wglab.densities import (TOL_PSD_SCALE, _sturm_counts, _taylor_terms,
                              alpha_from_eigenvalues, alpha_from_tridiagonal,
-                             in_q_mask, q_half_width, spectrum_constant)
+                             in_q_mask, power_sum_moments, q_half_width,
+                             spectrum_constant)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              wishart_tridiagonal)
 from wglab.spectral import batch_eigenvalues
@@ -83,22 +85,37 @@ def test_alpha_scalar_matches_pdf_ratio():
         assert alpha_from_densities(s, 1, d) == pytest.approx(ref, abs=1e-10)
 
 
+def spectrum_constant_oracle(n, d):
+    """K(n, d) summed term by term in extended precision: 40 digits beyond
+    the d log d scale of each term."""
+    with mp.workdps(40 + len(str(d))):
+        d = mp.mpf(d)
+        k = (mp.mpf(n) / 2 * (d - n - 1) * mp.log(d) - n * d / 2
+             + (mp.mpf(n) * (n + 3) / 4 - d * n / 2) * mp.log(2)
+             + mp.mpf(n) / 2 * mp.log(mp.pi)
+             + mp.mpf(n) * (n + 1) / 4 * mp.log(d)
+             - mp.fsum(mp.loggamma((d + 1 - i) / 2) for i in range(1, n + 1)))
+        return float(k)
+
+
 def test_alpha_at_deterministic_spectrum_equals_constant():
     n, d = 3, 100
     s = Spectrum(np.full(n, float(d)))
     assert alpha_exact(s, n, d) == pytest.approx(spectrum_constant(n, d), abs=1e-12)
-    # extended-precision oracle for the constant itself
-    with mp.workdps(60):
-        k = (mp.mpf(n) / 2 * (d - n - 1) * mp.log(d) - mp.mpf(n) * d / 2
-             + (mp.mpf(n) * (n + 3) / 4 - mp.mpf(d) * n / 2) * mp.log(2)
-             + mp.mpf(n) / 2 * mp.log(mp.pi)
-             + mp.mpf(n) * (n + 1) / 4 * mp.log(d)
-             - mp.fsum(mp.log(mp.gamma(mp.mpf(d + 1 - i) / 2))
-                       for i in range(1, n + 1)))
-        ref = float(k)
-    assert spectrum_constant(n, d) == pytest.approx(ref, abs=1e-10)
+    ref = spectrum_constant_oracle(n, d)
     # direct-form alpha agrees at the same spectrum
     assert alpha_from_densities(s, n, d) == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, d", [(3, 100), (32, 32 ** 3),
+                                  (128, 10 * 128 ** 3), (1024, 1024 ** 3),
+                                  (1024, 10 * 1024 ** 3)])
+def test_spectrum_constant_matches_extended_precision(n, d):
+    # the log d and log 2 terms cancel exactly in the sum; grouping lgamma
+    # against them per term lost 3.5e-4 at n = 1024, d = 1024^3, and 7.8e-3
+    # at ten times that d, where K itself is -8.3e-3
+    assert spectrum_constant(n, d) == pytest.approx(
+        spectrum_constant_oracle(n, d), abs=1e-10)
 
 
 def test_alpha_off_cone():
@@ -167,6 +184,73 @@ def test_taylor_coeff_values():
     # h_k / k! at n = 3, d = 100: h_1 = -0.02, h_2 = 2e-4, h_3 = 9.6e-5 and
     # h_4 = -2.88e-6, each quotient correctly rounded
     assert _taylor_terms(3, 100) == (-0.02, 1e-4, 1.6e-5, -1.2e-7)
+
+
+@pytest.mark.parametrize("d", [10 ** 77, 10 ** 100, 10 ** 150])
+def test_taylor_coeffs_at_huge_d(d):
+    # d^4 passes the float range at d ~ 1.2e77 and d^3 at 5.6e102, while d^2
+    # is a float up to 1.3e154; each coefficient is the quotient correctly
+    # rounded (or 0 where it underflows)
+    with mp.workdps(50):
+        x = mp.mpf(d)
+        want = (-4 / (2 * x), 4 / (4 * x ** 2), (x - 4) / (6 * x ** 3),
+                -(x - 4) / (8 * x ** 4))
+    got = _taylor_terms(3, d)
+    assert all(math.isfinite(g) for g in got)
+    assert got == pytest.approx([float(w) for w in want], rel=1e-15, abs=0)
+
+
+def _expectation(poly, n):
+    """E of a polynomial {exponents: coefficient} in a_1..a_n ~ N(0, 2) and
+    s_1..s_{n-1}, s_i ~ chi^2_{n-i}, all independent: exact moments."""
+    total = Fraction(0)
+    for powers, coef in poly.items():
+        term = Fraction(coef)
+        for k in powers[:n]:
+            # E a^k = (k - 1)!! 2^(k/2) for even k, 0 for odd
+            term *= (0 if k % 2 else
+                     math.prod(range(k - 1, 0, -2)) * 2 ** (k // 2))
+        for i, k in enumerate(powers[n:], 1):
+            # E s^k = nu (nu + 2) ... (nu + 2k - 2), nu = n - i
+            term *= math.prod(n - i + 2 * j for j in range(k))
+        total += term
+    return total
+
+
+def _poly_mul(p, q):
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            key = tuple(i + j for i, j in zip(a, b))
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_power_sum_moments_exact(n):
+    # the trace formulas p1 = sum a, p2 = sum a^2 + 2 sum s and
+    # p3 = sum a^3 + 3 sum s_i (a_i + a_{i+1}) of the tridiagonal model,
+    # expanded as polynomials and averaged exactly, with no sampling
+    def var(i, k=1):
+        return tuple(k if j == i else 0 for j in range(2 * n - 1))
+
+    def poly(*terms):
+        out = {}
+        for coef, *factors in terms:
+            key = tuple(map(sum, zip(*factors)))
+            out[key] = out.get(key, 0) + coef
+        return out
+
+    a = range(n)
+    s = range(n, 2 * n - 1)
+    p1 = poly(*((1, var(i)) for i in a))
+    p2 = poly(*((1, var(i, 2)) for i in a), *((2, var(j)) for j in s))
+    p3 = poly(*((1, var(i, 3)) for i in a),
+              *((3, var(j), var(j - n + k)) for j in s for k in (0, 1)))
+    got = tuple(_expectation(x, n) for x in (_poly_mul(p1, p1), p2,
+                                             _poly_mul(p1, p3),
+                                             _poly_mul(p3, p3)))
+    assert got == power_sum_moments(n)
 
 
 # --- S decomposition and the Q window -------------------------------------

@@ -9,7 +9,7 @@ from wglab import (DomainError, InvalidParameterError, LimitEstimate,
                    LimitParams, RngState, asymptotic_tail,
                    clt_covariance_estimate, limiting_tv_closed_form,
                    limiting_tv_mc, limiting_tv_quadrature, s_limit_vector)
-from wglab.densities import s0_term
+from wglab.densities import power_sum_moments, s0_term
 from wglab.ensembles import sample_goe_dense
 from wglab.limit_theory import sample_clt_pairs
 from wglab.spectral import batch_eigenvalues
@@ -177,17 +177,19 @@ def test_clt_covariance_near_target():
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_clt_covariance_matches_exact_finite_n(n):
-    # (sum mu, sum mu^3) of the GOE has covariance c11 = 2, c12 = 6 + 6/n,
-    # c22 = 24 + 54/n + 42/n^2 at every n (Wick moments of the tridiagonal
-    # model).  The law at small n is far from Gaussian, so the stderr of
-    # each entry is the spread of the centered products of the same pairs
+    # (sum mu, sum mu^3) of the GOE has covariance c11 = E p1^2 / n,
+    # c12 = E p1 p3 / n^2, c22 = E p3^2 / n^3 at every n, with p_k = tr G^k
+    # (2, 6 + 6/n, 24 + 54/n + 42/n^2).  The law at small n is far from
+    # Gaussian, so the stderr of each entry is the spread of the centered
+    # products of the same pairs
     reps, k = 50_000, 5.0
     cov = clt_covariance_estimate(n, reps, RngState(11))
     pairs = sample_clt_pairs(n, reps, RngState(11))
     x, y = (pairs - pairs.mean(axis=0)).T
     se = [p.std(ddof=1) / math.sqrt(reps) for p in (x * x, x * y, y * y)]
     got = (cov.c11, cov.c12, cov.c22)
-    exact = (2.0, 6.0 + 6.0 / n, 24.0 + 54.0 / n + 42.0 / n ** 2)
+    p1p1, _, p1p3, p3p3 = power_sum_moments(n)
+    exact = (p1p1 / n, p1p3 / n ** 2, p3p3 / n ** 3)
     for g, e, s in zip(got, exact, se):
         assert abs(g - e) <= k * s
     # the n -> infinity values are far outside these bounds

@@ -13,8 +13,9 @@ from scipy.stats import chi2, norm
 import wglab.tv_mc as tv_mc
 from wglab import (InvalidParameterError, RngState, Spectrum, s_decomposition,
                    tv_estimate_goe_side, tv_estimate_wishart_side, tv_profile)
-from wglab.densities import (TOL_PSD_SCALE, alpha_from_eigenvalues,
-                             alpha_from_tridiagonal, in_q_mask)
+from wglab.densities import (TOL_PSD_SCALE, _taylor_terms,
+                             alpha_from_eigenvalues, alpha_from_tridiagonal,
+                             in_q_mask, power_sum_moments)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              sample_wishart_dense)
 from wglab.spectral import batch_eigenvalues
@@ -38,6 +39,29 @@ def test_invalid_parameters():
     # checked at the call, before any record is asked for
     with pytest.raises(InvalidParameterError):
         tv_profile(3, 2, 10, RngState(0))
+
+
+def lstsq_estimate(n, d, u, power, values):
+    """(mean, stderr, var_ratio) of the control-variate estimate over the
+    N = values.size integrand values, by a direct least-squares fit.
+
+    u holds the P pair sums, power the (3, P) power sums p1..p3 of T - dI
+    of their draws, and values every integrand value, the unpaired one of
+    an odd N included.
+    """
+    pairs, samples = u.size, values.size
+    p1, p2, p3 = power / np.array([[d ** 0.5], [d], [d ** 1.5]])
+    e11, e2, e13, e33 = power_sum_moments(n)
+    x = np.column_stack([np.ones(pairs), p1 * p1 - e11, p2 - e2,
+                         p1 * p3 - e13, p3 * p3 - e33])
+    coef, *_ = np.linalg.lstsq(x, u, rcond=None)
+    resid = u - x @ coef
+    var = resid @ resid / (pairs - 5)
+    # with x centered at its exact mean, the intercept is the controlled
+    # pair mean u-bar - beta . x-bar
+    mean = (pairs * coef[0] + values.sum() - u.sum()) / samples
+    stderr = math.sqrt(pairs * var + samples % 2 * np.var(values, ddof=1))
+    return mean, stderr / samples, np.var(u, ddof=1) / var
 
 
 def test_single_sample_degenerate():
@@ -81,6 +105,8 @@ def test_worker_count_determinism(monkeypatch):
                 for w in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
         assert runs[0].samples == samples
+        # the GOE side's control variates are fitted after the merge
+        assert (runs[0].var_ratio > 1.0) == (side == tv_mc.GOE_SIDE)
         assert pools == [2, 2]
 
 
@@ -137,9 +163,9 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
         draws.append(size)
         return sample(n, d, size, gen, *empty)
 
-    def counting_alpha(dev, off2, n, d, mirrored):
+    def counting_alpha(dev, off2, n, d, mirrored, sums):
         calls.append((dev.shape[1], mirrored))
-        return alpha(dev, off2, n, d, mirrored)
+        return alpha(dev, off2, n, d, mirrored, sums)
 
     monkeypatch.setattr(tv_mc, "goe_tridiagonal", counting_sample)
     monkeypatch.setattr(tv_mc, "alpha_from_tridiagonal", counting_alpha)
@@ -155,12 +181,27 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
     assert calls == [(8, True)] * 3 + [(1, True)]
 
 
-def test_profile_reproduces_estimator_mean():
+def test_profile_reproduces_estimator_mean(monkeypatch):
+    # one block of 250 draws and their mirrors: the profile's integrands
+    # and s1..s3 rebuild the controlled estimate, with p_k = s_k / (h_k / k!)
+    # of each draw as drawn
     n, d, samples = 3, 27, 500
     est = tv_estimate_goe_side(n, d, samples, RngState(13))
+    (_, drawn, *_, v), (*_, w) = tv_mc.profile_columns(n, d, samples,
+                                                       RngState(13))
+    power = np.array(drawn[1:4]) / np.array(_taylor_terms(n, d)[:3])[:, None]
+    values = np.concatenate([v, w])
+    mean, stderr, ratio = lstsq_estimate(n, d, v + w, power, values)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-9)
+    assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
+    # with beta = 0 the estimator's mean is the profile's plain mean
     records = tv_profile(n, d, samples, RngState(13))
     vals = np.array([r.integrand for r in records])
-    assert float(vals.sum()) / samples == est.mean
+    fit = tv_mc._pair_fit
+    monkeypatch.setattr(tv_mc, "_pair_fit", lambda gram: (0.0, *fit(gram)[1:]))
+    plain = tv_estimate_goe_side(n, d, samples, RngState(13))
+    assert float(vals.sum()) / samples == plain.mean
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
@@ -239,7 +280,7 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
     blocks = tv_mc._blocks(n, d, samples, RngState(41), side, 0,
                            tv_mc._block_count(n, samples, side))
     drawn, mirrored = [], []
-    for dev, *_, values in blocks:
+    for dev, *_, values, _ in blocks:
         drawn.append(values[:dev.shape[1]])
         mirrored.append(values[dev.shape[1]:])
     groups = [g for g in map(np.concatenate, (drawn, mirrored)) if g.size]
@@ -254,15 +295,16 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
 
 @pytest.mark.parametrize("samples", [2000, 2001, 1539])
 def test_pair_mean_matches_plain_path(samples, monkeypatch):
-    # the antithetic estimate against the plain per-draw integrands of the
-    # same T and of its mirror, block by block: each pair contributes the
-    # mean of its two values; a budget of 511 evaluations rounds up to
-    # 512-evaluation blocks, so pairs never straddle one; four blocks, the
-    # last of 3 evaluations at samples = 1539: two draws and one mirror
+    # the controlled antithetic estimate against a least-squares fit on the
+    # plain per-draw integrands of the same T and of its mirror, block by
+    # block, with the power sums from the trace formulas written out; a
+    # budget of 511 evaluations rounds up to 512-evaluation blocks, so pairs
+    # never straddle one; four blocks, the last of 3 evaluations at
+    # samples = 1539: two draws and one mirror
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 511 * 8)
     n, d, rng = 8, 512, RngState(31)
     est = tv_estimate_goe_side(n, d, samples, rng)
-    values, pair_means, unpaired = [], [], []
+    values, pair_sums, power = [], [], []
     for b in range(4):
         size = min(512, samples - 512 * b)
         dev, off2 = goe_tridiagonal(n, d, size - size // 2,
@@ -272,20 +314,62 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
                              tv_mc.GOE_SIDE)
         w = tv_mc._integrand(alpha_from_tridiagonal(-dev, off2, n, d)[0],
                              tv_mc.GOE_SIDE)
-        pair_means.append((v[:m] + w[:m]) / 2.0)
-        unpaired += v[m:].tolist()
+        pair_sums.append(v[:m] + w[:m])
         values += [v, w[:m]]
-    values, pair_means = np.concatenate(values), np.concatenate(pair_means)
-    assert values.size == samples
-    assert est.mean == pytest.approx(math.fsum(values) / samples, rel=1e-14)
-    pairs, single = divmod(samples, 2)
-    assert len(unpaired) == single
-    assert est.mean == pytest.approx(
-        (2.0 * pair_means.sum() + sum(unpaired)) / samples, rel=1e-14)
-    # stderr = sqrt(P var(v + v') + r var(v)) / N
-    var = (pairs * np.var(2.0 * pair_means, ddof=1)
-           + single * np.var(values, ddof=1))
-    assert est.stderr == pytest.approx(math.sqrt(var) / samples, rel=1e-9)
+        p3 = (dev ** 3).sum(axis=0) + 3.0 * (off2 * (dev[:-1] + dev[1:])).sum(
+            axis=0)
+        power.append(np.stack([dev.sum(axis=0), (dev ** 2).sum(axis=0)
+                               + 2.0 * off2.sum(axis=0), p3])[:, :m])
+    values, u = np.concatenate(values), np.concatenate(pair_sums)
+    assert values.size == samples and u.size == samples // 2
+    # the plain values are the profile's integrands, in its order
+    profile = [group[-1] for group in tv_mc.profile_columns(n, d, samples,
+                                                             rng)]
+    np.testing.assert_array_equal(np.concatenate(profile), values)
+    mean, stderr, ratio = lstsq_estimate(n, d, u, np.concatenate(power, 1),
+                                         values)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-9)
+    assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
+    assert est.var_ratio > 1.5
+
+
+@pytest.mark.parametrize("n, samples", [(1, 1), (1, 2), (1, 3), (1, 11),
+                                        (1, 2001), (2, 1), (2, 2), (2, 3),
+                                        (2, 11)])
+def test_no_control_falls_back_to_plain_pairs(n, samples):
+    # at most 5 pairs, or n = 1, where p2 = p1^2 makes the controls
+    # collinear: beta = 0, and the estimate is the plain antithetic one,
+    # stderr = sqrt(P var(u) + (N mod 2) var(v)) / N; warnings are errors
+    d = 4 * n
+    est = tv_estimate_goe_side(n, d, samples, RngState(samples))
+    (*_, v), *mirrors = tv_mc.profile_columns(n, d, samples,
+                                              RngState(samples))
+    w = mirrors[0][-1] if mirrors else v[:0]
+    values, u = np.concatenate([v, w]), v[:w.size] + w
+    assert est.var_ratio == 1.0
+    assert est.mean == float(values.sum()) / samples
+    var = (u.size * (np.var(u, ddof=1) if u.size > 1 else 0.0)
+           + samples % 2 * (np.var(values, ddof=1) if samples > 1 else 0.0))
+    assert est.stderr == pytest.approx(math.sqrt(var) / samples, rel=1e-12)
+    assert all(map(math.isfinite, (est.mean, est.stderr, est.ci_lo,
+                                   est.ci_hi)))
+
+
+def test_control_variate_bias_is_small():
+    # beta is fitted on the draws it corrects, which biases the mean by
+    # O(1 / P); over 200 seeds at P = 500 pairs the mean of (controlled -
+    # plain) on the same draws stays within a quarter of the mean reported
+    # stderr (its sampling error is about 0.1 of it)
+    n, d, samples = 8, 512, 1000
+    diffs, stderrs = [], []
+    for seed in range(3000, 3200):
+        est = tv_estimate_goe_side(n, d, samples, RngState(seed))
+        values = np.concatenate([group[-1] for group in tv_mc.profile_columns(
+            n, d, samples, RngState(seed))])
+        diffs.append(est.mean - values.sum() / samples)
+        stderrs.append(est.stderr)
+    assert abs(np.mean(diffs)) <= 0.25 * np.mean(stderrs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
@@ -294,8 +378,9 @@ def test_mirrored_columns_match_eigenvalues(n):
     # 100; the mirrors' alpha and flags from the estimator's one-pass call
     # match the eigenvalues of each draw with its diagonal negated
     d, samples = n ** 3, 201
-    [(dev, off2, *flags, _)] = tv_mc._blocks(n, d, samples, RngState(60 + n),
-                                             tv_mc.GOE_SIDE, 0, 1)
+    [(dev, off2, *flags, _, _)] = tv_mc._blocks(n, d, samples,
+                                                RngState(60 + n),
+                                                tv_mc.GOE_SIDE, 0, 1)
     assert dev.shape == (n, 101) and flags[0].size == 201
     alpha, q, psd = (x[101:] for x in flags)
     eigs = np.array([eigvalsh_tridiagonal(-dev[:, k] + d, np.sqrt(off2[:, k]))
