@@ -217,7 +217,8 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
     The flags mean what ``alpha_from_eigenvalues`` and ``in_q_mask`` mean on
     the eigenvalues of T, and psd means lambda_min >= -TOL_PSD_SCALE * d.
     A (3, k) array ``sums``, if given, receives the ``power_sums`` of the
-    columns as given: the pass needs p1 and p2, and p3 costs little more.
+    columns as given: the pass needs p1 and p2 anyway, and p3 costs three
+    column dot products more.
 
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
     w_i = dev_i / d - (off2_{i-1} / d^2) / (1 + w_{i-1}); alpha is -inf
@@ -243,7 +244,7 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
         a = np.divide(dev, d, out=take(dev.shape))
         b = np.divide(off2, float(d) ** 2, out=take(off2.shape))
         pivmin = _SAFMIN * np.max(b, axis=0, initial=1.0)
-        sums = take((3, k)) if sums is None else sums
+        sums = take((2, k)) if sums is None else sums
         total, frob2 = sums[:2]
         with SCRATCH.frame() as take:
             # Gershgorin: every eigenvalue of T / d - I lies within
@@ -328,9 +329,9 @@ def s0_term(n: int, d: float) -> float:
 
 def power_sums(dev: np.ndarray, off2: np.ndarray, square: np.ndarray,
                out: np.ndarray) -> np.ndarray:
-    """The power sums p_k = tr((T - dI)^k), k = 1, 2, 3, of each column of a
-    tridiagonal batch, written to the rows of ``out``, of shape (3, k), and
-    returned.
+    """The power sums p_k = tr((T - dI)^k), k = 1, 2 and, if ``out`` has a
+    third row, 3, of each column of a tridiagonal batch, written to the
+    rows of ``out``, of shape (2, k) or (3, k), and returned.
 
     ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal``; ``square``,
     an array of dev's shape, is overwritten with dev^2.  With a = dev and
@@ -341,13 +342,14 @@ def power_sums(dev: np.ndarray, off2: np.ndarray, square: np.ndarray,
 
     p3 from column dot products, which make no other (n, k) array.
     """
-    p1, p2, p3 = out
+    p1, p2, *cube = out
     dev.sum(axis=0, out=p1)
     np.multiply(dev, dev, out=square).sum(axis=0, out=p2)
     p2 += 2.0 * off2.sum(axis=0)
-    np.einsum("ij,ij->j", square, dev, out=p3)
-    p3 += 3.0 * (np.einsum("ij,ij->j", off2, dev[:-1])
-                 + np.einsum("ij,ij->j", off2, dev[1:]))
+    for p3 in cube:
+        np.einsum("ij,ij->j", square, dev, out=p3)
+        p3 += 3.0 * (np.einsum("ij,ij->j", off2, dev[:-1])
+                     + np.einsum("ij,ij->j", off2, dev[1:]))
     return out
 
 

@@ -34,12 +34,15 @@ draw, which its mirror shares, have exact finite-n means
 estimate is u-bar - beta . x-bar over the P pairs, with x those
 statistics less their means and beta the least-squares coefficients of u
 on x, and its stderr comes from the residuals, with P - 5 degrees of
-freedom.  At n = 32, c = 1 the pair variance falls about 4x.  beta is
-fitted on the draws it corrects, which biases the estimate by O(1 / P):
-about 0.2 stderr at P = 500, 0.1 at P = 2000.  With 5 pairs or fewer, or
-at n = 1, where the controls are collinear, beta = 0 and the estimate is
-the plain pair mean.  The unpaired draw of an odd ``samples`` enters
-uncontrolled.
+freedom.  At n = 32, c = 1 the pair variance falls about 4x.  The
+controls are skewed, and a linear fit passes their skew on to the
+estimate, so they are used only where the mean of each is nearly normal
+(``_SKEW_TOL``): never below 3,200 pairs, and at small n only far above
+(at n = 4, from about 40,000).  beta is fitted on the draws it corrects,
+which biases the estimate by O(1 / P), 0.05 +- 0.12 stderr measured at
+n = 32 and 5,000 pairs.  Elsewhere, and at n = 1, where the controls are
+collinear, beta = 0 and the estimate is the plain pair mean.  The
+unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
@@ -132,9 +135,9 @@ def _block_count(n: int, samples: int, side: str) -> int:
 def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
     """Yield, for each of blocks first..stop-1, the tridiagonal batch
     ``(dev, off2)`` it draws, in arrays made by ``empty(shape)``, the
-    ``(alpha, in_q, psd, integrand)`` arrays of its evaluations and, on the
-    GOE side, a (6, k) array for the ``_pair_gram`` of its k draws, with
-    their ``power_sums`` in rows 2 to 4 (None on the Wishart side).
+    ``(alpha, in_q, psd, integrand)`` arrays of its evaluations and, where
+    ``_controlled``, a (6, k) array for the ``_pair_gram`` of its k draws,
+    with their ``power_sums`` in rows 2 to 4 (None elsewhere).
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
@@ -148,6 +151,7 @@ def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
     """
     batch = _batch_size(n, side)
     mirrored = side == GOE_SIDE
+    controlled = mirrored and _controlled(samples)
     draw = goe_tridiagonal if mirrored else wishart_tridiagonal
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
@@ -155,10 +159,27 @@ def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
         with SCRATCH.frame():
             dev, off2 = draw(n, d, size - size // 2 if mirrored else size,
                              gen, empty)
-            rows = empty((6, dev.shape[1])) if mirrored else None
+            rows = empty((6, dev.shape[1])) if controlled else None
             alpha, q, psd = (x[:size] for x in alpha_from_tridiagonal(
-                dev, off2, n, d, mirrored, rows[2:5] if mirrored else None))
+                dev, off2, n, d, mirrored, rows[2:5] if controlled else None))
             yield dev, off2, alpha, q, psd, _integrand(alpha, side), rows
+
+
+# The control variates are used only where the mean of each control is
+# nearly normal: its skewness, the control's sample skewness over sqrt(P),
+# at most this.  The controls are skewed: p1^2 is exactly 2n chi^2_1, of
+# skewness sqrt(8), and p3^2 more so at small n (about 9 at n = 4, 3 at
+# n = 32).  A linear fit passes that skew on to the estimate: at P = 1,000
+# pairs and n = 4, one estimate in 10^4 fell 6 stderr from the truth, and
+# at n = 16 its tails were still heavier than normal.
+_SKEW_TOL = 0.05
+
+
+def _controlled(samples: int) -> bool:
+    """Whether a GOE-side run of ``samples`` evaluations collects the
+    control variates' partial sums: p1^2 alone keeps a run of fewer than
+    8 / _SKEW_TOL^2 = 3,200 pairs from passing the skewness test."""
+    return samples // 2 >= 8 / _SKEW_TOL ** 2
 
 
 # the upper triangle of a symmetric 6 x 6 matrix, row by row, and the place
@@ -171,34 +192,36 @@ _AT = _AT.tolist()
 
 def _block_stats(task):
     """Per-block partials of one task's range: (sum, sumsq) of the
-    integrand values, the Q and PSD counts and, on the GOE side, the
-    ``_pair_gram`` of the block's antithetic pairs."""
+    integrand values, (sum, sumsq) of the antithetic pair sums, the Q and
+    PSD counts and, where ``_controlled``, the ``_pair_gram`` of the
+    pairs."""
     n, d = task[:2]
     parts = []
     for dev, _, _, q, psd, values, rows in _blocks(*task, SCRATCH.take):
+        # draw j pairs with evaluation k + j; no draw does on the Wishart side
+        k = dev.shape[1]
+        pairs = values[:values.size - k] + values[k:]
         parts.append((float(values.sum()), float((values * values).sum()),
+                      float(pairs.sum()), float((pairs * pairs).sum()),
                       int(np.count_nonzero(q)), int(np.count_nonzero(psd)),
-                      *([] if rows is None else
-                        _pair_gram(values, rows, n, d))))
+                      *([] if rows is None else _pair_gram(pairs, rows, n, d))))
     return parts
 
 
-def _pair_gram(values, rows, n, d):
-    """The upper triangle of sum z z^T over a GOE-side block's antithetic
-    pairs, as a list of 21 floats; ``rows`` is the block's (6, k) array
-    from ``_blocks``, which becomes z, one column per pair.
+def _pair_gram(pairs, rows, n, d):
+    """Partial sums for the control variates over a GOE-side block's
+    antithetic pairs: the upper triangle of sum z z^T, 21 floats, then
+    sum x^3, 4 floats.  ``rows`` is the block's (6, k) array from
+    ``_blocks``, which becomes z, one column per pair.
 
-    Draw j pairs with evaluation k + j, so z = (1, u, x) for pair j has the
-    pair sum u = v_j + v_{k+j} and the four control statistics x of draw j:
-    with p_k = tr X^k, X = (T - dI) / sqrt(d), the even products p1^2, p2,
-    p3^2 and p1 p3, less their exact means ``power_sum_moments(n)``.  A
-    draw and its mirror share x.
+    z = (1, u, x) for pair j has its pair sum u and the four control
+    statistics x of its draw j: with p_k = tr X^k, X = (T - dI) / sqrt(d),
+    the even products p1^2, p2, p3^2 and p1 p3, less their exact means
+    ``power_sum_moments(n)``.  A draw and its mirror share x.
     """
-    k = rows.shape[1]
-    m = values.size - k
-    z = rows[:, :m]
+    z = rows[:, :pairs.size]
     z[0] = 1.0
-    np.add(values[:m], values[k:], out=z[1])
+    z[1] = pairs
     # p1, p2 and p3 of T - dI to those of X, then p1 p3 and the squares
     root = math.sqrt(d)
     z[2:5] *= np.array([[1.0 / root], [1.0 / d], [1.0 / (d * root)]])
@@ -206,9 +229,11 @@ def _pair_gram(values, rows, n, d):
     np.square(z[2:5:2], out=z[2:5:2])
     p1p1, p2, p1p3, p3p3 = power_sum_moments(n)
     z[2:] -= np.array([[p1p1], [p2], [p3p3], [p1p3]], float)
-    # numpy's own loop: z @ z.T would fault in half a megabyte of BLAS
+    # numpy's own loops: z @ z.T would fault in half a megabyte of BLAS
     # buffers in a process that made no BLAS call before
-    return np.einsum("ij,kj->ik", z, z)[_UPPER].tolist()
+    x = z[2:]
+    return (np.einsum("ij,kj->ik", z, z)[_UPPER].tolist()
+            + np.einsum("ij,ij,ij->i", x, x, x).tolist())
 
 
 def sample_variance(s: float, ss: float, count: int) -> float:
@@ -226,10 +251,11 @@ def mc_summary(mean: float, stderr: float):
             min(mean + Z99 * stderr, 1.0))
 
 
-def _pair_fit(gram):
+def _pair_fit(cv, plain):
     """Control variates over the P antithetic pairs from the merged
-    ``_pair_gram``: (beta . sum x, the variance of one pair sum about the
-    fit, the plain variance of a pair sum over that).
+    ``_pair_gram`` partials ``cv`` and the plain sample variance ``plain``
+    of a pair sum: (beta . sum x, the variance of one pair sum about the
+    fit, plain over that).
 
     The pair sums u are regressed on the centered controls x (Lavenberg
     and Welch 1981): beta solves Cxx beta = Cxu on the centered
@@ -239,23 +265,30 @@ def _pair_fit(gram):
     variance that the ones before it leave unexplained.  Where a pivot is
     below 1e-10 of that variance the controls are collinear, as at n = 1,
     where p2 = p1^2 leaves a share of rounding size, 1e-16; the least
-    measured at n >= 2 was 2e-7 (n = 2, 7 pairs).  There, and where P <= 5,
-    beta = 0: the variance is the plain sample variance of u and the ratio
-    is 1.  The 4 x 4 system is solved in Python: in a sweep point a LAPACK
-    call costs more than the rest of the fit together.
+    measured at n >= 2 was 2e-7 (n = 2, 7 pairs).  There, where P <= 5 and
+    where the mean of a control is too skewed (``_SKEW_TOL``), beta = 0:
+    the variance is ``plain`` and the ratio is 1.  The 4 x 4 system is
+    small enough to solve in Python, and the pivots of the elimination are
+    the collinearity test.
     """
+    gram, cubes = cv[:21], cv[21:]
     pairs = int(gram[0])
-    # sum u and sum u^2 are G_01 and G_11
-    plain = sample_variance(gram[1], gram[6], pairs)
     if pairs <= 5:
         return 0.0, plain, 1.0
     # rows [Cxx | Cxu] of the centered cross-products; G_0i is sum z_i
     rows = [[gram[_AT[i][j]] - gram[i] * gram[j] / pairs
              for j in (2, 3, 4, 5, 1)] for i in (2, 3, 4, 5)]
-    var = [rows[i][i] for i in range(4)]
+    var = [rows[i][i] / pairs for i in range(4)]
     cxu = [row[4] for row in rows]
+    for i, cube in enumerate(cubes):
+        # the central third moment, from the raw sums of x, x^2 and x^3
+        mean = gram[i + 2] / pairs
+        third = (cube / pairs - 3.0 * mean * (var[i] + mean * mean)
+                 + mean ** 3)
+        if not third * third <= _SKEW_TOL ** 2 * pairs * var[i] ** 3:
+            return 0.0, plain, 1.0
     for i, row in enumerate(rows):
-        if not row[i] > 1e-10 * var[i]:
+        if not row[i] > 1e-10 * pairs * var[i]:
             return 0.0, plain, 1.0
         for below in rows[i + 1:]:
             f = below[i] / row[i]
@@ -282,7 +315,8 @@ def _estimate(n, d, samples, rng, side, workers):
     sqrt(var(v) / N).  On the GOE side the independent units are the
     P = floor(N / 2) antithetic pairs and, for odd N, one unpaired value;
     the mean is (sum v - beta . sum x) / N, with beta and the pair
-    variance var(u) from ``_pair_fit``, and
+    variance var(u) from ``_pair_fit`` where ``_controlled``, and beta = 0
+    with the sample variance of the pair sums elsewhere, and
 
         stderr = sqrt(P var(u) + (N mod 2) var(v)) / N.
 
@@ -306,13 +340,15 @@ def _estimate(n, d, samples, rng, side, workers):
             parts = [p for task in pool.map(_block_stats, tasks) for p in task]
     else:
         parts = _block_stats(tasks[0])
-    s, ss, n_q, n_psd, *gram = (math.fsum(col) for col in zip(*parts))
+    s, ss, ps, pss, n_q, n_psd, *cv = (math.fsum(col) for col in zip(*parts))
     var = sample_variance(s, ss, samples)
     if side == WISHART_SIDE:
         shift, stderr, ratio = 0.0, math.sqrt(var / samples), 1.0
     else:
         pairs, single = divmod(samples, 2)
-        shift, var_pair, ratio = _pair_fit(gram)
+        plain = sample_variance(ps, pss, pairs)
+        shift, var_pair, ratio = (_pair_fit(cv, plain) if cv
+                                  else (0.0, plain, 1.0))
         stderr = math.sqrt(pairs * var_pair + single * var) / samples
     return TvEstimate(*mc_summary((s - shift) / samples, stderr),
                       samples=samples, side=side, seed=rng.seed, n=n, d=d,

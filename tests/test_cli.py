@@ -67,9 +67,11 @@ def test_tv_command_deterministic():
     assert text1 == text2
     mean = float(parse_kv(text1)["tv_mean"])
     assert 0.0 <= mean <= 1.0
-    # the control variates' gain, on a line of its own
-    assert "\ncv_var_ratio=" in text1
-    assert float(parse_kv(text1)["cv_var_ratio"]) > 1.0
+    # the control variates' gain, on a line of its own: none for 250 pairs
+    assert "\ncv_var_ratio=1.0\n" in text1
+    code, text = run_cli(["tv", "--n", "16", "--d", "4096", "--samples",
+                          "20000", "--seed", "7"])
+    assert code == 0 and float(parse_kv(text)["cv_var_ratio"]) > 2.0
 
 
 def test_tv_command_at_large_d():

@@ -182,10 +182,18 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
 
 
 def test_profile_reproduces_estimator_mean(monkeypatch):
-    # one block of 250 draws and their mirrors: the profile's integrands
-    # and s1..s3 rebuild the controlled estimate, with p_k = s_k / (h_k / k!)
-    # of each draw as drawn
+    # one block of 250 draws and their mirrors, too few pairs for control
+    # variates: the estimate is the profile's plain mean
     n, d, samples = 3, 27, 500
+    records = tv_profile(n, d, samples, RngState(13))
+    vals = np.array([r.integrand for r in records])
+    plain = tv_estimate_goe_side(n, d, samples, RngState(13))
+    assert plain.var_ratio == 1.0
+    assert float(vals.sum()) / samples == plain.mean
+    # with the controls forced on, the profile's integrands and s1..s3
+    # rebuild the controlled estimate, with p_k = s_k / (h_k / k!) of each
+    # draw as drawn
+    monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     est = tv_estimate_goe_side(n, d, samples, RngState(13))
     (_, drawn, *_, v), (*_, w) = tv_mc.profile_columns(n, d, samples,
                                                        RngState(13))
@@ -195,13 +203,6 @@ def test_profile_reproduces_estimator_mean(monkeypatch):
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-9)
     assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
-    # with beta = 0 the estimator's mean is the profile's plain mean
-    records = tv_profile(n, d, samples, RngState(13))
-    vals = np.array([r.integrand for r in records])
-    fit = tv_mc._pair_fit
-    monkeypatch.setattr(tv_mc, "_pair_fit", lambda gram: (0.0, *fit(gram)[1:]))
-    plain = tv_estimate_goe_side(n, d, samples, RngState(13))
-    assert float(vals.sum()) / samples == plain.mean
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
@@ -300,8 +301,10 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
     # block, with the power sums from the trace formulas written out; a
     # budget of 511 evaluations rounds up to 512-evaluation blocks, so pairs
     # never straddle one; four blocks, the last of 3 evaluations at
-    # samples = 1539: two draws and one mirror
+    # samples = 1539: two draws and one mirror.  The controls are forced on
+    # for a run this short
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 511 * 8)
+    monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     n, d, rng = 8, 512, RngState(31)
     est = tv_estimate_goe_side(n, d, samples, rng)
     values, pair_sums, power = [], [], []
@@ -334,13 +337,20 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
     assert est.var_ratio > 1.5
 
 
-@pytest.mark.parametrize("n, samples", [(1, 1), (1, 2), (1, 3), (1, 11),
-                                        (1, 2001), (2, 1), (2, 2), (2, 3),
-                                        (2, 11)])
-def test_no_control_falls_back_to_plain_pairs(n, samples):
-    # at most 5 pairs, or n = 1, where p2 = p1^2 makes the controls
-    # collinear: beta = 0, and the estimate is the plain antithetic one,
-    # stderr = sqrt(P var(u) + (N mod 2) var(v)) / N; warnings are errors
+@pytest.mark.parametrize("n, samples, forced", [
+    (1, 1, True), (1, 2, True), (1, 3, True), (1, 11, True), (1, 2001, True),
+    (2, 1, True), (2, 2, True), (2, 3, True), (2, 11, True),
+    (8, 6399, False), (4, 20000, False)])
+def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
+                                              monkeypatch):
+    # beta = 0, and the estimate is the plain antithetic one,
+    # stderr = sqrt(P var(u) + (N mod 2) var(v)) / N, where there are at
+    # most 5 pairs, where n = 1 (p2 = p1^2 makes the controls collinear;
+    # the controls are forced on to reach that test), where there are
+    # fewer than 3,200 pairs, and where a control's mean is too skewed
+    # (p3^2 at n = 4 and 10,000 pairs); warnings are errors
+    if forced:
+        monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     d = 4 * n
     est = tv_estimate_goe_side(n, d, samples, RngState(samples))
     (*_, v), *mirrors = tv_mc.profile_columns(n, d, samples,
@@ -356,20 +366,50 @@ def test_no_control_falls_back_to_plain_pairs(n, samples):
                                    est.ci_hi)))
 
 
-def test_control_variate_bias_is_small():
+def _partials(u, x):
+    """The merged ``_pair_gram`` partials of pair sums u and controls x."""
+    z = np.vstack([np.ones(u.size), u, x])
+    return (z @ z.T)[tv_mc._UPPER].tolist() + (x ** 3).sum(axis=1).tolist()
+
+
+def test_pair_fit_rejects_nearly_collinear_controls():
+    # two controls equal up to a relative 1e-7 leave the second a share of
+    # about 1e-14 of its variance, below 1e-10: no control is used, where
+    # a test for an exactly zero pivot would fit rounding noise
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 5000))
+    u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
+    plain = float(np.var(u, ddof=1))
+    near = x.copy()
+    near[1] = x[0] * (1.0 + 1e-7 * rng.standard_normal(5000))
+    assert tv_mc._pair_fit(_partials(u, near), plain) == (0.0, plain, 1.0)
+    # with independent controls the fit removes x[0]'s part of u
+    shift, var, ratio = tv_mc._pair_fit(_partials(u, x), plain)
+    assert shift == pytest.approx(float(x[0].sum()), rel=0.05)
+    assert var == pytest.approx(0.01, rel=0.1) and ratio > 50
+
+
+def test_control_variate_bias_and_spread():
     # beta is fitted on the draws it corrects, which biases the mean by
-    # O(1 / P); over 200 seeds at P = 500 pairs the mean of (controlled -
-    # plain) on the same draws stays within a quarter of the mean reported
-    # stderr (its sampling error is about 0.1 of it)
-    n, d, samples = 8, 512, 1000
-    diffs, stderrs = [], []
+    # O(1 / P).  Over 200 seeds at n = 32, c = 1 and P = 5,000 pairs, where
+    # the controls are used, the mean of (controlled - plain) on the same
+    # draws stays within a quarter of the mean reported stderr (its
+    # sampling error is about 0.12 of it), and the spread of the controlled
+    # means matches that stderr within 25%, as test_stderr_is_honest asks
+    # of the plain pairs
+    n, d, samples = 32, 32768, 10000
+    runs, diffs = [], []
     for seed in range(3000, 3200):
         est = tv_estimate_goe_side(n, d, samples, RngState(seed))
         values = np.concatenate([group[-1] for group in tv_mc.profile_columns(
             n, d, samples, RngState(seed))])
+        runs.append(est)
         diffs.append(est.mean - values.sum() / samples)
-        stderrs.append(est.stderr)
-    assert abs(np.mean(diffs)) <= 0.25 * np.mean(stderrs)
+    assert sum(r.var_ratio > 1.0 for r in runs) >= 180
+    reported = np.mean([r.stderr for r in runs])
+    assert abs(np.mean(diffs)) <= 0.25 * reported
+    spread = np.std([r.mean for r in runs], ddof=1)
+    assert abs(spread / reported - 1.0) <= 0.25
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
@@ -458,7 +498,9 @@ def test_block_merge_invariant_under_any_split(samples, budget, workers):
     # any block size and any split of the blocks over tasks give the
     # estimate of one task, on both sides
     n, d = 2, 8
+    # the controls forced on, so their partials are merged too
     with mock.patch.object(tv_mc, "_BATCH_BUDGET", budget * n), \
+            mock.patch.object(tv_mc, "_SKEW_TOL", math.inf), \
             mock.patch.object(tv_mc, "ProcessPoolExecutor",
                               SequentialExecutor), \
             mock.patch.object(tv_mc.os, "cpu_count", lambda: 4):
