@@ -389,6 +389,20 @@ def test_pair_fit_rejects_nearly_collinear_controls():
     assert var == pytest.approx(0.01, rel=0.1) and ratio > 50
 
 
+def test_pair_fit_skewness_test():
+    # a control's skewness is taken about its sample mean, so an offset
+    # symmetric control passes; one whose mean over P = 5,000 is skewed by
+    # more than 0.05 (skewness above 3.5) turns the controls off
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((4, 5000))
+    u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
+    plain = float(np.var(u, ddof=1))
+    x[3] += 10.0
+    assert tv_mc._pair_fit(_partials(u, x), plain)[2] > 50
+    x[3] = rng.exponential(size=5000) ** 3
+    assert tv_mc._pair_fit(_partials(u, x), plain) == (0.0, plain, 1.0)
+
+
 def test_control_variate_bias_and_spread():
     # beta is fitted on the draws it corrects, which biases the mean by
     # O(1 / P).  Over 200 seeds at n = 32, c = 1 and P = 5,000 pairs, where
