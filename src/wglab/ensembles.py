@@ -43,12 +43,16 @@ def sample_goe_dense(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     order, and the draws follow one another on the stream; the diagonal is
     scaled to N(0, 2).  Every seeded GOE draw depends on this order.
     """
-    iu = np.triu_indices(n)
-    z = gen.standard_normal((size, iu[0].size))
-    z[:, iu[0] == iu[1]] *= _SQRT2
-    out = np.zeros((size, n, n))
-    out[:, iu[0], iu[1]] = z
-    out[:, iu[1], iu[0]] = z
+    z = gen.standard_normal((size, n * (n + 1) // 2))
+    out = np.empty((size, n, n))
+    start = 0
+    # row i of the upper triangle is also column i below the diagonal
+    for i in range(n):
+        row = z[:, start:start + n - i]
+        row[:, 0] *= _SQRT2
+        out[:, i, i:] = row
+        out[:, i + 1:, i] = row[:, 1:]
+        start += n - i
     return out
 
 

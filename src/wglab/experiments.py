@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .limit_theory import LimitParams, limiting_tv_closed_form
 from .rng import RngState
-from .tv_mc import Z99, tv_estimate_goe_side
+from .tv_mc import MAX_N, Z99, tv_estimate_goe_side
 
 CSV_HEADER = "c,n,d,tv_mc,tv_stderr,tv_limit,frac_in_q,runtime_s,seed"
 
@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise ConfigError("c_grid must be strictly increasing")
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError("n_list must be strictly increasing")
+        if not 1 <= self.n_list[0] <= self.n_list[-1] <= MAX_N:
+            raise ConfigError(f"n_list entries must be in [1, {MAX_N}]")
         if self.samples < 1 or self.workers < 1:
             raise ConfigError("samples and workers must be >= 1")
         if not 0 <= self.seed < 2 ** 64:

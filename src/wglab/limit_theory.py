@@ -5,7 +5,9 @@ Erf(1 / (4 sqrt(3) sqrt(c))).  The same value is recovered two other ways:
 by 1-D quadrature of the Gaussian functional the limit reduces to, and by
 Monte Carlo over the joint Gaussian limit (N1, N3) of the first and third
 normalized spectral power sums, which has mean zero and covariance
-[[2, 6], [6, 24]].
+[[2, 6], [6, 24]].  That CLT is checked on finite-n GOE draws: the two power
+sums are traces, tr G / sqrt(n) and tr G^3 / n^(3/2), so a dense draw costs
+one symmetric product G G^T and no eigendecomposition.
 
 Only the quadrature needs scipy, and it imports scipy itself, so every
 other command runs on numpy alone and starts without scipy's import time.
@@ -20,7 +22,6 @@ import numpy as np
 from .densities import s0_term
 from .errors import DomainError, InvalidParameterError
 from .rng import RngState
-from .spectral import batch_eigenvalues
 from .ensembles import sample_goe_dense
 from .tv_mc import GOE_SIDE, _integrand, mc_summary, sample_variance
 
@@ -91,28 +92,49 @@ def limiting_tv_quadrature(p: LimitParams) -> float:
                for lo, hi in ((-np.inf, 0.0), (0.0, min(a / b, 60.0))))
 
 
-# matrix elements per sample_clt_pairs batch, 16 MB of float64, which
-# bounds clt's memory; the split does not move the stream, since one
-# generator fills the draws in order
+# matrix elements per sample_clt_pairs batch, 16 MB of float64.  The split
+# does not move the stream, since one generator fills the draws in order,
+# nor the pairs, since each draw is reduced on its own
 _CLT_BATCH_ELEMENTS = 2 ** 21
+# the largest order one batch holds a draw of (1448); with it, a batch, its
+# packed normals and the G G^T buffer bound clt's memory near 42 MB
+_CLT_MAX_N = math.isqrt(_CLT_BATCH_ELEMENTS)
 
 
 def sample_clt_pairs(n: int, reps: int, rng: RngState) -> np.ndarray:
     """(reps, 2) array of (sum mu_i, sum mu_i^3) over GOE draws of order n,
-    from the stream of ``rng`` with the purpose "clt"."""
-    if n < 2 or reps < 1:
-        raise InvalidParameterError(f"need n >= 2, reps >= 1, got n={n}, reps={reps}")
+    from the stream of ``rng`` with the purpose "clt".
+
+    With mu = eig(G) / sqrt(n) the pair is (tr G / sqrt(n), tr G^3 /
+    n^(3/2)), and tr G^3 = <G, G G^T> for symmetric G.  Each draw's G G^T
+    is one BLAS syrk (n^3 flops) into a shared buffer, and each batch is
+    released before the next is drawn, so the peak holds one batch.  The
+    pairs agree with the eigenvalue sums of the same draws to about 1e-14
+    relative.  Orders above ``_CLT_MAX_N`` = 1448 are rejected: one draw
+    would outgrow a batch.
+    """
+    if not 2 <= n <= _CLT_MAX_N or reps < 1:
+        raise InvalidParameterError(f"need 2 <= n <= {_CLT_MAX_N}, reps >= 1, "
+                                    f"got n={n}, reps={reps}")
     gen = replace(rng, purpose="clt").generator()
     out = np.empty((reps, 2))
     batch = max(1, _CLT_BATCH_ELEMENTS // (n * n))
-    done = 0
-    while done < reps:
-        size = min(batch, reps - done)
-        mu = batch_eigenvalues(sample_goe_dense(n, size, gen)) / math.sqrt(n)
-        out[done:done + size, 0] = mu.sum(axis=1)
-        out[done:done + size, 1] = (mu ** 3).sum(axis=1)
-        done += size
+    sq = np.empty((n, n))
+    for done in range(0, reps, batch):
+        # no name holds the batch, so it is freed before the next is drawn
+        _power_sums(sample_goe_dense(n, min(batch, reps - done), gen),
+                    out[done:done + batch], sq)
+    out[:, 0] /= math.sqrt(n)
+    out[:, 1] /= n * math.sqrt(n)
     return out
+
+
+def _power_sums(g: np.ndarray, out: np.ndarray, sq: np.ndarray) -> None:
+    """Write tr G and tr G^3 = <G, G G^T> of each draw G of the batch ``g``
+    into the rows of ``out``, with G G^T in the (n, n) buffer ``sq``."""
+    out[:, 0] = np.trace(g, axis1=1, axis2=2)
+    for row, x in zip(out, g):
+        row[1] = np.vdot(x, np.matmul(x, x.T, out=sq))
 
 
 def clt_covariance_estimate(n: int, reps: int, rng: RngState) -> CovMatrix2:

@@ -80,6 +80,8 @@ Z99 = 2.5758293035489004
 # block b of a run draws from substream b, so changing the budget moves the
 # draws of every run longer than one block
 _BATCH_BUDGET = 2 ** 18
+# the largest order an estimate accepts: past it one draw outgrows a block
+MAX_N = _BATCH_BUDGET
 
 # imported on first use, as a run of one process starts no pool
 ProcessPoolExecutor = None
@@ -105,8 +107,9 @@ class TvEstimate:
 
 
 def _check_params(n: int, d: int, samples: int) -> None:
-    if n < 1 or d < n:
-        raise InvalidParameterError(f"need 1 <= n <= d, got n={n}, d={d}")
+    if not 1 <= n <= min(d, MAX_N):
+        raise InvalidParameterError(
+            f"need 1 <= n <= d and n <= {MAX_N}, got n={n}, d={d}")
     # alpha divides by d^2 in floating point
     if d * d > sys.float_info.max:
         raise InvalidParameterError(

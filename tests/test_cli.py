@@ -131,6 +131,18 @@ def test_clt_command():
     assert 15.0 < float(vals["c22"]) < 33.0
 
 
+def test_clt_command_rejects_order_beyond_one_batch():
+    # one draw at n = 1449 outgrows clt's batch of 2^21 elements
+    assert cli_dispatch(["clt", "--n", "1449", "--reps", "2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["tv", "profile"])
+def test_order_beyond_block_budget_exits_2(command):
+    # one draw at n = 2^18 + 1 outgrows a block of 2^18 draws times n
+    assert cli_dispatch([command, "--n", "262145", "--d", "262145",
+                         "--samples", "2"]) == 2
+
+
 def test_profile_command():
     code, text = run_cli(["profile", "--n", "2", "--d", "8",
                           "--samples", "50", "--seed", "2"])

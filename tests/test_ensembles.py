@@ -31,6 +31,21 @@ def test_scalar_samplers_are_batch_rows(n):
             assert sample_wishart(n, d, rng).tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+@pytest.mark.parametrize("size", [1, 4])
+def test_goe_dense_matches_index_scatter(n, size):
+    # the row-slice assembly against a scatter of the same packed normals
+    # through the triu_indices of the upper triangle, bit for bit
+    got = sample_goe_dense(n, size, RngState(n, size).generator())
+    iu = np.triu_indices(n)
+    z = RngState(n, size).generator().standard_normal((size, iu[0].size))
+    z[:, iu[0] == iu[1]] *= np.sqrt(2.0)
+    want = np.zeros((size, n, n))
+    want[:, iu[0], iu[1]] = z
+    want[:, iu[1], iu[0]] = z
+    assert got.tobytes() == want.tobytes()
+
+
 def test_invalid_order_rejected():
     with pytest.raises(InvalidParameterError):
         sample_goe(0, RngState(0))

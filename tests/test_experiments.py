@@ -44,6 +44,10 @@ def test_config_validation():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(c_grid=(0.001,), n_list=(4,))
     assert "0.001" in str(exc.value)
+    # n in [1, 2^18]: past the block budget one draw outgrows a block
+    for n_list in ((0, 4), (4, 2 ** 18 + 1)):
+        with pytest.raises(ConfigError, match="n_list"):
+            ExperimentConfig(c_grid=(1.0,), n_list=n_list)
     for seed in (-1, 2 ** 64):
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(c_grid=(1.0,), n_list=(4,), seed=seed)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -207,14 +208,50 @@ def test_clt_batch_split_keeps_the_stream(monkeypatch):
     np.testing.assert_array_equal(sample_clt_pairs(5, 101, RngState(8)), ref)
 
 
+def _eigenvalue_pairs(g):
+    """(sum mu, sum mu^3) of a dense batch by its eigenvalues."""
+    mu = batch_eigenvalues(g) / math.sqrt(g.shape[-1])
+    return np.column_stack([mu.sum(axis=1), (mu ** 3).sum(axis=1)])
+
+
 def test_clt_reads_the_clt_stream():
-    # whatever the purpose of the key it is given
-    gen = RngState(8, purpose="clt").generator()
-    mu = batch_eigenvalues(sample_goe_dense(5, 3, gen)) / math.sqrt(5)
-    ref = np.column_stack([mu.sum(axis=1), (mu ** 3).sum(axis=1)])
+    # whatever the purpose of the key it is given; the pairs are tr G /
+    # sqrt(n) and <G, G G^T> / n^(3/2) of the draws, bit for bit
+    n = 5
+    g = sample_goe_dense(n, 3, RngState(8, purpose="clt").generator())
+    ref = np.array([[np.trace(x) / math.sqrt(n),
+                     np.vdot(x, x @ x.T) / (n * math.sqrt(n))] for x in g])
+    eig = _eigenvalue_pairs(g)
     for purpose in ("tv", "clt"):
-        np.testing.assert_array_equal(
-            sample_clt_pairs(5, 3, RngState(8, purpose=purpose)), ref)
+        got = sample_clt_pairs(n, 3, RngState(8, purpose=purpose))
+        np.testing.assert_array_equal(got, ref)
+        assert np.all(np.abs(got - eig) <= 1e-12 * np.maximum(1, np.abs(eig)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 200])
+def test_clt_pairs_match_eigenvalue_sums(n):
+    # the trace reduction against the eigenvalue sums of the same draws
+    reps = 7
+    got = sample_clt_pairs(n, reps, RngState(12))
+    g = sample_goe_dense(n, reps, RngState(12, purpose="clt").generator())
+    eig = _eigenvalue_pairs(g)
+    assert np.all(np.abs(got - eig) <= 1e-12 * np.maximum(1, np.abs(eig)))
+
+
+def test_clt_peak_memory_holds_one_batch():
+    # each batch is released before the next is drawn: the peak is one
+    # dense batch plus its packed normals, not two batches
+    n = 64
+    batch = wglab.limit_theory._CLT_BATCH_ELEMENTS // (n * n)
+    one_batch = batch * n * n * 8
+    sample_clt_pairs(n, 3 * batch, RngState(13))
+    tracemalloc.start()
+    try:
+        sample_clt_pairs(n, 3 * batch, RngState(13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * one_batch
 
 
 def test_clt_covariance_validation():
@@ -222,6 +259,11 @@ def test_clt_covariance_validation():
         clt_covariance_estimate(1, 100, RngState(0))
     with pytest.raises(InvalidParameterError):
         clt_covariance_estimate(10, 1, RngState(0))
+    # the largest order is the largest whose draw fits one batch
+    top = wglab.limit_theory._CLT_MAX_N
+    assert top ** 2 <= wglab.limit_theory._CLT_BATCH_ELEMENTS < (top + 1) ** 2
+    with pytest.raises(InvalidParameterError):
+        clt_covariance_estimate(top + 1, 100, RngState(0))
 
 
 def test_yz_decoupling_matches_cholesky_sampler():
