@@ -21,7 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, InvalidParameterError
-from .experiments import emit_csv, emit_figure1_svg, parse_config, run_sweep
+from .experiments import (_SVG_MIN_C, emit_csv, emit_figure1_svg,
+                          parse_config, run_sweep)
 from .limit_theory import (LimitParams, asymptotic_tail,
                            clt_covariance_estimate, limiting_tv_closed_form,
                            limiting_tv_quadrature)
@@ -66,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_clt = sub.add_parser("clt", help="empirical CLT covariance")
     p_clt.add_argument("--n", type=int, required=True)
-    p_clt.add_argument("--reps", type=int, required=True)
+    p_clt.add_argument("--reps", type=int, required=True,
+                       help="GOE draws, from 2 to 2^22")
     p_clt.add_argument("--seed", type=int, default=0)
 
     p_sweep = sub.add_parser("sweep", help="run a configured grid")
@@ -115,6 +117,9 @@ def _cmd_clt(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     cfg = parse_config(args.config)
     cfg = replace(cfg, workers=_workers_from_env(cfg.workers))
+    # checked before the grid runs, not after it has written sweep.csv
+    if cfg.emit_svg and len(cfg.c_grid) < _SVG_MIN_C:
+        raise ConfigError(f"emit_svg needs {_SVG_MIN_C} or more c values")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(cfg)
     csv_path = cfg.out_dir / "sweep.csv"

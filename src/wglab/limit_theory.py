@@ -99,6 +99,8 @@ _CLT_BATCH_ELEMENTS = 2 ** 21
 # the largest order one batch holds a draw of (1448); with it, a batch, its
 # packed normals and the G G^T buffer bound clt's memory near 42 MB
 _CLT_MAX_N = math.isqrt(_CLT_BATCH_ELEMENTS)
+# the most draws one run takes: its (reps, 2) array of pairs is 64 MB
+_CLT_MAX_REPS = 2 ** 22
 
 
 def sample_clt_pairs(n: int, reps: int, rng: RngState) -> np.ndarray:
@@ -110,12 +112,14 @@ def sample_clt_pairs(n: int, reps: int, rng: RngState) -> np.ndarray:
     is one BLAS syrk (n^3 flops) into a shared buffer, and each batch is
     released before the next is drawn, so the peak holds one batch.  The
     pairs agree with the eigenvalue sums of the same draws to about 1e-14
-    relative.  Orders above ``_CLT_MAX_N`` = 1448 are rejected: one draw
-    would outgrow a batch.
+    relative.  Orders above ``_CLT_MAX_N`` = 1448 are rejected, as one
+    draw would outgrow a batch, and so are more than ``_CLT_MAX_REPS``
+    draws, before anything is allocated.
     """
-    if not 2 <= n <= _CLT_MAX_N or reps < 1:
-        raise InvalidParameterError(f"need 2 <= n <= {_CLT_MAX_N}, reps >= 1, "
-                                    f"got n={n}, reps={reps}")
+    if not (2 <= n <= _CLT_MAX_N and 1 <= reps <= _CLT_MAX_REPS):
+        raise InvalidParameterError(
+            f"need 2 <= n <= {_CLT_MAX_N} and 1 <= reps <= {_CLT_MAX_REPS}, "
+            f"got n={n}, reps={reps}")
     gen = replace(rng, purpose="clt").generator()
     out = np.empty((reps, 2))
     batch = max(1, _CLT_BATCH_ELEMENTS // (n * n))

@@ -25,24 +25,26 @@ number of evaluations, except the last block of an odd ``samples``,
 which drops its last mirror and so holds one unpaired draw.  The Wishart
 law has no such symmetry: there each draw is one evaluation.
 
-What is left of a pair sum u = v + v' is even under G -> -G, and its
-leading terms are products of the odd power sums.  With p_k = tr X^k,
+Each estimate is one least-squares regression over independent units: a
+pair sum u = v + v' on the GOE side, one integrand value on the Wishart
+side.  What is left of a pair sum is even under G -> -G, and its leading
+terms are products of the odd power sums.  With p_k = tr X^k,
 X = (T - dI) / sqrt(d), the even statistics p1^2, p2, p1 p3 and p3^2 of a
 draw, which its mirror shares, have exact finite-n means
-(``densities.power_sum_moments``), so they serve as control variates
-(Lavenberg and Welch 1981; Glasserman 2004, section 4.1): the GOE-side
-estimate is u-bar - beta . x-bar over the P pairs, with x those
-statistics less their means and beta the least-squares coefficients of u
-on x, and its stderr comes from the residuals, with P - 5 degrees of
-freedom.  At n = 32, c = 1 the pair variance falls about 4x.  The
-controls are skewed, and a linear fit passes their skew on to the
-estimate, so they are used only where the mean of each is nearly normal
-(``_SKEW_TOL``): never below 3,200 pairs, and at small n only far above
-(at n = 4, from about 40,000).  beta is fitted on the draws it corrects,
-which biases the estimate by O(1 / P): 0.00 +- 0.04 stderr measured at
-n = 32 and 5,000 pairs.  Elsewhere, and at n = 1, where the controls are
-collinear, beta = 0 and the estimate is the plain pair mean.  The
-unpaired draw of an odd ``samples`` enters uncontrolled.
+(``densities.power_sum_moments``), so they serve as m = 4 control
+variates (Lavenberg and Welch 1981; Glasserman 2004, section 4.1): the
+estimate is u-bar - beta . x-bar over the P units, with x those statistics
+less their means and beta the least-squares coefficients of u on x, and
+its stderr comes from the residuals, with P - 1 - m degrees of freedom.
+At n = 32, c = 1 the pair variance falls about 4x.  The controls are
+skewed, and a linear fit passes their skew on to the estimate, so they
+are used only where the mean of each is nearly normal (``_SKEW_TOL``):
+never below 3,200 pairs, and at small n only far above (at n = 4, from
+about 40,000).  beta is fitted on the draws it corrects, which biases the
+estimate by O(1 / P): 0.00 +- 0.04 stderr measured at n = 32 and 5,000
+pairs.  Elsewhere, on the Wishart side, and at n = 1, where the controls
+are collinear, m = 0: beta = [] and the estimate is the plain mean of the
+units.  The unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
@@ -139,8 +141,8 @@ def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
     """Yield, for each of blocks first..stop-1, the tridiagonal batch
     ``(dev, off2)`` it draws, in arrays made by ``empty(shape)``, the
     ``(alpha, in_q, psd, integrand)`` arrays of its evaluations and, where
-    ``_controlled``, a (6, k) array for the ``_pair_gram`` of its k draws,
-    with their ``power_sums`` in rows 2 to 4 (None elsewhere).
+    m = 4 (``_controls``), a (6, k) array for the ``_unit_gram`` of its k
+    draws, with their ``power_sums`` in rows 2 to 4 (None elsewhere).
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
@@ -154,7 +156,7 @@ def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
     """
     batch = _batch_size(n, side)
     mirrored = side == GOE_SIDE
-    controlled = mirrored and _controlled(samples)
+    m = _controls(side, samples)
     draw = goe_tridiagonal if mirrored else wishart_tridiagonal
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
@@ -162,9 +164,9 @@ def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
         with SCRATCH.frame():
             dev, off2 = draw(n, d, size - size // 2 if mirrored else size,
                              gen, empty)
-            rows = empty((6, dev.shape[1])) if controlled else None
+            rows = empty((m + 2, dev.shape[1])) if m else None
             alpha, q, psd = (x[:size] for x in alpha_from_tridiagonal(
-                dev, off2, n, d, mirrored, rows[2:5] if controlled else None))
+                dev, off2, n, d, mirrored, rows[2:5] if m else None))
             yield dev, off2, alpha, q, psd, _integrand(alpha, side), rows
 
 
@@ -185,46 +187,46 @@ def _controlled(samples: int) -> bool:
     return samples // 2 >= 8 / _SKEW_TOL ** 2
 
 
-# the upper triangle of a symmetric 6 x 6 matrix, row by row, and the place
-# of its entry (i, j) in that list
-_UPPER = np.triu_indices(6)
-_AT = np.zeros((6, 6), int)
-_AT[_UPPER] = _AT[_UPPER[::-1]] = np.arange(21)
-_AT = _AT.tolist()
+def _controls(side: str, samples: int) -> int:
+    """m, the control variates of a run: 4 if GOE-side and ``_controlled``."""
+    return 4 if side == GOE_SIDE and _controlled(samples) else 0
 
 
 def _block_stats(task):
     """Per-block partials of one task's range: (sum, sumsq) of the
-    integrand values, (sum, sumsq) of the antithetic pair sums, the Q and
-    PSD counts and, where ``_controlled``, the ``_pair_gram`` of the
-    pairs."""
-    n, d = task[:2]
+    integrand values, the Q and PSD counts and the ``_unit_gram`` of the
+    block's units."""
+    n, d, _, _, side = task[:5]
     parts = []
     for dev, _, _, q, psd, values, rows in _blocks(*task, SCRATCH.take):
-        # draw j pairs with evaluation k + j; no draw does on the Wishart side
-        k = dev.shape[1]
-        pairs = values[:values.size - k] + values[k:]
+        # a GOE-side unit is the pair of draw j and evaluation k + j; a
+        # Wishart-side unit is one value
+        k = dev.shape[1] if side == GOE_SIDE else 0
+        units = values[:values.size - k] + values[k:] if k else values
         parts.append((float(values.sum()), float((values * values).sum()),
-                      float(pairs.sum()), float((pairs * pairs).sum()),
                       int(np.count_nonzero(q)), int(np.count_nonzero(psd)),
-                      *([] if rows is None else _pair_gram(pairs, rows, n, d))))
+                      *_unit_gram(units, rows, n, d)))
     return parts
 
 
-def _pair_gram(pairs, rows, n, d):
-    """Partial sums for the control variates over a GOE-side block's
-    antithetic pairs: the upper triangle of sum z z^T, 21 floats, then
-    sum x^3, 4 floats.  ``rows`` is the block's (6, k) array from
-    ``_blocks``, which becomes z, one column per pair.
+def _unit_gram(units, rows, n, d):
+    """Partial sums for the fit over a block's P units: sum z z^T, row by
+    row, (m + 2)^2 floats, then sum x^3, m floats.  Where m = 4, ``rows``
+    is the block's (6, k) array from ``_blocks``, whose first P columns
+    become z, one column per unit; where m = 0 it is None.
 
-    z = (1, u, x) for pair j has its pair sum u and the four control
+    z = (1, u, x) for unit j has its value u and the four control
     statistics x of its draw j: with p_k = tr X^k, X = (T - dI) / sqrt(d),
     the even products p1^2, p2, p3^2 and p1 p3, less their exact means
     ``power_sum_moments(n)``.  A draw and its mirror share x.
     """
-    z = rows[:, :pairs.size]
+    if rows is None:
+        # numpy's pairwise sums, which need no z and round less than einsum
+        total = float(units.sum())
+        return [float(units.size), total, total, float((units * units).sum())]
+    z = rows[:, :units.size]
     z[0] = 1.0
-    z[1] = pairs
+    z[1] = units
     # p1, p2 and p3 of T - dI to those of X, then p1 p3 and the squares
     root = math.sqrt(d)
     z[2:5] *= np.array([[1.0 / root], [1.0 / d], [1.0 / (d * root)]])
@@ -235,7 +237,7 @@ def _pair_gram(pairs, rows, n, d):
     # numpy's own loops: z @ z.T would fault in half a megabyte of BLAS
     # buffers in a process that made no BLAS call before
     x = z[2:]
-    return (np.einsum("ij,kj->ik", z, z)[_UPPER].tolist()
+    return (np.einsum("ij,kj->ik", z, z).ravel().tolist()
             + np.einsum("ij,ij,ij->i", x, x, x).tolist())
 
 
@@ -254,57 +256,55 @@ def mc_summary(mean: float, stderr: float):
             min(mean + Z99 * stderr, 1.0))
 
 
-def _pair_fit(cv, plain):
-    """Control variates over the P antithetic pairs from the merged
-    ``_pair_gram`` partials ``cv`` and the plain sample variance ``plain``
-    of a pair sum: (beta . sum x, the variance of one pair sum about the
-    fit, plain over that).
+def _unit_fit(cv, m):
+    """The regression of the P units on m controls from the merged
+    ``_unit_gram`` partials ``cv``: (beta . sum x, the variance of one unit
+    about the fit, the plain variance of a unit over that).
 
-    The pair sums u are regressed on the centered controls x (Lavenberg
-    and Welch 1981): beta solves Cxx beta = Cxu on the centered
-    cross-products, and the residual variance, (Cuu - beta . Cxu) / (P - 5),
-    has P - 5 degrees of freedom.  Gaussian elimination needs no pivoting,
-    as Cxx is positive definite; its i-th pivot is the part of control i's
-    variance that the ones before it leave unexplained.  Where a pivot is
-    below 1e-10 of that variance the controls are collinear, as at n = 1,
-    where p2 = p1^2 leaves a share of rounding size, 1e-16; the least
-    measured at n >= 2 was 2e-7 (n = 2, 7 pairs).  There, where P <= 5 and
-    where the mean of a control is too skewed (``_SKEW_TOL``), beta = 0:
-    the variance is ``plain`` and the ratio is 1.  The 4 x 4 system is
-    small enough to solve in Python, and the pivots of the elimination are
-    the collinearity test.
+    The units u are regressed on the centered controls x (Lavenberg and
+    Welch 1981): beta solves Cxx beta = Cxu on the centered
+    cross-products, and the residual variance, (Cuu - beta . Cxu) /
+    (P - 1 - m), has P - 1 - m degrees of freedom.  Gaussian elimination
+    needs no pivoting, as Cxx is positive definite; its i-th pivot is the
+    part of control i's variance that the ones before it leave
+    unexplained.  Where a pivot is below 1e-10 of that variance the
+    controls are collinear, as at n = 1, where p2 = p1^2 leaves a share of
+    rounding size, 1e-16; the least measured at n >= 2 was 2e-7 (n = 2,
+    7 pairs).  There, where P <= 1 + m and where the mean of a control is
+    too skewed (``_SKEW_TOL``), the fit is the m = 0 one: beta = [], the
+    sample variance of the units, and a ratio of 1.
     """
-    gram, cubes = cv[:21], cv[21:]
-    pairs = int(gram[0])
-    if pairs <= 5:
-        return 0.0, plain, 1.0
+    size = m + 2
+    gram = [cv[i * size:(i + 1) * size] for i in range(size)]
+    units = gram[0][0]
+    plain = 0.0, sample_variance(gram[0][1], gram[1][1], units), 1.0
+    if not m or units <= 1 + m:
+        return plain
     # rows [Cxx | Cxu] of the centered cross-products; G_0i is sum z_i
-    rows = [[gram[_AT[i][j]] - gram[i] * gram[j] / pairs
-             for j in (2, 3, 4, 5, 1)] for i in (2, 3, 4, 5)]
-    var = [rows[i][i] / pairs for i in range(4)]
-    cxu = [row[4] for row in rows]
-    for i, cube in enumerate(cubes):
-        # the central third moment, from the raw sums of x, x^2 and x^3
-        mean = gram[i + 2] / pairs
-        third = (cube / pairs - 3.0 * mean * (var[i] + mean * mean)
-                 + 2.0 * mean ** 3)
-        if not third * third <= _SKEW_TOL ** 2 * pairs * var[i] ** 3:
-            return 0.0, plain, 1.0
+    rows = [[gram[i][j] - gram[0][i] * gram[0][j] / units
+             for j in (*range(2, size), 1)] for i in range(2, size)]
+    var = [rows[i][i] / units for i in range(m)]
+    cxu = [row[m] for row in rows]
     for i, row in enumerate(rows):
-        if not row[i] > 1e-10 * pairs * var[i]:
-            return 0.0, plain, 1.0
+        # the central third moment, from the raw sums of x, x^2 and x^3
+        mean = gram[0][i + 2] / units
+        third = (cv[size * size + i] / units
+                 - 3.0 * mean * (var[i] + mean * mean) + 2.0 * mean ** 3)
+        if not (third * third <= _SKEW_TOL ** 2 * units * var[i] ** 3
+                and row[i] > 1e-10 * units * var[i]):
+            return plain
         for below in rows[i + 1:]:
             f = below[i] / row[i]
-            for j in range(i + 1, 5):
+            for j in range(i + 1, m + 1):
                 below[j] -= f * row[j]
-    beta = [0.0] * 4
-    for i in (3, 2, 1, 0):
+    beta = [0.0] * m
+    for i in reversed(range(m)):
         row = rows[i]
-        beta[i] = (row[4] - _dot(row[i + 1:4], beta[i + 1:])) / row[i]
-    resid = gram[6] - gram[1] ** 2 / pairs - _dot(beta, cxu)
-    resid = max(resid, 0.0) / (pairs - 5)
-    shift = _dot(beta, gram[2:6])
-    return shift, resid, plain / resid if resid > 0 else 1.0
+        beta[i] = (row[m] - _dot(row[i + 1:m], beta[i + 1:])) / row[i]
+    resid = gram[1][1] - gram[0][1] ** 2 / units - _dot(beta, cxu)
+    resid = max(resid, 0.0) / (units - 1 - m)
+    return (_dot(beta, gram[0][2:]), resid,
+            plain[1] / resid if resid > 0 else 1.0)
 
 
 def _dot(a, b):
@@ -314,17 +314,17 @@ def _dot(a, b):
 def _estimate(n, d, samples, rng, side, workers):
     """The estimate of N = ``samples`` integrand values v.
 
-    On the Wishart side the values are independent: the mean, and stderr
-    sqrt(var(v) / N).  On the GOE side the independent units are the
-    P = floor(N / 2) antithetic pairs and, for odd N, one unpaired value;
-    the mean is (sum v - beta . sum x) / N, with beta and the pair
-    variance var(u) from ``_pair_fit`` where ``_controlled``, and beta = 0
-    with the sample variance of the pair sums elsewhere, and
+    The independent units are the P = N values on the Wishart side, and
+    on the GOE side the P = floor(N / 2) antithetic pairs and, for odd N,
+    one unpaired value.  The mean is (sum v - beta . sum x) / N, with beta
+    and the variance var(u) of a unit from ``_unit_fit`` on the run's
+    ``_controls``, and
 
-        stderr = sqrt(P var(u) + (N mod 2) var(v)) / N.
+        stderr = sqrt(P var(u) + r var(v)) / N,
 
-    var(v) is the sample variance over all N values, taken as 0 for fewer
-    than two of them, so N = 1 gives stderr 0.
+    with r the number of unpaired values: N mod 2 on the GOE side, 0 on
+    the Wishart side.  var(v) is the sample variance over all N values,
+    taken as 0 for fewer than two of them, so N = 1 gives stderr 0.
     """
     _check_params(n, d, samples)
     if workers < 1:
@@ -343,16 +343,11 @@ def _estimate(n, d, samples, rng, side, workers):
             parts = [p for task in pool.map(_block_stats, tasks) for p in task]
     else:
         parts = _block_stats(tasks[0])
-    s, ss, ps, pss, n_q, n_psd, *cv = (math.fsum(col) for col in zip(*parts))
-    var = sample_variance(s, ss, samples)
-    if side == WISHART_SIDE:
-        shift, stderr, ratio = 0.0, math.sqrt(var / samples), 1.0
-    else:
-        pairs, single = divmod(samples, 2)
-        plain = sample_variance(ps, pss, pairs)
-        shift, var_pair, ratio = (_pair_fit(cv, plain) if cv
-                                  else (0.0, plain, 1.0))
-        stderr = math.sqrt(pairs * var_pair + single * var) / samples
+    s, ss, n_q, n_psd, *cv = (math.fsum(col) for col in zip(*parts))
+    shift, var_unit, ratio = _unit_fit(cv, _controls(side, samples))
+    single = samples % 2 if side == GOE_SIDE else 0
+    stderr = math.sqrt(cv[0] * var_unit + single * sample_variance(
+        s, ss, samples)) / samples
     return TvEstimate(*mc_summary((s - shift) / samples, stderr),
                       samples=samples, side=side, seed=rng.seed, n=n, d=d,
                       frac_in_q=n_q / samples, frac_psd=n_psd / samples,

@@ -136,6 +136,13 @@ def test_clt_command_rejects_order_beyond_one_batch():
     assert cli_dispatch(["clt", "--n", "1449", "--reps", "2"]) == 2
 
 
+@pytest.mark.parametrize("reps", [2 ** 22 + 1, 10 ** 18])
+def test_clt_command_rejects_reps_beyond_the_bound(reps):
+    # checked before the (reps, 2) array of pairs is allocated; 10^18 once
+    # escaped as numpy's "array is too big" ValueError
+    assert cli_dispatch(["clt", "--n", "2", "--reps", str(reps)]) == 2
+
+
 @pytest.mark.parametrize("command", ["tv", "profile"])
 def test_order_beyond_block_budget_exits_2(command):
     # one draw at n = 2^18 + 1 outgrows a block of 2^18 draws times n
@@ -222,6 +229,16 @@ def test_sweep_command_bad_config(tmp_path):
     cfg.write_text("c_grid = 0.5, 0.25\nn_list = 4\n")
     assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
     assert cli_dispatch(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_sweep_command_rejects_svg_with_few_c_before_running(tmp_path):
+    # figure 1 needs 5 c values; 3 are refused before any point runs, so
+    # no sweep.csv is written
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("c_grid = 0.5, 1, 2\nn_list = 2, 3\nsamples = 20\n"
+                   f"emit_svg = true\nout_dir = {tmp_path / 'out'}\n")
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("c", ["inf", "nan"])

@@ -366,41 +366,71 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
                                    est.ci_hi)))
 
 
-def _partials(u, x):
-    """The merged ``_pair_gram`` partials of pair sums u and controls x."""
+def _partials(u, x=None):
+    """The merged ``_unit_gram`` partials of units u and controls x (none
+    by default)."""
+    x = np.empty((0, u.size)) if x is None else x
     z = np.vstack([np.ones(u.size), u, x])
-    return (z @ z.T)[tv_mc._UPPER].tolist() + (x ** 3).sum(axis=1).tolist()
+    return (z @ z.T).ravel().tolist() + (x ** 3).sum(axis=1).tolist()
 
 
-def test_pair_fit_rejects_nearly_collinear_controls():
+def test_unit_fit_without_controls_is_the_sample_variance():
+    # m = 0: beta = [], the sample variance of the units and a ratio of 1;
+    # with at most one unit the variance is 0
+    u = np.random.default_rng(2).standard_normal(1001) + 0.5
+    shift, var, ratio = tv_mc._unit_fit(_partials(u), 0)
+    assert (shift, ratio) == (0.0, 1.0)
+    assert var == pytest.approx(float(np.var(u, ddof=1)), rel=1e-15)
+    for size in (0, 1):
+        assert tv_mc._unit_fit(_partials(u[:size]), 0) == (0.0, 0.0, 1.0)
+
+
+def test_unit_fit_rejects_nearly_collinear_controls():
     # two controls equal up to a relative 1e-7 leave the second a share of
     # about 1e-14 of its variance, below 1e-10: no control is used, where
     # a test for an exactly zero pivot would fit rounding noise
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 5000))
     u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
-    plain = float(np.var(u, ddof=1))
+    plain = tv_mc._unit_fit(_partials(u), 0)
+    assert plain[1] == pytest.approx(float(np.var(u, ddof=1)), rel=1e-12)
     near = x.copy()
     near[1] = x[0] * (1.0 + 1e-7 * rng.standard_normal(5000))
-    assert tv_mc._pair_fit(_partials(u, near), plain) == (0.0, plain, 1.0)
+    assert tv_mc._unit_fit(_partials(u, near), 4) == plain
     # with independent controls the fit removes x[0]'s part of u
-    shift, var, ratio = tv_mc._pair_fit(_partials(u, x), plain)
+    shift, var, ratio = tv_mc._unit_fit(_partials(u, x), 4)
     assert shift == pytest.approx(float(x[0].sum()), rel=0.05)
     assert var == pytest.approx(0.01, rel=0.1) and ratio > 50
 
 
-def test_pair_fit_skewness_test():
+def test_unit_fit_skewness_test():
     # a control's skewness is taken about its sample mean, so an offset
     # symmetric control passes; one whose mean over P = 5,000 is skewed by
     # more than 0.05 (skewness above 3.5) turns the controls off
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 5000))
     u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
-    plain = float(np.var(u, ddof=1))
     x[3] += 10.0
-    assert tv_mc._pair_fit(_partials(u, x), plain)[2] > 50
+    assert tv_mc._unit_fit(_partials(u, x), 4)[2] > 50
     x[3] = rng.exponential(size=5000) ** 3
-    assert tv_mc._pair_fit(_partials(u, x), plain) == (0.0, plain, 1.0)
+    assert tv_mc._unit_fit(_partials(u, x), 4) == tv_mc._unit_fit(
+        _partials(u), 0)
+
+
+def test_wishart_side_is_the_plain_mean(monkeypatch):
+    # the Wishart side fits no control: over four blocks the mean is the
+    # block-order sum of the values over N, and the stderr the i.i.d. one
+    monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 500 * 8)
+    n, d, samples, side = 8, 512, 1701, tv_mc.WISHART_SIDE
+    est = tv_estimate_wishart_side(n, d, samples, RngState(17))
+    assert tv_mc._block_count(n, samples, side) == 4
+    blocks = [values.copy() for *_, values, _ in tv_mc._blocks(
+        n, d, samples, RngState(17), side, 0, 4)]
+    values = np.concatenate(blocks)
+    assert values.size == samples and est.var_ratio == 1.0
+    assert est.mean == math.fsum(float(v.sum()) for v in blocks) / samples
+    assert est.stderr == pytest.approx(
+        math.sqrt(np.var(values, ddof=1) / samples), rel=1e-12)
 
 
 def test_control_variate_bias_and_spread():
