@@ -188,7 +188,7 @@ def _controlled(samples: int) -> bool:
 
 
 def _controls(side: str, samples: int) -> int:
-    """m, the control variates of a run: 4 if GOE-side and ``_controlled``."""
+    """m, the number of controls: 4 on a GOE-side run where ``_controlled``."""
     return 4 if side == GOE_SIDE and _controlled(samples) else 0
 
 
