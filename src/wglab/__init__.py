@@ -22,7 +22,8 @@ from .rng import RngState
 from .spectral import (Spectrum, empirical_moment, normalize_spectrum,
                        semicircle_moment, symmetric_eigenvalues)
 from .tv_mc import (TvEstimate, tv_estimate_goe_side,
-                    tv_estimate_wishart_side, tv_profile)
+                    tv_estimate_wishart_side, tv_estimates_goe_side,
+                    tv_profile)
 
 __all__ = [
     "AlphaBreakdown", "ConfigError", "CovMatrix2", "DomainError",
@@ -35,7 +36,7 @@ __all__ = [
     "normalize_spectrum", "parse_config", "run_sweep", "s_decomposition",
     "s_limit_vector", "sample_goe", "sample_wishart", "semicircle_moment",
     "shift_scale_goe", "symmetric_eigenvalues", "tv_estimate_goe_side",
-    "tv_estimate_wishart_side", "tv_profile",
+    "tv_estimate_wishart_side", "tv_estimates_goe_side", "tv_profile",
 ]
 
 __version__ = "0.1.0"

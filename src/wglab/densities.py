@@ -17,20 +17,20 @@ remainder, so that the log d terms cancel exactly.
 Summed over the spectrum, h needs no eigenvalues: sum_i log(lambda_i / d) is
 log det(T / d), sum_i (lambda_i - d) is tr(T - dI) and sum_i (lambda_i - d)^2
 is ||T - dI||_F^2.  ``alpha_from_tridiagonal``, the Monte Carlo hot path,
-takes these from a batch of symmetric tridiagonal T in O(n) per draw: the
-determinant from the LDL^T pivot recurrence, the Q-window flag from a
-Gershgorin bound with Sturm counts where it cannot decide, and the PSD flag
-from the pivots with a Sturm count where they are not all positive.  The
-eigenvalue functions stay as its test reference; the scalar ones are size-1
-views of the batch ones.
+takes these from a tridiagonal batch X, T = dI + sqrt(d) X, at a group of
+d values in O(n) per draw and d: the determinant from the LDL^T pivots, the
+d-free Q-window flag from a Gershgorin bound with Sturm counts where it
+cannot decide, and the PSD flag from the pivots with a Sturm count where
+they are not all positive.  The eigenvalue functions stay as its test
+reference; the scalar ones are size-1 views of the batch ones.
 
 ``s_decomposition`` splits alpha into the constant, linear, quadratic, cubic
 and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
 structure that drives the whole phase-transition analysis; the coefficients
 h_k / k! of h at d come from ``_taylor_terms`` alone.
 ``breakdown_columns`` gives the same split over a tridiagonal batch from
-O(n) trace formulas, p1..p3 from ``power_sums``, which also feeds the
-Monte Carlo control variates; a spectrum is the diagonal case.  Their
+O(n) trace formulas, p1..p3 of X from ``power_sums``, which also feeds
+the Monte Carlo control variates; a spectrum is the diagonal case.  Their
 exact means under the GOE are ``power_sum_moments``.
 """
 
@@ -203,96 +203,102 @@ def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
     return count
 
 
-def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int,
-                           d: int, mirrored: bool = False, sums=None):
-    """alpha, the Q-window flag and the PSD flag over a tridiagonal batch
-    and, if ``mirrored``, over the mirrors of all its columns, in one pass.
+def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
+                           mirrored: bool = False):
+    """alpha, the Q-window flag and the PSD flag of T = dI + sqrt(d) X at
+    each d of ``ds`` over a tridiagonal batch X and, if ``mirrored``, over
+    the mirrors of all its columns, in one pass.
 
-    ``dev`` is the (n, k) array of diagonal deviations T_ii - d and
-    ``off2`` the (n - 1, k) array of squared off-diagonals, one column per
-    draw.  The mirror of a column is the same T with ``dev`` negated.
-    Returns ``(alpha, in_q, psd)``, each of shape (k,), or (2k,) with
-    mirrors: the columns as given, then their mirrors in the same order.
-    A caller that needs an odd number of evaluations drops the last mirror.
+    ``dev`` is the (n, k) array of the diagonals of X and ``off2`` the
+    (n - 1, k) array of its squared off-diagonals, one column per draw.
+    The mirror of a column is the same X with ``dev`` negated.  Returns
+    ``(alpha, in_q, psd)``: alpha and psd of shape (len(ds), k), or
+    (len(ds), 2k) with mirrors, one row per d, and in_q of shape (k,) or
+    (2k,): the columns as given, then their mirrors in the same order.  A
+    caller that needs an odd number of evaluations drops the last mirror.
     The flags mean what ``alpha_from_eigenvalues`` and ``in_q_mask`` mean on
     the eigenvalues of T, and psd means lambda_min >= -TOL_PSD_SCALE * d.
-    A (3, k) array ``sums``, if given, receives the ``power_sums`` of the
-    columns as given: the pass needs p1 and p2 anyway, and p3 costs three
-    column dot products more.
+    Every operation is per (d, column), so no result depends on the other
+    d values or columns of the call.
 
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
-    w_i = dev_i / d - (off2_{i-1} / d^2) / (1 + w_{i-1}); alpha is -inf
-    unless every pivot 1 + w_i is positive.  A column whose pivots are all
-    positive is positive definite, so it is PSD.  A Gershgorin bound
-    certifies most columns inside the Q window.  The window is symmetric
-    about d and a mirror's spectrum is its draw's reflected about d, so a
-    mirror takes its draw's Q flag; it also takes its draw's trace, negated,
-    and Frobenius norm.  One Sturm count, at the window's edges (an
-    eigenvalue on an edge is inside) and at the PSD thresholds of T and its
-    mirror (one on a threshold is PSD), decides the columns left.  The
-    pivot recurrence runs on T and on its mirror.  The (n, k)
-    intermediates live in the scratch buffer.
+    w_i = a_i - b_{i-1} / (1 + w_{i-1}), with a = dev / sqrt(d) and
+    b = off2 / d; alpha is -inf unless every pivot 1 + w_i is positive,
+    and a column whose pivots are, is PSD.  The pivots run row by row, on
+    T and its mirror at every d at once: O(len(ds) k) floats.  The trace
+    and Frobenius norm of X (a mirror's trace is its draw's negated) do not
+    depend on d, nor does the Q window, |lambda(X)| <= 3 sqrt(n), which is
+    symmetric about 0, so a mirror takes its draw's flag.  A Gershgorin
+    bound on X certifies most columns inside it, and Sturm counts on X
+    decide the rest: once at the window's edges (an eigenvalue on an edge
+    is inside), and per d at the PSD thresholds of T and its mirror (one
+    on a threshold is PSD).
     """
-    if d < n:
-        raise InvalidParameterError(f"need d >= n, got n={n}, d={d}")
+    if min(ds) < n:
+        raise InvalidParameterError(f"need d >= n, got n={n}, d={min(ds)}")
     k = dev.shape[1]
-    const = spectrum_constant(n, d)
-    # the Q window and the PSD threshold on the scale of T / d - I
-    half, low = q_half_width(n, d) / d, -1.0 - TOL_PSD_SCALE
-    alpha, pd = [], []
+    signs = np.array([1.0, -1.0][:1 + mirrored]).reshape(-1, 1, 1)
+    d = np.array(ds, float).reshape(-1, 1)
+    root = np.sqrt(d)
+    half = q_half_width(n, 1)
     with SCRATCH.frame() as take:
-        a = np.divide(dev, d, out=take(dev.shape))
-        b = np.divide(off2, float(d) ** 2, out=take(off2.shape))
-        pivmin = _SAFMIN * np.max(b, axis=0, initial=1.0)
-        sums = take((2, k)) if sums is None else sums
-        total, frob2 = sums[:2]
-        with SCRATCH.frame() as take:
-            # Gershgorin: every eigenvalue of T / d - I lies within
-            # max_i(|a_i| + e_{i-1} + e_i) of 0, with e = sqrt(b).  The
-            # margin of 1e-9 half dominates the rounding of this bound and
-            # of the Sturm count, which moves an eigenvalue by a few ulps
-            # of half, so a certified column is one the count would find
-            # inside
-            e = np.sqrt(b, out=take(b.shape))
-            radius = np.abs(a, out=take(a.shape))
-            radius[:-1] += e
-            radius[1:] += e
-            q = radius.max(axis=0) < half * (1.0 - 1e-9)
-            power_sums(dev, off2, radius, sums)
-        for sign in (1.0, -1.0)[:1 + mirrored]:
-            with SCRATCH.frame() as take:
+        # Gershgorin: every eigenvalue of X lies within
+        # max_i(|x_i| + e_{i-1} + e_i) of 0, with e = sqrt(off2).  The
+        # margin of 1e-9 half dominates the rounding of this bound and of
+        # the Sturm count, which moves an eigenvalue by a few ulps of half,
+        # so a certified column is one the count would find inside
+        e = np.sqrt(off2, out=take(off2.shape))
+        radius = np.abs(dev, out=take(dev.shape))
+        radius[:-1] += e
+        radius[1:] += e
+        q = radius.max(axis=0) < half * (1.0 - 1e-9)
+    with SCRATCH.frame() as take:
+        b = take((1, d.size, k))
+        w, p, logdet, least = (take((signs.size, d.size, k))
+                               for _ in range(4))
+        b[...] = w[...] = logdet[...] = 0.0
+        least[...] = np.inf
+        # the pivots of the mirror are those of T with a negated
+        scale = signs * root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(n):
                 # a column whose pivot 1 + w_i is pivmin or less is not
-                # positive definite; what the recurrence computes after
-                # that pivot is discarded
-                w = np.multiply(a, sign, out=take((n, k)))
-                p = take((k,))
-                with np.errstate(divide="ignore", invalid="ignore",
-                                 over="ignore"):
-                    for i in range(1, n):
-                        np.add(w[i - 1], 1.0, out=p)
-                        np.divide(b[i - 1], p, out=p)
-                        w[i] -= p
-                    # 1 + w_i > pivmin for every i: x -> 1 + x is monotone
-                    pd.append(np.add(w.min(axis=0), 1.0) > pivmin)
-                    logdet = np.log1p(w, out=w).sum(axis=0)
-            side = (0.5 * ((d - n - 1) * logdet - sign * total
-                           + frob2 / (2.0 * d)) + const)
-            side[~pd[-1]] = -np.inf
-            alpha.append(side)
-        undecided = np.flatnonzero(~(q & pd[0] & pd[-1]))
-        if undecided.size:
-            # pd becomes the PSD flag.  The Sturm pivots of T at -x are
-            # those of -T at x, negated, so the counts at -half and at
-            # -low, with ties the other way, are the mirror's at half and low
-            counts = _sturm_counts(a[:, undecided], b[:, undecided],
-                                   np.array([-half, half, low, -low]),
-                                   pivmin[undecided],
-                                   ties=np.array([1.0, -1.0, 1.0, -1.0]))
-            q[undecided] |= (counts[0] == 0) & (counts[1] == n)
-            for flag, psd in zip(pd, (counts[2] == 0, counts[3] == n)):
-                flag[undecided] |= psd
-    return (np.concatenate(alpha), np.concatenate([q] * len(pd)),
-            np.concatenate(pd))
+                # positive definite; what follows that pivot is discarded
+                np.add(w, 1.0, out=p)
+                np.divide(b, p, out=p)
+                np.divide(dev[i], scale, out=w)
+                w -= p
+                logdet += np.log1p(w, out=p)
+                np.minimum(least, w, out=least)
+                if i < n - 1:
+                    np.divide(off2[i], d, out=b[0])
+        # 1 + w_i > pivmin for every i, on the scale of T / d
+        pd = least + 1.0 > _SAFMIN * np.maximum(
+            np.max(off2, axis=0, initial=0.0) / d, 1.0)
+        # the trace and Frobenius norm of T - dI are sqrt(d) p1 and d p2
+        p1, p2 = power_sums(dev, off2, take((2, k)))
+        alpha = (0.5 * ((d - n - 1) * logdet - signs * (root * p1) + 0.5 * p2)
+                 + [[spectrum_constant(n, x)] for x in ds])
+    alpha[~pd] = -np.inf
+    # the Sturm pivots of X at -s are those of -X at s, negated, so the
+    # count at -s with ties the other way is the mirror's at s
+    checks = [(None, np.flatnonzero(~q), half)] + [
+        (j, np.flatnonzero(~pd[:, j].all(axis=0)),
+         (1.0 + TOL_PSD_SCALE) * root[j, 0]) for j in range(d.size)]
+    for j, cols, s in checks:
+        if cols.size:
+            counts = _sturm_counts(dev[:, cols], off2[:, cols],
+                                   np.array([-s, s]), _SAFMIN * np.max(
+                                       off2[:, cols], axis=0, initial=1.0),
+                                   ties=np.array([1.0, -1.0]))
+            below, above = counts[0] == 0, counts[1] == n
+            if j is None:
+                q[cols] |= below & above
+            else:
+                for flag, ok in zip(pd[:, j], (below, above)):
+                    flag[cols] |= ok
+    return (np.concatenate(alpha, axis=1), np.concatenate([q] * signs.size),
+            np.concatenate(pd, axis=1))
 
 
 def q_half_width(n: int, d: int) -> float:
@@ -327,27 +333,26 @@ def s0_term(n: int, d: float) -> float:
     return -n ** 3 / (12.0 * d)
 
 
-def power_sums(dev: np.ndarray, off2: np.ndarray, square: np.ndarray,
+def power_sums(dev: np.ndarray, off2: np.ndarray,
                out: np.ndarray) -> np.ndarray:
-    """The power sums p_k = tr((T - dI)^k), k = 1, 2 and, if ``out`` has a
-    third row, 3, of each column of a tridiagonal batch, written to the
-    rows of ``out``, of shape (2, k) or (3, k), and returned.
+    """The power sums p_k = tr(X^k), k = 1, 2 and, if ``out`` has a third
+    row, 3, of each column of a tridiagonal batch X, written to the rows of
+    ``out``, of shape (2, k) or (3, k), and returned.
 
-    ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal``; ``square``,
-    an array of dev's shape, is overwritten with dev^2.  With a = dev and
-    e^2 = off2,
+    ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal``.  With
+    x = dev and e^2 = off2,
 
-        p1 = sum a,   p2 = sum a^2 + 2 sum e_i^2,
-        p3 = sum a^3 + 3 sum e_i^2 (a_i + a_{i+1}),
+        p1 = sum x,   p2 = sum x^2 + 2 sum e_i^2,
+        p3 = sum x^3 + 3 sum e_i^2 (x_i + x_{i+1}),
 
-    p3 from column dot products, which make no other (n, k) array.
+    from column dot products, which make no other (n, k) array.
     """
     p1, p2, *cube = out
     dev.sum(axis=0, out=p1)
-    np.multiply(dev, dev, out=square).sum(axis=0, out=p2)
+    np.einsum("ij,ij->j", dev, dev, out=p2)
     p2 += 2.0 * off2.sum(axis=0)
     for p3 in cube:
-        np.einsum("ij,ij->j", square, dev, out=p3)
+        np.einsum("ij,ij,ij->j", dev, dev, dev, out=p3)
         p3 += 3.0 * (np.einsum("ij,ij->j", off2, dev[:-1])
                      + np.einsum("ij,ij->j", off2, dev[1:]))
     return out
@@ -367,28 +372,32 @@ def power_sum_moments(n: int) -> tuple[int, int, int, int]:
 
 def breakdown_columns(dev: np.ndarray, off2: np.ndarray, alpha: np.ndarray,
                       n: int, d: int):
-    """s0..s4 and the remainder of each column of a tridiagonal batch.
+    """s0..s4 and the remainder of T = dI + sqrt(d) X for each column X of
+    a tridiagonal batch.
 
     ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal`` and alpha is
     given per column.  Returns ``(s0, s1, s2, s3, s4, remainder)``: s0 is
     one float, the others arrays of shape (size,), and the entries of a
     column with alpha = -inf (not positive definite) mean nothing.
-    s1..s4 come from O(n) trace formulas: p1..p3 from ``power_sums`` and,
-    with r_i = a_i^2 + e_{i-1}^2 + e_i^2 the diagonal of (T - dI)^2,
+    s1..s4 come from O(n) trace formulas: tr (T - dI)^k = d^(k/2) p_k,
+    with p1..p3 from ``power_sums`` and, with r_i = x_i^2 + e_{i-1}^2 +
+    e_i^2 the diagonal of X^2,
 
-        p4 = sum r^2 + 2 sum e_i^2 (a_i + a_{i+1})^2 + 2 sum e_i^2 e_{i+1}^2.
+        p4 = sum r^2 + 2 sum e_i^2 (x_i + x_{i+1})^2 + 2 sum e_i^2 e_{i+1}^2.
     """
-    r = np.empty_like(dev)
-    p1, p2, p3 = power_sums(dev, off2, r, np.empty((3, dev.shape[1])))
+    p1, p2, p3 = power_sums(dev, off2, np.empty((3, dev.shape[1])))
+    r = dev * dev
     pair = dev[:-1] + dev[1:]
     r[:-1] += off2
     r[1:] += off2
     p4 = ((r * r).sum(axis=0) + 2.0 * (off2 * pair * pair).sum(axis=0)
           + 2.0 * (off2[:-1] * off2[1:]).sum(axis=0))
     s0 = s0_term(n, d)
-    # s_k = h_k / k! * p_k: the k-th Taylor term of sum_i h(lambda_i) at d
-    s1, s2, s3, s4 = (t * p for t, p in zip(_taylor_terms(n, d),
-                                            (p1, p2, p3, p4)))
+    # s_k = h_k / k! * tr (T - dI)^k: the k-th Taylor term of
+    # sum_i h(lambda_i) at d
+    root = math.sqrt(d)
+    s1, s2, s3, s4 = (t * root ** k * p for k, (t, p) in enumerate(
+        zip(_taylor_terms(n, d), (p1, p2, p3, p4)), 1))
     return s0, s1, s2, s3, s4, alpha - (s0 + s1 + s2 + s3 + s4)
 
 
@@ -413,7 +422,7 @@ def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
     """
     lam = s.eigenvalues[None, :]
     alpha = alpha_from_eigenvalues(lam, n, d)
-    terms = breakdown_columns(lam.T - d, np.zeros((lam.size - 1, 1)), alpha,
-                              n, d)
+    terms = breakdown_columns((lam.T - d) / math.sqrt(d),
+                              np.zeros((lam.size - 1, 1)), alpha, n, d)
     return breakdown_records(alpha, terms, in_q_mask(lam, n, d),
                              lam[:, 0] >= -TOL_PSD_SCALE * d)[0]

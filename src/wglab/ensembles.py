@@ -9,13 +9,14 @@ of the batch samplers ``sample_goe_dense`` and ``sample_wishart_dense``, so a
 scalar draw is bit for bit the one row of a batch on the same generator.
 
 The Monte Carlo estimators draw neither dense matrix.  ``goe_tridiagonal`` and
-``wishart_tridiagonal`` draw a symmetric tridiagonal T whose spectrum has
-exactly the law of the dense ensemble's spectrum (the beta = 1 Hermite and
+``wishart_tridiagonal`` draw a symmetric tridiagonal X whose T = dI + sqrt(d) X
+has exactly the spectral law of the dense ensemble (the beta = 1 Hermite and
 Laguerre models of Dumitriu and Edelman, 2002), in O(n) per draw.  Both
-return T as the pair ``(dev, off2)``: an (n, size) array of the diagonal
-deviations T_ii - d and an (n - 1, size) array of the squared off-diagonals
-T_{i,i+1}^2, one column per draw.  The dense samplers stay as the reference
-the tridiagonal ones are tested against.
+return X as the pair ``(dev, off2)``: an (n, size) array of its diagonal and
+an (n - 1, size) array of its squared off-diagonals, one column per draw.
+The GOE-side X does not depend on d, so one batch serves every d; the
+Wishart-side X = (W - dI) / sqrt(d) is drawn at its d.  The dense samplers
+stay as the reference the tridiagonal ones are tested against.
 """
 
 import math
@@ -80,48 +81,52 @@ def sample_wishart_dense(n: int, d: int, size: int,
     return (w + np.swapaxes(w, 1, 2)) / 2.0
 
 
-def _chi2(dof: np.ndarray, gen: np.random.Generator, out: np.ndarray,
-          scale: float) -> np.ndarray:
-    """Fill ``out``, of shape (len(dof), size), with chi-square variates
-    times ``scale``, row k with dof[k] degrees, and return it.
+def _chi2(dof: np.ndarray, gen: np.random.Generator,
+          out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, of shape (len(dof), size), with chi-square variates,
+    row k with dof[k] degrees, and return it.
 
     Row by row with a scalar shape: the same stream as one broadcast draw,
     which numpy runs through a slower per-element path.
     """
     for row, k in zip(out, dof.tolist()):
         gen.standard_gamma(0.5 * k, out=row)
-    out *= 2.0 * scale
+    out *= 2.0
     return out
 
 
-def goe_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator,
+def goe_tridiagonal(n: int, size: int, gen: np.random.Generator,
                     empty=np.empty):
-    """Batch of tridiagonal draws spectrally equal to sqrt(d) * GOE + d * I.
+    """Batch of d-free tridiagonal draws X: dI + sqrt(d) X is spectrally
+    sqrt(d) * GOE + d * I for every d.
 
-    T - d I = sqrt(d) * tridiag(g, b) with g_i ~ N(0, 2) and
-    b_k^2 ~ chi^2_{n-k}: Householder tridiagonalization of this module's GOE,
-    whose diagonal is N(0, 2), so there is no 1/sqrt(2) factor.  Returns
-    ``(dev, off2)`` as described in the module docstring, in arrays made by
-    ``empty(shape)``.
+    X = tridiag(g, e) with g_i ~ N(0, 2) and e_k^2 ~ chi^2_{n-k}:
+    Householder tridiagonalization of this module's GOE, whose diagonal is
+    N(0, 2), so there is no 1/sqrt(2) factor.  The normals come first, then
+    the chi-squares row by row.  Returns ``(dev, off2)`` = (g, e^2) as
+    described in the module docstring, in arrays made by ``empty(shape)``.
     """
     dev = gen.standard_normal(out=empty((n, size)))
-    dev *= math.sqrt(2.0 * d)
-    return dev, _chi2(np.arange(n - 1, 0, -1), gen, empty((n - 1, size)), d)
+    dev *= _SQRT2
+    return dev, _chi2(np.arange(n - 1, 0, -1), gen, empty((n - 1, size)))
 
 
 def wishart_tridiagonal(n: int, d: int, size: int, gen: np.random.Generator,
                         empty=np.empty):
-    """Batch of tridiagonal draws spectrally equal to W(n, d), d >= n.
+    """Batch of tridiagonal draws X with dI + sqrt(d) X spectrally equal to
+    W(n, d), d >= n.
 
     W = B B^T with B lower bidiagonal, c_i^2 ~ chi^2_{d-i+1} on the diagonal
     and s_i^2 ~ chi^2_{n-i} below it, so diag(W)_i = c_i^2 + s_{i-1}^2 and
     W_{i,i+1}^2 = s_i^2 c_i^2.  Returns ``(dev, off2)`` as described in the
     module docstring, in arrays made by ``empty(shape)``.
     """
-    c2 = _chi2(np.arange(d, d - n, -1), gen, empty((n, size)), 1.0)
-    s2 = _chi2(np.arange(n - 1, 0, -1), gen, empty((n - 1, size)), 1.0)
+    c2 = _chi2(np.arange(d, d - n, -1), gen, empty((n, size)))
+    s2 = _chi2(np.arange(n - 1, 0, -1), gen, empty((n - 1, size)))
     off2 = np.multiply(s2, c2[:-1], out=empty((n - 1, size)))
+    off2 /= d
     # c2 becomes dev in place
     c2 -= d
     c2[1:] += s2
+    c2 /= math.sqrt(d)
     return c2, off2

@@ -2,8 +2,11 @@
 
 A sweep walks a grid of (c, n) points with d = round(c * n^3), runs the
 GOE-side Monte Carlo estimator at each point next to the closed-form limit,
-and persists the rows as CSV.  The figure reproduces the limit curve with the
-finite-n estimates overlaid as points with 99% error bars.
+and persists the rows as CSV.  The GOE-side draws do not depend on d, so
+one pass per n evaluates every c on the same draws (common random
+numbers): the errors of the points at one n are correlated, and each
+keeps its own law.  The figure reproduces the limit curve with the
+finite-n estimates overlaid as points with marginal 99% error bars.
 
 All artifact bytes are determined by the config, whatever its worker
 count: each estimate depends on its seed alone, rows are produced in a fixed
@@ -20,7 +23,7 @@ from pathlib import Path
 from .errors import ConfigError, InvalidParameterError
 from .limit_theory import LimitParams, limiting_tv_closed_form
 from .rng import RngState
-from .tv_mc import Z99, _check_params, tv_estimate_goe_side
+from .tv_mc import Z99, _check_params, tv_estimates_goe_side
 
 CSV_HEADER = "c,n,d,tv_mc,tv_stderr,tv_limit,frac_in_q,runtime_s,seed"
 # the fewest distinct c values that figure 1 is drawn from
@@ -139,25 +142,26 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    """Run the grid in (c, n) order and return one row per point."""
+    """Run the grid and return one row per point, in (c, n) order.  The
+    j-th n of ``n_list`` draws from ``RngState(seed, j, "sweep")``, and one
+    pass evaluates every c on those draws; a recorded runtime is the pass's
+    wall time over the number of c values."""
+    columns = []
+    for j, n in enumerate(cfg.n_list):
+        start = time.perf_counter()
+        ests = tv_estimates_goe_side(
+            n, [degrees_of_freedom(c, n) for c in cfg.c_grid], cfg.samples,
+            RngState(cfg.seed, j, "sweep"), workers=cfg.workers)
+        elapsed = (time.perf_counter() - start) / len(ests)
+        columns.append([(est, elapsed if cfg.record_runtime else 0.0)
+                        for est in ests])
     rows = []
-    point = 0
-    for c in cfg.c_grid:
+    for c, points in zip(cfg.c_grid, zip(*columns)):
         tv_limit = limiting_tv_closed_form(LimitParams(c))
-        for n in cfg.n_list:
-            d = degrees_of_freedom(c, n)
-            start = time.perf_counter()
-            est = tv_estimate_goe_side(n, d, cfg.samples,
-                                       RngState(cfg.seed, point, "sweep"),
-                                       workers=cfg.workers)
-            elapsed = time.perf_counter() - start
-            rows.append(SweepRow(
-                c=c, n=n, d=d,
-                tv_mc=est.mean, tv_stderr=est.stderr, tv_limit=tv_limit,
-                frac_in_q=est.frac_in_q,
-                runtime_s=elapsed if cfg.record_runtime else 0.0,
-                seed=cfg.seed))
-            point += 1
+        rows += [SweepRow(c=c, n=est.n, d=est.d, tv_mc=est.mean,
+                          tv_stderr=est.stderr, tv_limit=tv_limit,
+                          frac_in_q=est.frac_in_q, runtime_s=runtime,
+                          seed=cfg.seed) for est, runtime in points]
     return rows
 
 

@@ -168,7 +168,7 @@ def limiting_tv_mc(p: LimitParams, samples: int,
     z = gen.standard_normal(samples) * math.sqrt(6.0)
     vals = _integrand(s0 + (s2 + s4) + k1 * y + k3 * (3.0 * y + z), GOE_SIDE)
     s = float(vals.sum())
-    var = sample_variance(s, float((vals * vals).sum()), samples)
+    var = sample_variance(samples, float(((vals - s / samples) ** 2).sum()))
     return LimitEstimate(*mc_summary(s / samples, math.sqrt(var / samples)),
                          samples=samples, seed=rng.seed)
 

@@ -19,7 +19,10 @@ twice, as drawn and mirrored: antithetic variates (Hammersley and Morton
 1956).  The limit exponent is linear in the odd power sums N1 and N3, so
 the two integrands of a pair are negatively correlated, and the stderr is
 taken over the pairs.  A block's draws and all their mirrors are
-evaluated in one ``alpha_from_tridiagonal`` pass.  ``samples`` counts
+evaluated in one ``alpha_from_tridiagonal`` pass.  A GOE-side draw X is
+free of d (T = dI + sqrt(d) X), so one batch serves a group of d values,
+as in a sweep over c: ``tv_estimates_goe_side`` (common random numbers;
+Glasserman 2004, section 4.2).  ``samples`` counts
 alpha evaluations, mirrored ones included.  GOE-side blocks hold an even
 number of evaluations, except the last block of an odd ``samples``,
 which drops its last mirror and so holds one unpaired draw.  The Wishart
@@ -48,11 +51,13 @@ units.  The unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
-ranges of blocks and the per-block partial sums, the control variates'
-cross-products among them, are merged in block order and beta is fitted
-once after the merge, so the seed alone fixes every estimate: any worker
-count gives bit-identical results.  The pool never starts more processes
-than there are blocks or CPUs, and a run of one block starts none.
+ranges of blocks.  Each block returns, per d, its sum of values, its flag
+counts and the ``moments`` of its units and controls about the block's own
+means; these are merged in block order (Chan, Golub and LeVeque 1979) and
+beta is fitted once per d after the merge, so the seed alone fixes every
+estimate: any worker count gives bit-identical results.  The pool never
+starts more processes than there are blocks or CPUs, and a run of one
+block starts none.
 """
 
 import math
@@ -64,7 +69,7 @@ import numpy as np
 
 from .densities import (AlphaBreakdown, alpha_from_tridiagonal,
                         breakdown_columns, breakdown_records,
-                        power_sum_moments)
+                        power_sum_moments, power_sums)
 from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
@@ -77,13 +82,17 @@ WISHART_SIDE = "wishart_side"
 Z99 = 2.5758293035489004
 
 # alpha evaluations times n per block (a GOE-side block draws half as many
-# tridiagonals); a block's scratch peaks at about seven (n, size) float
-# arrays, so this bounds it near 16 MB.  It also fixes the stream layout:
-# block b of a run draws from substream b, so changing the budget moves the
-# draws of every run longer than one block
+# tridiagonals); a block's draws and their Gershgorin bound take at most
+# five (n, size) float arrays, so this bounds them near 10 MB.  It also
+# fixes the stream layout: block b of a run draws from substream b, so
+# changing the budget moves the draws of every run longer than one block
 _BATCH_BUDGET = 2 ** 18
 # the largest order an estimate accepts: past it one draw outgrows a block
 MAX_N = _BATCH_BUDGET
+# alpha evaluations times d values of one pass over a block, or one d: it
+# holds about 16 floats per evaluation, 8 MB at most for any number of d
+# values.  Every operation is per (d, column), so grouping changes no bit
+_PASS_COLUMNS = 2 ** 16
 
 # imported on first use, as a run of one process starts no pool
 ProcessPoolExecutor = None
@@ -137,37 +146,54 @@ def _block_count(n: int, samples: int, side: str) -> int:
     return -(-samples // _batch_size(n, side))
 
 
-def _blocks(n, d, samples, rng, side, first, stop, empty=np.empty):
-    """Yield, for each of blocks first..stop-1, the tridiagonal batch
-    ``(dev, off2)`` it draws, in arrays made by ``empty(shape)``, the
-    ``(alpha, in_q, psd, integrand)`` arrays of its evaluations and, where
-    m = 4 (``_controls``), a (6, k) array for the ``_unit_gram`` of its k
-    draws, with their ``power_sums`` in rows 2 to 4 (None elsewhere).
+def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
+    """Yield, for each of blocks first..stop-1 and each group of its d
+    values, ``(lo, dev, off2, alpha, in_q, psd, integrand, rows)``: the
+    index in ``ds`` of the group's first d, the tridiagonal batch X the
+    block draws, in arrays made by ``empty(shape)``, the
+    ``alpha_from_tridiagonal`` arrays of its evaluations with their
+    integrands, one row per d of the group, and an (m + 1, k) array whose
+    rows 1.. hold the m ``_controls`` of its k draws.
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
     from ``rng.substream(b)`` whichever process draws it, so the draws
-    depend on the seed alone.  A Wishart-side block of ``size``
-    evaluations is ``size`` draws.  A GOE-side block is k = ceil(size / 2)
-    draws, each evaluated mirrored: the k draws, then their k mirrors, of
-    which an odd block drops the last.  So pair j is evaluations j and
-    k + j.  A block's arrays from ``SCRATCH.take`` are freed as the next
-    is drawn.
+    depend on the seed alone.  Every d of a GOE-side run is evaluated on
+    the same d-free draws; a Wishart-side run has one d, and a block of
+    ``size`` evaluations is ``size`` draws.  A GOE-side block is
+    k = ceil(size / 2) draws, each evaluated mirrored: the k draws, then
+    their k mirrors, of which an odd block drops the last.  So pair j is
+    evaluations j and k + j.  A group holds as many d values as
+    ``_PASS_COLUMNS`` allows, and at least one.  A block's arrays from
+    ``SCRATCH.take`` are freed as the next is drawn.
     """
     batch = _batch_size(n, side)
     mirrored = side == GOE_SIDE
     m = _controls(side, samples)
-    draw = goe_tridiagonal if mirrored else wishart_tridiagonal
+    group = max(1, _PASS_COLUMNS // min(batch, samples))
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
         gen = rng.substream(b).generator()
         with SCRATCH.frame():
-            dev, off2 = draw(n, d, size - size // 2 if mirrored else size,
-                             gen, empty)
-            rows = empty((m + 2, dev.shape[1])) if m else None
-            alpha, q, psd = (x[:size] for x in alpha_from_tridiagonal(
-                dev, off2, n, d, mirrored, rows[2:5] if m else None))
-            yield dev, off2, alpha, q, psd, _integrand(alpha, side), rows
+            if mirrored:
+                dev, off2 = goe_tridiagonal(n, size - size // 2, gen, empty)
+            else:
+                dev, off2 = wishart_tridiagonal(n, ds[0], size, gen, empty)
+            # z: the units, then the controls of each draw, which its
+            # mirror shares: p1^2, p2, p3^2, p1 p3 less their exact means
+            rows = empty((m + 1, dev.shape[1]))
+            if m:
+                power_sums(dev, off2, rows[1:4])
+                np.multiply(rows[1], rows[3], out=rows[4])
+                np.square(rows[1:4:2], out=rows[1:4:2])
+                p1p1, p2, p1p3, p3p3 = power_sum_moments(n)
+                rows[1:] -= np.array([[p1p1], [p2], [p3p3], [p1p3]], float)
+            for lo in range(0, len(ds), group):
+                alpha, q, psd = alpha_from_tridiagonal(
+                    dev, off2, n, ds[lo:lo + group], mirrored)
+                alpha, q, psd = alpha[:, :size], q[:size], psd[:, :size]
+                yield (lo, dev, off2, alpha, q, psd, _integrand(alpha, side),
+                       rows)
 
 
 # The control variates are used only where the mean of each control is
@@ -193,60 +219,67 @@ def _controls(side: str, samples: int) -> int:
 
 
 def _block_stats(task):
-    """Per-block partials of one task's range: (sum, sumsq) of the
-    integrand values, the Q and PSD counts and the ``_unit_gram`` of the
-    block's units."""
-    n, d, _, _, side = task[:5]
+    """Per-block partials of one task's range, one list per block: for
+    each d, the sum of its integrand values, its Q and PSD counts, the
+    ``moments`` of its units and, on a GOE-side run of odd ``samples``, the
+    ``moments`` of its values (None elsewhere)."""
+    n, ds, samples, _, side = task[:5]
+    odd = side == GOE_SIDE and samples % 2
     parts = []
-    for dev, _, _, q, psd, values, rows in _blocks(*task, SCRATCH.take):
+    for lo, dev, _, _, q, psd, values, rows in _blocks(*task, SCRATCH.take):
         # a GOE-side unit is the pair of draw j and evaluation k + j; a
         # Wishart-side unit is one value
         k = dev.shape[1] if side == GOE_SIDE else 0
-        units = values[:values.size - k] + values[k:] if k else values
-        parts.append((float(values.sum()), float((values * values).sum()),
-                      int(np.count_nonzero(q)), int(np.count_nonzero(psd)),
-                      *_unit_gram(units, rows, n, d)))
+        if not lo:
+            parts.append([])
+        for v, flag in zip(values, psd):
+            units = v[:v.size - k] + v[k:] if k else v
+            rows[0, :units.size] = units
+            parts[-1].append((float(v.sum()), int(np.count_nonzero(q)),
+                              int(np.count_nonzero(flag)),
+                              moments(rows[:, :units.size]),
+                              moments(v[None]) if odd else None))
     return parts
 
 
-def _unit_gram(units, rows, n, d):
-    """Partial sums for the fit over a block's P units: sum z z^T, row by
-    row, (m + 2)^2 floats, then sum x^3, m floats.  Where m = 4, ``rows``
-    is the block's (6, k) array from ``_blocks``, whose first P columns
-    become z, one column per unit; where m = 0 it is None.
-
-    z = (1, u, x) for unit j has its value u and the four control
-    statistics x of its draw j: with p_k = tr X^k, X = (T - dI) / sqrt(d),
-    the even products p1^2, p2, p3^2 and p1 p3, less their exact means
-    ``power_sum_moments(n)``.  A draw and its mirror share x.
-    """
-    if rows is None:
-        # numpy's pairwise sums, which need no z and round less than einsum
-        total = float(units.sum())
-        return [float(units.size), total, total, float((units * units).sum())]
-    z = rows[:, :units.size]
-    z[0] = 1.0
-    z[1] = units
-    # p1, p2 and p3 of T - dI to those of X, then p1 p3 and the squares
-    root = math.sqrt(d)
-    z[2:5] *= np.array([[1.0 / root], [1.0 / d], [1.0 / (d * root)]])
-    np.multiply(z[2], z[4], out=z[5])
-    np.square(z[2:5:2], out=z[2:5:2])
-    p1p1, p2, p1p3, p3p3 = power_sum_moments(n)
-    z[2:] -= np.array([[p1p1], [p2], [p3p3], [p1p3]], float)
-    # numpy's own loops: z @ z.T would fault in half a megabyte of BLAS
-    # buffers in a process that made no BLAS call before
-    x = z[2:]
-    return (np.einsum("ij,kj->ik", z, z).ravel().tolist()
-            + np.einsum("ij,ij,ij->i", x, x, x).tolist())
+def moments(z: np.ndarray):
+    """``(count, sums, cross, cubes)`` of an (r, count) array z, one
+    variable per row: the r sums, and the r x r cross-products and r sums
+    of cubes about the row means, which keep the digits that raw sums of
+    squares lose where a mean dwarfs the spread, as at a TV near 0 or 1."""
+    count = z.shape[1]
+    sums = z.sum(axis=1)
+    c = z - (sums / max(count, 1))[:, None]
+    return (count, sums, np.einsum("ij,kj->ik", c, c),
+            np.einsum("ij,ij,ij->i", c, c, c))
 
 
-def sample_variance(s: float, ss: float, count: int) -> float:
-    """Unbiased variance of ``count`` values from their sum and sum of
-    squares; 0 for fewer than two values."""
-    if count < 2:
-        return 0.0
-    return max(ss - s * s / count, 0.0) / (count - 1)
+def merge_moments(parts):
+    """The ``moments`` of the union of the sets whose ``moments`` are
+    ``parts``, merged in order by the pairwise update of Chan, Golub and
+    LeVeque (1979), and Pebay (2008) for the cubes: for n_A and n_B values
+    whose means differ by delta, with n = n_A + n_B and f = n_A n_B / n,
+    C = C_A + C_B + f delta delta^T and M3 = M3_A + M3_B
+    + f (n_A - n_B) / n delta^3 + 3 delta (n_A C_B - n_B C_A) / n."""
+    count, total, cross, cubes = parts[0]
+    for size, sums, c, t in parts[1:]:
+        if size and count:
+            n, f = count + size, count * size / (count + size)
+            delta = sums / size - total / count
+            cubes = cubes + t + delta * (
+                f * (count - size) / n * delta ** 2
+                + 3.0 * (count * c.diagonal() - size * cross.diagonal()) / n)
+            cross = cross + c + f * np.outer(delta, delta)
+            count, total = n, total + sums
+        elif size:
+            count, total, cross, cubes = size, sums, c, t
+    return count, total, cross, cubes
+
+
+def sample_variance(count: int, cross: float) -> float:
+    """Unbiased variance of ``count`` values from their sum of squares
+    about their mean; 0 for fewer than two values."""
+    return cross / (count - 1) if count > 1 else 0.0
 
 
 def mc_summary(mean: float, stderr: float):
@@ -256,10 +289,10 @@ def mc_summary(mean: float, stderr: float):
             min(mean + Z99 * stderr, 1.0))
 
 
-def _unit_fit(cv, m):
+def _unit_fit(units, m):
     """The regression of the P units on m controls from the merged
-    ``_unit_gram`` partials ``cv``: (beta . sum x, the variance of one unit
-    about the fit, the plain variance of a unit over that).
+    ``moments`` of z = (u, x) over the units: (beta . sum x, the variance
+    of one unit about the fit, the plain variance of a unit over that).
 
     The units u are regressed on the centered controls x (Lavenberg and
     Welch 1981): beta solves Cxx beta = Cxu on the centered
@@ -274,24 +307,18 @@ def _unit_fit(cv, m):
     too skewed (``_SKEW_TOL``), the fit is the m = 0 one: beta = [], the
     sample variance of the units, and a ratio of 1.
     """
-    size = m + 2
-    gram = [cv[i * size:(i + 1) * size] for i in range(size)]
-    units = gram[0][0]
-    plain = 0.0, sample_variance(gram[0][1], gram[1][1], units), 1.0
-    if not m or units <= 1 + m:
+    count, total, cross, cubes = units
+    plain = 0.0, sample_variance(count, float(cross[0, 0])), 1.0
+    if not m or count <= 1 + m:
         return plain
-    # rows [Cxx | Cxu] of the centered cross-products; G_0i is sum z_i
-    rows = [[gram[i][j] - gram[0][i] * gram[0][j] / units
-             for j in (*range(2, size), 1)] for i in range(2, size)]
-    var = [rows[i][i] / units for i in range(m)]
+    # rows [Cxx | Cxu] of the centered cross-products
+    rows = cross[1:, [*range(1, m + 1), 0]].tolist()
+    var = [rows[i][i] / count for i in range(m)]
     cxu = [row[m] for row in rows]
     for i, row in enumerate(rows):
-        # the central third moment, from the raw sums of x, x^2 and x^3
-        mean = gram[0][i + 2] / units
-        third = (cv[size * size + i] / units
-                 - 3.0 * mean * (var[i] + mean * mean) + 2.0 * mean ** 3)
-        if not (third * third <= _SKEW_TOL ** 2 * units * var[i] ** 3
-                and row[i] > 1e-10 * units * var[i]):
+        third = cubes[i + 1] / count
+        if not (third * third <= _SKEW_TOL ** 2 * count * var[i] ** 3
+                and row[i] > 1e-10 * count * var[i]):
             return plain
         for below in rows[i + 1:]:
             f = below[i] / row[i]
@@ -301,9 +328,8 @@ def _unit_fit(cv, m):
     for i in reversed(range(m)):
         row = rows[i]
         beta[i] = (row[m] - _dot(row[i + 1:m], beta[i + 1:])) / row[i]
-    resid = gram[1][1] - gram[0][1] ** 2 / units - _dot(beta, cxu)
-    resid = max(resid, 0.0) / (units - 1 - m)
-    return (_dot(beta, gram[0][2:]), resid,
+    resid = max(float(cross[0, 0]) - _dot(beta, cxu), 0.0) / (count - 1 - m)
+    return (_dot(beta, total[1:].tolist()), resid,
             plain[1] / resid if resid > 0 else 1.0)
 
 
@@ -311,8 +337,9 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _estimate(n, d, samples, rng, side, workers):
-    """The estimate of N = ``samples`` integrand values v.
+def _estimate(n, ds, samples, rng, side, workers):
+    """The estimates, one per d of ``ds``, of N = ``samples`` integrand
+    values v each, all from the same draws.
 
     The independent units are the P = N values on the Wishart side, and
     on the GOE side the P = floor(N / 2) antithetic pairs and, for odd N,
@@ -326,14 +353,17 @@ def _estimate(n, d, samples, rng, side, workers):
     the Wishart side.  var(v) is the sample variance over all N values,
     taken as 0 for fewer than two of them, so N = 1 gives stderr 0.
     """
-    _check_params(n, d, samples)
+    if not ds:
+        raise InvalidParameterError("need at least one d")
+    for d in ds:
+        _check_params(n, d, samples)
     if workers < 1:
         raise InvalidParameterError(f"need workers >= 1, got {workers}")
     blocks = _block_count(n, samples, side)
     procs = 1 if blocks == 1 else min(workers, blocks, os.cpu_count() or 1)
     # one contiguous range of blocks per process; the partials come back in
     # block order, so the merge does not depend on the split
-    tasks = [(n, d, samples, rng, side, blocks * i // procs,
+    tasks = [(n, tuple(ds), samples, rng, side, blocks * i // procs,
               blocks * (i + 1) // procs) for i in range(procs)]
     if procs > 1:
         global ProcessPoolExecutor
@@ -343,33 +373,44 @@ def _estimate(n, d, samples, rng, side, workers):
             parts = [p for task in pool.map(_block_stats, tasks) for p in task]
     else:
         parts = _block_stats(tasks[0])
-    s, ss, n_q, n_psd, *cv = (math.fsum(col) for col in zip(*parts))
-    shift, var_unit, ratio = _unit_fit(cv, _controls(side, samples))
     single = samples % 2 if side == GOE_SIDE else 0
-    stderr = math.sqrt(cv[0] * var_unit + single * sample_variance(
-        s, ss, samples)) / samples
-    return TvEstimate(*mc_summary((s - shift) / samples, stderr),
-                      samples=samples, side=side, seed=rng.seed, n=n, d=d,
-                      frac_in_q=n_q / samples, frac_psd=n_psd / samples,
-                      var_ratio=ratio)
+    out = []
+    for d, col in zip(ds, zip(*parts)):
+        sums, n_q, n_psd, units, values = zip(*col)
+        units = merge_moments(units)
+        shift, var_unit, ratio = _unit_fit(units, _controls(side, samples))
+        var = single and sample_variance(
+            samples, float(merge_moments(values)[2][0, 0]))
+        stderr = math.sqrt(units[0] * var_unit + var) / samples
+        out.append(TvEstimate(
+            *mc_summary((math.fsum(sums) - shift) / samples, stderr),
+            samples=samples, side=side, seed=rng.seed, n=n, d=d,
+            frac_in_q=sum(n_q) / samples, frac_psd=sum(n_psd) / samples,
+            var_ratio=ratio))
+    return out
+
+
+def tv_estimates_goe_side(n: int, ds, samples: int, rng: RngState,
+                          workers: int = 1) -> list[TvEstimate]:
+    """TV estimates at each d of ``ds``, in order, from the same draws of
+    the shifted-scaled GOE ensemble, so correlated across d: ``samples``
+    alpha evaluations each, every draw as drawn and mirrored, with the pair
+    sums corrected by the even power-sum control variates and the stderr
+    taken over the pairs; an odd ``samples`` drops the last mirror."""
+    return _estimate(n, list(ds), samples, rng, GOE_SIDE, workers)
 
 
 def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
                          workers: int = 1) -> TvEstimate:
-    """TV estimate from draws of the shifted-scaled GOE ensemble.
-
-    ``samples`` alpha evaluations: each draw is evaluated as drawn and
-    mirrored, in one pass per block, and the pair sums are corrected by
-    the even power-sum control variates; the stderr is taken over the
-    antithetic pairs, and an odd ``samples`` drops the last mirror.
-    """
-    return _estimate(n, d, samples, rng, GOE_SIDE, workers)
+    """TV estimate from draws of the shifted-scaled GOE ensemble: bit for
+    bit the estimate at d of ``tv_estimates_goe_side`` on this stream."""
+    return tv_estimates_goe_side(n, [d], samples, rng, workers)[0]
 
 
 def tv_estimate_wishart_side(n: int, d: int, samples: int, rng: RngState,
                              workers: int = 1) -> TvEstimate:
     """TV estimate from Wishart draws (always PSD)."""
-    return _estimate(n, d, samples, rng, WISHART_SIDE, workers)
+    return _estimate(n, [d], samples, rng, WISHART_SIDE, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -407,16 +448,16 @@ def profile_columns(n: int, d: int, samples: int, rng: RngState):
     the draws as drawn, then one for their mirrors.  The parameters are
     checked at once."""
     _check_params(n, d, samples)
-    blocks = _blocks(n, d, samples, rng, GOE_SIDE, 0,
+    blocks = _blocks(n, [d], samples, rng, GOE_SIDE, 0,
                      _block_count(n, samples, GOE_SIDE))
     return (group for block in blocks
             for group in _profile_groups(*block, n, d))
 
 
-def _profile_groups(dev, off2, alpha, q, psd, values, _, n, d):
+def _profile_groups(_, dev, off2, alpha, q, psd, values, __, n, d):
     k = dev.shape[1]
-    m = alpha.size - k
+    m = q.size - k
     for tri, cols in (((dev, off2), slice(k)),
                       ((-dev[:, :m], off2[:, :m]), slice(k, None))):
-        yield (alpha[cols], breakdown_columns(*tri, alpha[cols], n, d),
-               q[cols], psd[cols], values[cols])
+        yield (alpha[0, cols], breakdown_columns(*tri, alpha[0, cols], n, d),
+               q[cols], psd[0, cols], values[0, cols])

@@ -4,8 +4,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from wglab import (InvalidParameterError, RngState, Spectrum, alpha_exact,
                    alpha_from_densities, in_q, log_goe_density,
@@ -312,12 +313,13 @@ def test_in_q_high_probability():
 # --- tridiagonal alpha against eigvalsh of the same T ---------------------
 
 def dense_tridiagonal(dev, off2, d):
-    """(size, n, n) dense form of a (dev, off2) tridiagonal batch."""
+    """(size, n, n) dense form of T = dI + sqrt(d) X over a (dev, off2)
+    tridiagonal batch X."""
     n, size = dev.shape
     t = np.zeros((size, n, n))
     i = np.arange(n)
-    t[:, i, i] = dev.T + d
-    off = np.sqrt(off2.T)
+    t[:, i, i] = math.sqrt(d) * dev.T + d
+    off = np.sqrt(d * off2.T)
     t[:, i[:-1], i[1:]] = off
     t[:, i[1:], i[:-1]] = off
     return t
@@ -334,118 +336,182 @@ EQUIVALENCE_POINTS = [(1, 1), (2, 8), (3, 27), (8, 512), (32, 32768),
                       (64, 262144), (3, 3), (4, 4)]
 
 
+def draw(sampler, n, d, size, gen):
+    """A tridiagonal batch from either sampler; the GOE side's is d-free."""
+    if sampler is goe_tridiagonal:
+        return sampler(n, size, gen)
+    return sampler(n, d, size, gen)
+
+
+def d_group(sampler, n, d):
+    """The d values one call evaluates: three around d on the GOE side,
+    whose draws serve every d, and d alone on the Wishart side."""
+    if sampler is goe_tridiagonal:
+        return sorted({max(n, d // 4), d, 4 * d})
+    return [d]
+
+
+def check_against_eigenvalues(sampler, dev, off2, n, ds, alpha, q, psd):
+    """Each row of a group call against the eigenvalues of its T, with the
+    flags exactly and alpha within 1e-9 of max(1, |alpha|)."""
+    for row, d in enumerate(ds):
+        ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
+        np.testing.assert_array_equal(q, ref_q)
+        np.testing.assert_array_equal(psd[row], ref_psd)
+        finite = np.isfinite(ref_alpha)
+        np.testing.assert_array_equal(np.isfinite(alpha[row]), finite)
+        assert np.all(alpha[row][~finite] == -np.inf)
+        if sampler is goe_tridiagonal and d <= 4:
+            # the non-PSD-heavy points must exercise the -inf rows
+            assert 0 < np.count_nonzero(finite) < finite.size
+        err = np.abs(alpha[row][finite] - ref_alpha[finite])
+        scale = np.maximum(1.0, np.abs(ref_alpha[finite]))
+        if sampler is wishart_tridiagonal and d == n:
+            # eigvalsh loses digits of the tiny smallest eigenvalue at d = n,
+            # which alpha weights by log; only a loose check is meaningful
+            assert np.all(err <= 1e-6 * scale)
+        else:
+            assert np.all(err <= 1e-9 * scale)
+
+
 @pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
 @pytest.mark.parametrize("n,d", EQUIVALENCE_POINTS)
 def test_tridiagonal_alpha_matches_eigenvalues(sampler, n, d):
-    dev, off2 = sampler(n, d, 400, RngState(900 + n + d).generator())
-    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
-    ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
-    np.testing.assert_array_equal(q, ref_q)
-    np.testing.assert_array_equal(psd, ref_psd)
-    finite = np.isfinite(ref_alpha)
-    np.testing.assert_array_equal(np.isfinite(alpha), finite)
-    assert np.all(alpha[~finite] == -np.inf)
-    if sampler is goe_tridiagonal and d <= 4:
-        # the non-PSD-heavy points must exercise the -inf rows
-        assert 0 < np.count_nonzero(finite) < finite.size
-    err = np.abs(alpha[finite] - ref_alpha[finite])
-    scale = np.maximum(1.0, np.abs(ref_alpha[finite]))
-    if sampler is wishart_tridiagonal and d == n:
-        # eigvalsh loses digits of the tiny smallest eigenvalue at d = n,
-        # which alpha weights by log; only a loose check is meaningful
-        assert np.all(err <= 1e-6 * scale)
-    else:
-        assert np.all(err <= 1e-9 * scale)
+    # a group of d values on the same draws: each row is bit for bit the
+    # call at its d alone, and matches the eigenvalues of its T
+    dev, off2 = draw(sampler, n, d, 400, RngState(900 + n + d).generator())
+    ds = d_group(sampler, n, d)
+    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, ds)
+    assert alpha.shape == psd.shape == (len(ds), 400) and q.shape == (400,)
+    for row, one in enumerate(ds):
+        got = alpha_from_tridiagonal(dev, off2, n, [one])
+        for g, x in zip(got, (alpha[row:row + 1], q, psd[row:row + 1])):
+            assert g.tobytes() == x.tobytes()
+    check_against_eigenvalues(sampler, dev, off2, n, ds, alpha, q, psd)
+
+
+@pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_tridiagonal_alpha_matches_eigenvalues_at_large_n(sampler, n):
+    # the same pin at c = 1/4, 1 and 4 on the GOE side, against LAPACK's
+    # tridiagonal eigensolver, as a dense batch at these orders would not
+    # fit.  The flags are exact and alpha is within 1e-9 of max(1, |alpha|)
+    # at n = 256.  At n = 1024 alpha is the difference of O(n^2) sums, and
+    # against 40-digit arithmetic on the same X both paths are off by up to
+    # about 2e-9 (the eigenvalue path 1.7e-9, this one 0.9e-9, on three
+    # draws), so the bound there is 1e-8
+    tol = 1e-9 if n <= 256 else 1e-8
+    d = n ** 3
+    dev, off2 = draw(sampler, n, d, 6, RngState(n).generator())
+    ds = d_group(sampler, n, d)
+    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, ds)
+    for row, one in enumerate(ds):
+        root = math.sqrt(one)
+        eigs = np.array([eigvalsh_tridiagonal(one + root * x,
+                                              np.sqrt(one * y))
+                         for x, y in zip(dev.T, off2.T)])
+        np.testing.assert_array_equal(q, in_q_mask(eigs, n, one))
+        np.testing.assert_array_equal(psd[row],
+                                      eigs[:, 0] >= -TOL_PSD_SCALE * one)
+        ref = alpha_from_eigenvalues(eigs, n, one)
+        assert np.all(np.isfinite(ref))
+        err = np.abs(alpha[row] - ref)
+        assert np.all(err <= tol * np.maximum(1.0, np.abs(ref)))
 
 
 def sturm_flags(dev, off2, n, d):
-    """(in_q, psd) from Sturm counts on every column: at the Q window's
-    upper edge on T and on -T (whose upper edge is T's lower one, so both
-    edges are closed) and at the PSD threshold, where an eigenvalue on the
+    """(in_q, psd) of T = dI + sqrt(d) X from Sturm counts on every column
+    X: at the Q window's upper edge 3 sqrt(n) on X and on -X (whose upper
+    edge is X's lower one, so both edges are closed) and at the PSD
+    threshold -(1 + TOL_PSD_SCALE) sqrt(d), where an eigenvalue on the
     threshold counts as above it, so it is PSD.  This is what the
     Gershgorin certificate and the pivots stand in for."""
-    a, b = dev / d, off2 / float(d) ** 2
-    pivmin = np.finfo(float).tiny * np.max(b, axis=0, initial=1.0)
-    half = q_half_width(n, d) / d
-    counts = _sturm_counts(a, b, np.array([half, -1.0 - TOL_PSD_SCALE]),
-                           pivmin, ties=np.array([-1.0, 1.0]))
-    below = _sturm_counts(-a, b, np.array([half]), pivmin)[0]
+    pivmin = np.finfo(float).tiny * np.max(off2, axis=0, initial=1.0)
+    half = q_half_width(n, 1)
+    low = -(1.0 + TOL_PSD_SCALE) * math.sqrt(d)
+    counts = _sturm_counts(dev, off2, np.array([half, low]), pivmin,
+                           ties=np.array([-1.0, 1.0]))
+    below = _sturm_counts(-dev, off2, np.array([half]), pivmin)[0]
     return (counts[0] == n) & (below == n), counts[1] == 0
 
 
 @pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
 @pytest.mark.parametrize("n,d", EQUIVALENCE_POINTS)
 def test_certified_flags_match_sturm_counts(sampler, n, d):
-    # the GOE-side batch with its mirrors, as the estimator evaluates it;
-    # the Wishart side has none
-    dev, off2 = sampler(n, d, 2001, RngState(700 + n + d).generator())
+    # the GOE-side batch with its mirrors, as the estimator evaluates it,
+    # at a group of d values; the Wishart side has no mirrors
+    dev, off2 = draw(sampler, n, d, 2001, RngState(700 + n + d).generator())
     mirrored = sampler is goe_tridiagonal
     m = dev.shape[1] if mirrored else 0
-    _, q, psd = alpha_from_tridiagonal(dev, off2, n, d, mirrored)
-    flags = zip(sturm_flags(dev, off2, n, d),
-                sturm_flags(-dev[:, :m], off2[:, :m], n, d))
-    for got, (plain, mirror) in zip((q, psd), flags):
-        np.testing.assert_array_equal(got, np.concatenate([plain, mirror]))
+    ds = d_group(sampler, n, d)
+    _, q, psd = alpha_from_tridiagonal(dev, off2, n, ds, mirrored)
+    for row, one in enumerate(ds):
+        flags = zip(sturm_flags(dev, off2, n, one),
+                    sturm_flags(-dev[:, :m], off2[:, :m], n, one))
+        for got, (plain, mirror) in zip((q, psd[row]), flags):
+            np.testing.assert_array_equal(got,
+                                          np.concatenate([plain, mirror]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
 @pytest.mark.parametrize("width", [1, 2, 3, 6, 201, 401, 402])
 def test_one_pass_matches_separate_calls(n, width):
-    # one mirrored call gives bit for bit what a call on the draws and a
-    # call on the negated columns, of the same width, give
-    for d in (n, n ** 3):
-        dev, off2 = goe_tridiagonal(n, d, width,
-                                    RngState(width, d).generator())
-        got = alpha_from_tridiagonal(dev, off2, n, d, True)
-        ref = zip(alpha_from_tridiagonal(dev, off2, n, d),
-                  alpha_from_tridiagonal(-dev, off2, n, d))
-        for g, (plain, mirror) in zip(got, ref):
-            assert g.tobytes() == np.concatenate([plain, mirror]).tobytes()
+    # one mirrored call at d = n and n^3 gives bit for bit what a call on
+    # the draws and a call on the negated columns, of the same width, give
+    ds = [n, n ** 3]
+    dev, off2 = goe_tridiagonal(n, width, RngState(width, n).generator())
+    got = alpha_from_tridiagonal(dev, off2, n, ds, True)
+    ref = zip(alpha_from_tridiagonal(dev, off2, n, ds),
+              alpha_from_tridiagonal(-dev, off2, n, ds))
+    for g, (plain, mirror) in zip(got, ref):
+        assert g.tobytes() == np.concatenate([plain, mirror], -1).tobytes()
 
 
 def test_one_pass_matches_separate_calls_at_exact_ties():
-    # n = 1, d = 10^8: the mirrors of T = [2d + 1] and of T = [-1] are
-    # [-1] and [2d + 1], and -1 is exactly the PSD threshold -1e-8 d on the
-    # scale of T / d - I; d -+ 3 sqrt(d) are the Q window's edges.  The
-    # Sturm pivots of a mirror are exactly zero there, and the one call
-    # takes them from T with the tie the other way.  An eigenvalue on the
+    # n = 1, d = 10^8: X = [s] with s = (1 + 1e-8) sqrt(d) is T = [2d + 1],
+    # and its mirror [-s], T = [-1], is exactly on the PSD threshold
+    # -1e-8 d; -+3 are the Q window's edges on the scale of X.  The Sturm
+    # pivots of a mirror are exactly zero there, and the one call takes
+    # them from X with the tie the other way.  An eigenvalue on the
     # threshold is PSD, as lambda_min >= -1e-8 d says, so every column is
     n, d = 1, 10 ** 8
-    half = q_half_width(n, d)
-    dev = np.array([[d + 1.0, -d - 1.0, -half, half, 0.0]])
+    half = q_half_width(n, 1)
+    s = (1.0 + TOL_PSD_SCALE) * math.sqrt(d)
+    dev = np.array([[s, -s, -half, half, 0.0]])
     off2 = np.zeros((0, dev.shape[1]))
-    got = alpha_from_tridiagonal(dev, off2, n, d, True)
-    ref = zip(alpha_from_tridiagonal(dev, off2, n, d),
-              alpha_from_tridiagonal(-dev, off2, n, d))
+    got = alpha_from_tridiagonal(dev, off2, n, [d], True)
+    ref = zip(alpha_from_tridiagonal(dev, off2, n, [d]),
+              alpha_from_tridiagonal(-dev, off2, n, [d]))
     for g, (plain, mirror) in zip(got, ref):
-        assert g.tobytes() == np.concatenate([plain, mirror]).tobytes()
-    assert list(got[2]) == [True] * 10
+        assert g.tobytes() == np.concatenate([plain, mirror], -1).tobytes()
+    assert list(got[2][0]) == [True] * 10
     assert s_decomposition(Spectrum(np.array([-1.0])), n, d).psd
 
 
 def test_q_certificate_boundary():
-    # n = 2, d = 8: T / d - I = [[x, e], [e, x]] has eigenvalues x +- e and
-    # Gershgorin bound |x| + e, and the Q half-width on that scale is 1.5;
-    # scaling by d = 8 is exact.  The extreme eigenvalue t = |x| + e steps
-    # across the certificate's threshold 1.5 (1 - 1e-9) and across the
-    # window's edges, from above and from below
+    # n = 2: X = [[x, e], [e, x]] has eigenvalues x +- e and Gershgorin
+    # bound |x| + e, and the Q half-width on the scale of X is 3 sqrt(2);
+    # with e = 1/2, x = t - e and |x| + e = t are exact.  The extreme
+    # eigenvalue t steps across the certificate's threshold
+    # 3 sqrt(2) (1 - 1e-9) and across the window's edges, from above and
+    # from below
     n, d, e = 2, 8, 0.5
-    half = q_half_width(n, d) / d
-    assert half == 1.5
+    half = q_half_width(n, 1)
     edge = half * (1.0 - 1e-9)
     t = np.array([half * (1.0 - 2e-9), np.nextafter(edge, 0.0), edge,
-                  np.nextafter(edge, 2.0), half * (1.0 - 1e-12),
-                  np.nextafter(half, 0.0), half, np.nextafter(half, 2.0),
+                  np.nextafter(edge, 5.0), half * (1.0 - 1e-12),
+                  np.nextafter(half, 0.0), half, np.nextafter(half, 5.0),
                   half * (1.0 + 1e-9)])
     x = np.concatenate([t - e, e - t])
-    dev = d * np.vstack([x, x])
-    off2 = np.full((1, x.size), d * d * e * e)
+    dev = np.vstack([x, x])
+    off2 = np.full((1, x.size), e * e)
     bound = np.abs(x) + e
+    assert np.all(bound == np.concatenate([t, t]))
     assert np.any(bound < edge) and np.any(bound >= edge)
-    _, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
+    _, q, psd = alpha_from_tridiagonal(dev, off2, n, [d])
     ref_q, ref_psd = sturm_flags(dev, off2, n, d)
     np.testing.assert_array_equal(q, ref_q)
-    np.testing.assert_array_equal(psd, ref_psd)
+    np.testing.assert_array_equal(psd[0], ref_psd)
     assert q[0] and q[x.size // 2] and not q[-1]
 
 
@@ -453,14 +519,16 @@ def test_q_certificate_boundary():
                                         (54.0, [True, True, False])])
 def test_q_window_closed_at_both_edges(t, expected):
     # n = 1, d = 36: the window is [18, 54], and T = [t] has the single
-    # eigenvalue t.  An eigenvalue on an edge is inside, as in in_q_mask,
-    # and one ulp outside is out.  The mirror [72 - t] of each T gets its
-    # flag, as does a direct count on the mirror
+    # eigenvalue t, X = [(t - 36) / 6] the single eigenvalue -+3 on the
+    # window's edges on the scale of X.  An eigenvalue on an edge is
+    # inside, as in in_q_mask, and one ulp outside is out.  The mirror
+    # [-x] of each X gets its flag, as does a direct count on the mirror
     n, d = 1, 36
     ts = np.array([np.nextafter(t, 0.0), t, np.nextafter(t, 100.0)])
-    dev, off2 = (ts - d).reshape(1, -1), np.zeros((0, 3))
-    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, True)
-    _, q_mirror, _ = alpha_from_tridiagonal(-dev, off2, n, d)
+    dev, off2 = ((ts - d) / math.sqrt(d)).reshape(1, -1), np.zeros((0, 3))
+    assert abs(dev[0, 1]) == q_half_width(n, 1)
+    _, q, _ = alpha_from_tridiagonal(dev, off2, n, [d], True)
+    _, q_mirror, _ = alpha_from_tridiagonal(-dev, off2, n, [d])
     assert list(in_q_mask(ts[:, None], n, d)) == expected
     assert list(q) == expected * 2 and list(q_mirror) == expected
     for sign in (1.0, -1.0):
@@ -468,75 +536,88 @@ def test_q_window_closed_at_both_edges(t, expected):
 
 
 def test_q_window_closed_at_both_edges_n2():
-    # n = 2, d = 18: the window is [0, 36], and T = [[18, 18], [18, 18]]
-    # has eigenvalues 0 and 36, on both edges; T / d - I = [[0, 1], [1, 0]]
-    # is exact, and the second Sturm pivot at the upper edge is exactly
-    # zero, on T and on -T.  A larger off-diagonal moves both eigenvalues
-    # out, a smaller one both in
+    # n = 2: X = [[0, e], [e, 0]] has eigenvalues -+e, and with e^2 = h^2,
+    # h = 3 sqrt(2) the window's half-width on the scale of X as rounded,
+    # the second Sturm pivot at either edge, -h + e^2 / h, is exactly zero,
+    # on X and on -X.  A larger off-diagonal moves both eigenvalues out, a
+    # smaller one both in
     n, d = 2, 18
-    off2 = np.array([[324.0, np.nextafter(324.0, 0.0),
-                      np.nextafter(324.0, 1e3)]])
+    h = q_half_width(n, 1)
+    off2 = np.array([[h * h, np.nextafter(h * h, 0.0),
+                      np.nextafter(h * h, 1e3)]])
+    assert -h + off2[0, 0] / h == 0.0
     dev = np.zeros((2, 3))
-    _, q, _ = alpha_from_tridiagonal(dev, off2, n, d, True)
+    _, q, _ = alpha_from_tridiagonal(dev, off2, n, [d], True)
     assert list(q) == [True, True, False] * 2
     np.testing.assert_array_equal(q[:3], sturm_flags(dev, off2, n, d)[0])
     assert in_q_mask(np.array([[0.0, 36.0]]), n, d)[0]
 
 
 def test_tridiagonal_alpha_rejects_d_below_n():
-    dev, off2 = goe_tridiagonal(3, 3, 2, RngState(0).generator())
-    with pytest.raises(InvalidParameterError):
-        alpha_from_tridiagonal(dev, off2, 3, 2)
+    dev, off2 = goe_tridiagonal(3, 2, RngState(0).generator())
+    for ds in ([2], [3, 2]):
+        with pytest.raises(InvalidParameterError):
+            alpha_from_tridiagonal(dev, off2, 3, ds)
 
 
 def test_tridiagonal_exactly_zero_pivots():
-    # n = 2, d = 8, so the Q window is [-4, 20].  Column 0 is T = [[0, 1],
-    # [1, 0]], whose first pivot of T / d is exactly zero; column 1 is
-    # T = [[-4, 2], [2, 8]], whose first Sturm pivot at the window's lower
-    # edge is exactly zero; column 2 is T = [[4, 4], [4, 19]], with
-    # eigenvalues 3 and 20, whose second Sturm pivot at the upper edge is
-    # exactly zero.  A zero pivot counts as negative, so an eigenvalue on
-    # the upper edge is inside the window, as in in_q_mask.  Column 3 is
-    # T = [[4, 4], [4, 4]], singular and PSD: its second pivot of T / d is
-    # exactly zero, so alpha is -inf and psd comes from the Sturm count.
-    n, d = 2, 8
-    dev = np.array([[-8.0, -12.0, -4.0, -4.0], [-8.0, 0.0, 11.0, -4.0]])
-    off2 = np.array([[1.0, 4.0, 16.0, 16.0]])
+    # n = 2, d = 16, so T / d = I + X / 4 and the Q window of X is -+h,
+    # h = 3 sqrt(2); x - h and x / 4 are exact for each x below.  Column 0
+    # is X = [[-4, 1], [1, 0]], whose first pivot of T / d is exactly zero;
+    # column 1 is X = [[-h, 2], [2, 0]], whose first Sturm pivot at the
+    # window's lower edge is exactly zero; column 2 is X = [[h - 1, 2],
+    # [2, h - 4]], with eigenvalues h - 5 and h, whose second Sturm pivot
+    # at the upper edge is exactly zero.  A zero pivot counts as negative,
+    # so an eigenvalue on the upper edge is inside the window, as in
+    # in_q_mask.  Column 3 is X = [[-2, 2], [2, -2]], T = [[8, 8], [8, 8]]
+    # singular and PSD: its second pivot of T / d is exactly zero, so alpha
+    # is -inf and psd comes from the Sturm count.
+    n, d = 2, 16
+    h = q_half_width(n, 1)
+    dev = np.array([[-4.0, -h, h - 1.0, -2.0], [0.0, 0.0, h - 4.0, -2.0]])
+    off2 = np.array([[1.0, 4.0, 4.0, 4.0]])
     with np.errstate(all="raise"):
-        alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
+        alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, [d])
     ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
-    assert list(alpha[:2]) == [-np.inf, -np.inf] == list(ref_alpha[:2])
-    assert alpha[2] == pytest.approx(ref_alpha[2], rel=1e-12)
-    assert alpha[3] == -np.inf
+    assert list(alpha[0, :2]) == [-np.inf, -np.inf] == list(ref_alpha[:2])
+    assert alpha[0, 2] == pytest.approx(ref_alpha[2], rel=1e-12)
+    assert alpha[0, 3] == -np.inf
     assert list(q) == [True, False, True, True]
     assert list(q[:2]) == list(ref_q[:2])
-    assert list(psd) == [False, False, True, True] == list(ref_psd)
-    for got, ref in zip((q, psd), sturm_flags(dev, off2, n, d)):
+    assert list(psd[0]) == [False, False, True, True] == list(ref_psd)
+    for got, ref in zip((q, psd[0]), sturm_flags(dev, off2, n, d)):
         np.testing.assert_array_equal(got, ref)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 10), ratio=st.integers(1, 100), data=st.data())
-def test_tridiagonal_alpha_property(n, ratio, data):
-    # T / d = I + tridiag(x, sqrt(y)) for arbitrary x in [-1, 1], y in [0, 1/4]
-    d = n * ratio
+@given(n=st.integers(1, 10), ratios=st.lists(st.integers(1, 100), min_size=1,
+                                             max_size=3), data=st.data())
+def test_tridiagonal_alpha_property(n, ratios, data):
+    # X = sqrt(d0) tridiag(x, sqrt(y)) for arbitrary x in [-1, 1] and
+    # y in [0, 1/4], so that T / d0 = I + tridiag(x, sqrt(y)) at the first
+    # d0 of the group; the others see the same X, at other scales
+    ds = [n * r for r in ratios]
     x = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
     y = data.draw(st.lists(st.floats(0.0, 0.25), min_size=n - 1,
                            max_size=n - 1))
-    dev = d * np.array(x, dtype=float).reshape(n, 1)
-    off2 = float(d) ** 2 * np.array(y, dtype=float).reshape(n - 1, 1)
-    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, d)
-    ref_alpha, ref_q, ref_psd, eigs = eigenvalue_reference(dev, off2, n, d)
-    # keep every eigenvalue clear of zero and of the flag thresholds, where
-    # eigensolver rounding alone could flip the reference
-    half = 3.0 * math.sqrt(d * n)
-    for edge in (0.0, d - half, d + half, -TOL_PSD_SCALE * d):
-        assume(np.all(np.abs(eigs[0] - edge) > 1e-6 * d))
-    assert q[0] == ref_q[0] and psd[0] == ref_psd[0]
-    if ref_alpha[0] == -np.inf:
-        assert alpha[0] == -np.inf
-    else:
-        # log det error grows like the condition number of T
-        cond = eigs[0, -1] / eigs[0, 0]
-        tol = 1e-12 * cond * (d + 1) * n + 1e-9 * max(1.0, abs(ref_alpha[0]))
-        assert abs(alpha[0] - ref_alpha[0]) <= tol
+    dev = math.sqrt(ds[0]) * np.array(x, dtype=float).reshape(n, 1)
+    off2 = ds[0] * np.array(y, dtype=float).reshape(n - 1, 1)
+    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, ds)
+    for row, d in enumerate(ds):
+        ref_alpha, ref_q, ref_psd, eigs = eigenvalue_reference(dev, off2, n,
+                                                               d)
+        # skip a d with an eigenvalue near zero or a flag threshold, where
+        # eigensolver rounding alone could flip the reference
+        half = 3.0 * math.sqrt(d * n)
+        if any(np.any(np.abs(eigs[0] - edge) <= 1e-6 * d)
+               for edge in (0.0, d - half, d + half, -TOL_PSD_SCALE * d)):
+            continue
+        assert q[0] == ref_q[0] and psd[row, 0] == ref_psd[0]
+        if ref_alpha[0] == -np.inf:
+            assert alpha[row, 0] == -np.inf
+        else:
+            # log det error grows like the condition number of T
+            cond = eigs[0, -1] / eigs[0, 0]
+            tol = (1e-12 * cond * (d + 1) * n
+                   + 1e-9 * max(1.0, abs(ref_alpha[0])))
+            assert abs(alpha[row, 0] - ref_alpha[0]) <= tol

@@ -159,15 +159,20 @@ def test_mean_structure():
 def test_tridiagonal_streams_pinned(n):
     # both samplers against the broadcast formulas they were written with,
     # bit for bit on a fixed stream key (SFC64 on a SeedSequence): the
-    # row-by-row chi-square draw and the in-place scaling move no variate
+    # row-by-row chi-square draw and the in-place scaling move no variate.
+    # The GOE-side X is d-free, and sqrt(d) X is the T - dI that the same
+    # variates gave when the draw was scaled by d, up to rounding
     size = 37
+    gen = RngState(2024, n).generator()
+    z = gen.standard_normal((n, size))
+    chi2 = 2.0 * gen.standard_gamma(0.5 * np.arange(n - 1, 0, -1)[:, None],
+                                    size=(n - 1, size))
+    got = goe_tridiagonal(n, size, RngState(2024, n).generator())
+    assert [x.tobytes() for x in got] == [(np.sqrt(2.0) * z).tobytes(),
+                                          chi2.tobytes()]
     for d in (n, n ** 3 + 3):
-        gen = RngState(2024, n).generator()
-        dev = math.sqrt(2.0 * d) * gen.standard_normal((n, size))
-        off2 = d * (2.0 * gen.standard_gamma(
-            0.5 * np.arange(n - 1, 0, -1)[:, None], size=(n - 1, size)))
-        got = goe_tridiagonal(n, d, size, RngState(2024, n).generator())
-        assert [x.tobytes() for x in got] == [dev.tobytes(), off2.tobytes()]
+        np.testing.assert_allclose(math.sqrt(d) * got[0],
+                                   math.sqrt(2.0 * d) * z, rtol=5e-16)
         gen = RngState(2025, n).generator()
         c2 = 2.0 * gen.standard_gamma(0.5 * np.arange(d, d - n, -1)[:, None],
                                       size=(n, size))
@@ -175,6 +180,6 @@ def test_tridiagonal_streams_pinned(n):
                                       size=(n - 1, size))
         dev = c2 - d
         dev[1:] += s2
-        got = wishart_tridiagonal(n, d, size, RngState(2025, n).generator())
-        assert [x.tobytes() for x in got] == [dev.tobytes(),
-                                              (s2 * c2[:-1]).tobytes()]
+        got_w = wishart_tridiagonal(n, d, size, RngState(2025, n).generator())
+        assert [x.tobytes() for x in got_w] == [
+            (dev / math.sqrt(d)).tobytes(), (s2 * c2[:-1] / d).tobytes()]

@@ -1,6 +1,7 @@
 import io
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -166,17 +167,64 @@ def test_run_sweep_rows():
 
 
 def test_sweep_points_read_the_sweep_streams():
-    # point p reads stream (seed, p) with the purpose "sweep", so point 0
-    # does not repeat the tv estimate of the same seed
-    cfg = small_config()
-    rows = run_sweep(cfg)
-    for point, row in enumerate(rows):
-        est = tv_estimate_goe_side(row.n, row.d, cfg.samples,
-                                   RngState(cfg.seed, point, "sweep"))
-        assert (row.tv_mc, row.tv_stderr) == (est.mean, est.stderr)
+    # the points at the j-th n read stream (seed, j) with the purpose
+    # "sweep", and each is bit for bit the estimate at its (n, d) alone on
+    # that stream, at one worker and at two; 8199 draws are two blocks at
+    # n = 32 and three at n = 64, so at two workers each pass is split
+    # across processes.  Point 0 does not repeat the tv estimate of the
+    # same seed
+    for base in (small_config(), small_config(n_list=(32, 64), samples=8199)):
+        for workers in (1, 2):
+            cfg = replace(base, workers=workers)
+            rows = run_sweep(cfg)
+            assert [(r.c, r.n) for r in rows] == [
+                (c, n) for c in cfg.c_grid for n in cfg.n_list]
+            for row in rows:
+                stream = RngState(cfg.seed, cfg.n_list.index(row.n), "sweep")
+                est = tv_estimate_goe_side(row.n, row.d, cfg.samples, stream,
+                                           workers=workers)
+                assert (row.tv_mc, row.tv_stderr, row.frac_in_q) == (
+                    est.mean, est.stderr, est.frac_in_q)
     tv = tv_estimate_goe_side(rows[0].n, rows[0].d, cfg.samples,
                               RngState(cfg.seed))
     assert tv.mean != rows[0].tv_mc
+
+
+def test_shared_draw_rows_keep_the_law_of_independent_points():
+    # the points at one n share their draws, which correlates their errors
+    # but leaves the law of each: over 50 seeds the mean of each row agrees
+    # with the mean of estimates at the same (c, n) drawn on streams of
+    # their own, within 4 stderr of the difference
+    cfg = small_config(c_grid=(0.25, 0.5, 1.0, 2.0, 4.0), n_list=(4, 8),
+                       samples=2000)
+    runs = [run_sweep(replace(cfg, seed=seed)) for seed in range(50)]
+    for i, row in enumerate(runs[0]):
+        shared = [rows[i] for rows in runs]
+        alone = [tv_estimate_goe_side(row.n, row.d, cfg.samples,
+                                      RngState(seed, i))
+                 for seed in range(100, 150)]
+        diff = (math.fsum(r.tv_mc for r in shared)
+                - math.fsum(e.mean for e in alone)) / 50
+        se = math.sqrt(math.fsum(r.tv_stderr ** 2 for r in shared)
+                       + math.fsum(e.stderr ** 2 for e in alone)) / 50
+        assert abs(diff) <= 4 * se
+
+
+def test_sweep_bytes_do_not_depend_on_pass_groups(tmp_path, monkeypatch):
+    # one d per pass gives the same sweep.csv and figure1.svg as the
+    # default grouping
+    import wglab.tv_mc as tv_mc
+    cfg = small_config(c_grid=(0.25, 0.5, 1.0, 2.0, 4.0), n_list=(4, 8),
+                       samples=1001)
+    written = []
+    for columns in (tv_mc._PASS_COLUMNS, 1):
+        monkeypatch.setattr(tv_mc, "_PASS_COLUMNS", columns)
+        rows = run_sweep(cfg)
+        emit_csv(rows, tmp_path / "sweep.csv")
+        emit_figure1_svg(rows, tmp_path / "figure1.svg")
+        written.append([(tmp_path / f).read_bytes()
+                        for f in ("sweep.csv", "figure1.svg")])
+    assert written[0] == written[1]
 
 
 def test_run_sweep_deterministic(tmp_path):

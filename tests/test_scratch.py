@@ -43,10 +43,12 @@ def test_frames_reuse_the_buffer_once_it_has_grown():
 @pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
 def test_samplers_fill_the_given_arrays(sampler):
     s = Scratch()
+    # the GOE-side draw takes no d
+    args = (8, 33) if sampler is goe_tridiagonal else (8, 512, 33)
     for _ in range(2):
         with s.frame() as take:
-            dev, off2 = sampler(8, 512, 33, RngState(3).generator(), take)
-            fresh = sampler(8, 512, 33, RngState(3).generator())
+            dev, off2 = sampler(*args, RngState(3).generator(), take)
+            fresh = sampler(*args, RngState(3).generator())
             np.testing.assert_array_equal(dev, fresh[0])
             np.testing.assert_array_equal(off2, fresh[1])
     assert np.shares_memory(dev, s.buf) and np.shares_memory(off2, s.buf)
@@ -57,17 +59,17 @@ def test_alpha_reuses_scratch_exactly(monkeypatch):
     # result is what a call with a fresh buffer gives, in arrays of its own
     cases = [(32, 32 ** 3, 4096, True), (3, 3, 5, False),
              (32, 32 ** 3, 1808, True), (8, 64, 301, True)]
-    batches = [goe_tridiagonal(n, d, k, RngState(70 + n, k).generator())
-               for n, d, k, _ in cases]
+    batches = [goe_tridiagonal(n, k, RngState(70 + n, k).generator())
+               for n, _, k, _ in cases]
     with monkeypatch.context() as m:
         refs = []
         for (n, d, _, mirrored), batch in zip(cases, batches):
             m.setattr(densities, "SCRATCH", Scratch())
-            refs.append(densities.alpha_from_tridiagonal(*batch, n, d,
+            refs.append(densities.alpha_from_tridiagonal(*batch, n, [d],
                                                          mirrored))
     for _ in range(2):
         for (n, d, _, mirrored), batch, ref in zip(cases, batches, refs):
-            got = densities.alpha_from_tridiagonal(*batch, n, d, mirrored)
+            got = densities.alpha_from_tridiagonal(*batch, n, [d], mirrored)
             for x, y in zip(got, ref):
                 assert x.tobytes() == y.tobytes()
                 assert not np.shares_memory(x, SCRATCH.buf)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
@@ -159,13 +160,13 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
     draws, calls = [], []
     sample, alpha = tv_mc.goe_tridiagonal, tv_mc.alpha_from_tridiagonal
 
-    def counting_sample(n, d, size, gen, *empty):
+    def counting_sample(n, size, gen, *empty):
         draws.append(size)
-        return sample(n, d, size, gen, *empty)
+        return sample(n, size, gen, *empty)
 
-    def counting_alpha(dev, off2, n, d, mirrored, sums):
+    def counting_alpha(dev, off2, n, ds, mirrored):
         calls.append((dev.shape[1], mirrored))
-        return alpha(dev, off2, n, d, mirrored, sums)
+        return alpha(dev, off2, n, ds, mirrored)
 
     monkeypatch.setattr(tv_mc, "goe_tridiagonal", counting_sample)
     monkeypatch.setattr(tv_mc, "alpha_from_tridiagonal", counting_alpha)
@@ -214,21 +215,22 @@ def test_profile_matches_eigenvalue_decomposition(n, monkeypatch):
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 128 * n)
     d, samples, rng = n ** 3, 301, RngState(15 + n)
     records = list(tv_profile(n, d, samples, rng))
-    blocks = tv_mc._blocks(n, d, samples, rng, tv_mc.GOE_SIDE, 0,
+    blocks = tv_mc._blocks(n, [d], samples, rng, tv_mc.GOE_SIDE, 0,
                            tv_mc._block_count(n, samples, tv_mc.GOE_SIDE))
     # each block's draws, then their mirrors: the plain batches of the
     # evaluations in record order
-    batches = [batch for dev, off2, alpha, *_ in blocks
+    batches = [batch for _, dev, off2, alpha, *_ in blocks
                for m in [alpha.size - dev.shape[1]]
                for batch in ((dev, off2), (-dev[:, :m], off2[:, :m]))]
     assert len(batches) == 6
     dev, off2 = (np.concatenate(x, axis=1) for x in zip(*batches))
     assert dev.shape == (n, samples)
-    alpha, _, _ = alpha_from_tridiagonal(dev, off2, n, d)
-    assert [r.breakdown.alpha for r in records] == alpha.tolist()
+    alpha, _, _ = alpha_from_tridiagonal(dev, off2, n, [d])
+    assert [r.breakdown.alpha for r in records] == alpha[0].tolist()
     checked = 0
     for k, rec in enumerate(records):
-        eigs = eigvalsh_tridiagonal(dev[:, k] + d, np.sqrt(off2[:, k]))
+        eigs = eigvalsh_tridiagonal(d + math.sqrt(d) * dev[:, k],
+                                    np.sqrt(d * off2[:, k]))
         ref = s_decomposition(Spectrum(eigs), n, d)
         got = rec.breakdown
         assert got.in_q == ref.in_q and got.psd == ref.psd
@@ -278,12 +280,12 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
     # the as-drawn columns and, on the GOE side, the mirrored columns each
     # against the dense ensemble; within a group the columns are independent
     n, d, samples = 8, 512, 20_000
-    blocks = tv_mc._blocks(n, d, samples, RngState(41), side, 0,
+    blocks = tv_mc._blocks(n, [d], samples, RngState(41), side, 0,
                            tv_mc._block_count(n, samples, side))
     drawn, mirrored = [], []
-    for dev, *_, values, _ in blocks:
-        drawn.append(values[:dev.shape[1]])
-        mirrored.append(values[dev.shape[1]:])
+    for _, dev, *_, values, _ in blocks:
+        drawn.append(values[0, :dev.shape[1]])
+        mirrored.append(values[0, dev.shape[1]:])
     groups = [g for g in map(np.concatenate, (drawn, mirrored)) if g.size]
     assert len(groups) == (2 if side == tv_mc.GOE_SIDE else 1)
     assert sum(g.size for g in groups) == samples
@@ -310,19 +312,21 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
     values, pair_sums, power = [], [], []
     for b in range(4):
         size = min(512, samples - 512 * b)
-        dev, off2 = goe_tridiagonal(n, d, size - size // 2,
+        dev, off2 = goe_tridiagonal(n, size - size // 2,
                                     rng.substream(b).generator())
         m = size // 2
-        v = tv_mc._integrand(alpha_from_tridiagonal(dev, off2, n, d)[0],
+        v = tv_mc._integrand(alpha_from_tridiagonal(dev, off2, n, [d])[0][0],
                              tv_mc.GOE_SIDE)
-        w = tv_mc._integrand(alpha_from_tridiagonal(-dev, off2, n, d)[0],
+        w = tv_mc._integrand(alpha_from_tridiagonal(-dev, off2, n, [d])[0][0],
                              tv_mc.GOE_SIDE)
         pair_sums.append(v[:m] + w[:m])
         values += [v, w[:m]]
+        # p1..p3 of X, then of T - dI = sqrt(d) X
         p3 = (dev ** 3).sum(axis=0) + 3.0 * (off2 * (dev[:-1] + dev[1:])).sum(
             axis=0)
-        power.append(np.stack([dev.sum(axis=0), (dev ** 2).sum(axis=0)
-                               + 2.0 * off2.sum(axis=0), p3])[:, :m])
+        power.append((np.stack([dev.sum(axis=0), (dev ** 2).sum(axis=0)
+                                + 2.0 * off2.sum(axis=0), p3])
+                      * np.array([[d ** 0.5], [d], [d ** 1.5]]))[:, :m])
     values, u = np.concatenate(values), np.concatenate(pair_sums)
     assert values.size == samples and u.size == samples // 2
     # the plain values are the profile's integrands, in its order
@@ -367,11 +371,10 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
 
 
 def _partials(u, x=None):
-    """The merged ``_unit_gram`` partials of units u and controls x (none
-    by default)."""
+    """The ``moments`` of units u and controls x (none by default), as
+    ``_unit_fit`` takes them merged."""
     x = np.empty((0, u.size)) if x is None else x
-    z = np.vstack([np.ones(u.size), u, x])
-    return (z @ z.T).ravel().tolist() + (x ** 3).sum(axis=1).tolist()
+    return tv_mc.moments(np.vstack([u, x]))
 
 
 def test_unit_fit_without_controls_is_the_sample_variance():
@@ -424,8 +427,8 @@ def test_wishart_side_is_the_plain_mean(monkeypatch):
     n, d, samples, side = 8, 512, 1701, tv_mc.WISHART_SIDE
     est = tv_estimate_wishart_side(n, d, samples, RngState(17))
     assert tv_mc._block_count(n, samples, side) == 4
-    blocks = [values.copy() for *_, values, _ in tv_mc._blocks(
-        n, d, samples, RngState(17), side, 0, 4)]
+    blocks = [values[0].copy() for *_, values, _ in tv_mc._blocks(
+        n, [d], samples, RngState(17), side, 0, 4)]
     values = np.concatenate(blocks)
     assert values.size == samples and est.var_ratio == 1.0
     assert est.mean == math.fsum(float(v.sum()) for v in blocks) / samples
@@ -462,12 +465,12 @@ def test_mirrored_columns_match_eigenvalues(n):
     # 100; the mirrors' alpha and flags from the estimator's one-pass call
     # match the eigenvalues of each draw with its diagonal negated
     d, samples = n ** 3, 201
-    [(dev, off2, *flags, _, _)] = tv_mc._blocks(n, d, samples,
-                                                RngState(60 + n),
-                                                tv_mc.GOE_SIDE, 0, 1)
-    assert dev.shape == (n, 101) and flags[0].size == 201
-    alpha, q, psd = (x[101:] for x in flags)
-    eigs = np.array([eigvalsh_tridiagonal(-dev[:, k] + d, np.sqrt(off2[:, k]))
+    [(_, dev, off2, alpha, q, psd, _, _)] = tv_mc._blocks(
+        n, [d], samples, RngState(60 + n), tv_mc.GOE_SIDE, 0, 1)
+    assert dev.shape == (n, 101) and alpha.shape == (1, 201)
+    alpha, q, psd = alpha[0, 101:], q[101:], psd[0, 101:]
+    eigs = np.array([eigvalsh_tridiagonal(d - math.sqrt(d) * dev[:, k],
+                                          np.sqrt(d * off2[:, k]))
                      for k in range(100)])
     np.testing.assert_array_equal(q, in_q_mask(eigs, n, d))
     np.testing.assert_array_equal(psd, eigs[:, 0] >= -TOL_PSD_SCALE * d)
@@ -555,3 +558,81 @@ def test_block_merge_invariant_under_any_split(samples, budget, workers):
                              workers=workers)
             assert split == one
             assert one.samples == samples
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_stderr_matches_two_pass_variance_near_one(blocks, monkeypatch):
+    # at n = d = 16 the TV is near 1 and the variance is about 1e-14 of the
+    # squared mean, where a variance from raw sums loses digits (7.2995e-10
+    # against 7.0907e-10 here); the block moments about their own means,
+    # merged in block order, keep them, in one block and in four
+    n, d, samples = 16, 16, 6401
+    if blocks > 1:
+        monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 1601 * n)
+    side = tv_mc.WISHART_SIDE
+    assert tv_mc._block_count(n, samples, side) == blocks
+    est = tv_estimate_wishart_side(n, d, samples, RngState(22401))
+    values = np.concatenate([v[0].copy() for *_, v, _ in tv_mc._blocks(
+        n, [d], samples, RngState(22401), side, 0, blocks)])
+    two_pass = math.sqrt(np.var(values, ddof=1) / samples)
+    assert est.mean > 0.99
+    assert est.stderr == pytest.approx(two_pass, rel=1e-6)
+
+
+def test_merged_moments_match_the_whole_set():
+    # the block-order merge of the moments of uneven blocks, empty ones
+    # included, against the moments of the whole set in one pass
+    rng = np.random.default_rng(5)
+    z = np.vstack([1.0 + 1e-4 * rng.standard_normal(3000),
+                   rng.exponential(size=3000), rng.standard_normal(3000)])
+    cuts = [0, 0, 7, 1000, 1000, 2999, 3000]
+    parts = [tv_mc.moments(z[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+    count, sums, cross, cubes = tv_mc.merge_moments(parts)
+    ref = tv_mc.moments(z)
+    assert count == ref[0] == 3000
+    np.testing.assert_allclose(sums, ref[1], rtol=1e-14)
+    np.testing.assert_allclose(cross, ref[2], rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(cubes, ref[3], rtol=1e-10, atol=1e-12)
+    c = z - z.mean(axis=1, keepdims=True)
+    np.testing.assert_allclose(cross, c @ c.T, rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(cubes, (c ** 3).sum(axis=1), rtol=1e-10,
+                               atol=1e-12)
+
+
+def test_pass_groups_change_no_bit(monkeypatch):
+    # the d values of one call share the draws and are grouped into passes
+    # by _PASS_COLUMNS; any grouping, down to one d per pass, gives bit for
+    # bit the estimates of separate calls on the same stream, over four
+    # blocks, the last with an unpaired draw, with the controls on
+    monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 2000 * 8)
+    monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
+    n, samples, rng = 8, 7001, RngState(23)
+    ds = [8, 9, 64, 512, 512, 4096, 10 ** 6]
+    assert tv_mc._block_count(n, samples, tv_mc.GOE_SIDE) == 4
+    grouped = tv_mc.tv_estimates_goe_side(n, ds, samples, rng)
+    assert [e.d for e in grouped] == ds
+    assert all(e.var_ratio != 1.0 for e in grouped[2:])
+    monkeypatch.setattr(tv_mc, "_PASS_COLUMNS", 1)
+    assert tv_mc.tv_estimates_goe_side(n, ds, samples, rng) == grouped
+    assert [tv_estimate_goe_side(n, d, samples, rng) for d in ds] == grouped
+
+
+def test_pass_memory_is_bounded_by_the_column_budget(monkeypatch):
+    # 512 d values at n = 4 on 1,000 draws: 1,024,000 evaluations, which
+    # one pass would hold at about 16 floats each (130 MB).  The passes
+    # hold at most _PASS_COLUMNS evaluations at a time, so the traced peak,
+    # fresh scratch included, is set by that budget and not by the number
+    # of d values
+    from wglab import densities
+    from wglab.scratch import Scratch
+    for module in (densities, tv_mc):
+        monkeypatch.setattr(module, "SCRATCH", Scratch())
+    ds = [4 * i for i in range(1, 513)]
+    tracemalloc.start()
+    try:
+        estimates = tv_mc.tv_estimates_goe_side(4, ds, 2000, RngState(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 512
+    assert peak <= 24 * 8 * tv_mc._PASS_COLUMNS
