@@ -280,8 +280,9 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
         alpha = (0.5 * ((d - n - 1) * logdet - signs * (root * p1) + 0.5 * p2)
                  + [[spectrum_constant(n, x)] for x in ds])
     alpha[~pd] = -np.inf
-    # the Sturm pivots of X at -s are those of -X at s, negated, so the
-    # count at -s with ties the other way is the mirror's at s
+    # pd becomes the PSD flag.  The Sturm pivots of X at -s are those of
+    # -X at s, negated, so the count at -s with ties the other way is the
+    # mirror's at s
     checks = [(None, np.flatnonzero(~q), half)] + [
         (j, np.flatnonzero(~pd[:, j].all(axis=0)),
          (1.0 + TOL_PSD_SCALE) * root[j, 0]) for j in range(d.size)]

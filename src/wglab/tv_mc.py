@@ -51,13 +51,12 @@ units.  The unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
-ranges of blocks.  Each block returns, per d, its sum of values, its flag
-counts and the ``moments`` of its units and controls about the block's own
-means; these are merged in block order (Chan, Golub and LeVeque 1979) and
-beta is fitted once per d after the merge, so the seed alone fixes every
-estimate: any worker count gives bit-identical results.  The pool never
-starts more processes than there are blocks or CPUs, and a run of one
-block starts none.
+ranges of blocks.  Per d, the blocks' sums, flag counts and ``_moments``
+about their own means are merged in block order (Chan, Golub and LeVeque
+1979) and beta is fitted once after the merge, so the seed alone fixes
+every estimate: any worker count gives bit-identical results.  The pool
+never starts more processes than there are blocks or CPUs, and a run of
+one block starts none.
 """
 
 import math
@@ -221,8 +220,8 @@ def _controls(side: str, samples: int) -> int:
 def _block_stats(task):
     """Per-block partials of one task's range, one list per block: for
     each d, the sum of its integrand values, its Q and PSD counts, the
-    ``moments`` of its units and, on a GOE-side run of odd ``samples``, the
-    ``moments`` of its values (None elsewhere)."""
+    ``_moments`` of its units and, on a GOE-side run of odd ``samples``, the
+    ``_moments`` of its values (None elsewhere)."""
     n, ds, samples, _, side = task[:5]
     odd = side == GOE_SIDE and samples % 2
     parts = []
@@ -237,12 +236,12 @@ def _block_stats(task):
             rows[0, :units.size] = units
             parts[-1].append((float(v.sum()), int(np.count_nonzero(q)),
                               int(np.count_nonzero(flag)),
-                              moments(rows[:, :units.size]),
-                              moments(v[None]) if odd else None))
+                              _moments(rows[:, :units.size]),
+                              _moments(v[None]) if odd else None))
     return parts
 
 
-def moments(z: np.ndarray):
+def _moments(z: np.ndarray):
     """``(count, sums, cross, cubes)`` of an (r, count) array z, one
     variable per row: the r sums, and the r x r cross-products and r sums
     of cubes about the row means, which keep the digits that raw sums of
@@ -254,8 +253,8 @@ def moments(z: np.ndarray):
             np.einsum("ij,ij,ij->i", c, c, c))
 
 
-def merge_moments(parts):
-    """The ``moments`` of the union of the sets whose ``moments`` are
+def _merge_moments(parts):
+    """The ``_moments`` of the union of the sets whose ``_moments`` are
     ``parts``, merged in order by the pairwise update of Chan, Golub and
     LeVeque (1979), and Pebay (2008) for the cubes: for n_A and n_B values
     whose means differ by delta, with n = n_A + n_B and f = n_A n_B / n,
@@ -291,7 +290,7 @@ def mc_summary(mean: float, stderr: float):
 
 def _unit_fit(units, m):
     """The regression of the P units on m controls from the merged
-    ``moments`` of z = (u, x) over the units: (beta . sum x, the variance
+    ``_moments`` of z = (u, x) over the units: (beta . sum x, the variance
     of one unit about the fit, the plain variance of a unit over that).
 
     The units u are regressed on the centered controls x (Lavenberg and
@@ -377,10 +376,10 @@ def _estimate(n, ds, samples, rng, side, workers):
     out = []
     for d, col in zip(ds, zip(*parts)):
         sums, n_q, n_psd, units, values = zip(*col)
-        units = merge_moments(units)
+        units = _merge_moments(units)
         shift, var_unit, ratio = _unit_fit(units, _controls(side, samples))
         var = single and sample_variance(
-            samples, float(merge_moments(values)[2][0, 0]))
+            samples, float(_merge_moments(values)[2][0, 0]))
         stderr = math.sqrt(units[0] * var_unit + var) / samples
         out.append(TvEstimate(
             *mc_summary((math.fsum(sums) - shift) / samples, stderr),

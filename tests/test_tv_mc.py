@@ -371,10 +371,10 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
 
 
 def _partials(u, x=None):
-    """The ``moments`` of units u and controls x (none by default), as
+    """The ``_moments`` of units u and controls x (none by default), as
     ``_unit_fit`` takes them merged."""
     x = np.empty((0, u.size)) if x is None else x
-    return tv_mc.moments(np.vstack([u, x]))
+    return tv_mc._moments(np.vstack([u, x]))
 
 
 def test_unit_fit_without_controls_is_the_sample_variance():
@@ -562,10 +562,11 @@ def test_block_merge_invariant_under_any_split(samples, budget, workers):
 
 @pytest.mark.parametrize("blocks", [1, 4])
 def test_stderr_matches_two_pass_variance_near_one(blocks, monkeypatch):
-    # at n = d = 16 the TV is near 1 and the variance is about 1e-14 of the
-    # squared mean, where a variance from raw sums loses digits (7.2995e-10
-    # against 7.0907e-10 here); the block moments about their own means,
-    # merged in block order, keep them, in one block and in four
+    # at n = d = 16 the TV is near 1 and the values' variance is about
+    # 3e-15 of their squared mean, where a variance from raw sums loses
+    # digits (a stderr of 7.2995e-10 against 7.0907e-10 in one block); the
+    # block moments about their own means, merged in block order, keep
+    # them, in one block and in four
     n, d, samples = 16, 16, 6401
     if blocks > 1:
         monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 1601 * n)
@@ -586,9 +587,9 @@ def test_merged_moments_match_the_whole_set():
     z = np.vstack([1.0 + 1e-4 * rng.standard_normal(3000),
                    rng.exponential(size=3000), rng.standard_normal(3000)])
     cuts = [0, 0, 7, 1000, 1000, 2999, 3000]
-    parts = [tv_mc.moments(z[:, a:b]) for a, b in zip(cuts, cuts[1:])]
-    count, sums, cross, cubes = tv_mc.merge_moments(parts)
-    ref = tv_mc.moments(z)
+    parts = [tv_mc._moments(z[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+    count, sums, cross, cubes = tv_mc._merge_moments(parts)
+    ref = tv_mc._moments(z)
     assert count == ref[0] == 3000
     np.testing.assert_allclose(sums, ref[1], rtol=1e-14)
     np.testing.assert_allclose(cross, ref[2], rtol=1e-11, atol=1e-12)
