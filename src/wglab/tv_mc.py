@@ -222,7 +222,7 @@ def _block_stats(task):
     each d, the sum of its integrand values, its Q and PSD counts, the
     ``_moments`` of its units and, on a GOE-side run of odd ``samples``, the
     ``_moments`` of its values (None elsewhere)."""
-    n, ds, samples, _, side = task[:5]
+    samples, _, side = task[2:5]
     odd = side == GOE_SIDE and samples % 2
     parts = []
     for lo, dev, _, _, q, psd, values, rows in _blocks(*task, SCRATCH.take):
@@ -362,7 +362,7 @@ def _estimate(n, ds, samples, rng, side, workers):
     procs = 1 if blocks == 1 else min(workers, blocks, os.cpu_count() or 1)
     # one contiguous range of blocks per process; the partials come back in
     # block order, so the merge does not depend on the split
-    tasks = [(n, tuple(ds), samples, rng, side, blocks * i // procs,
+    tasks = [(n, ds, samples, rng, side, blocks * i // procs,
               blocks * (i + 1) // procs) for i in range(procs)]
     if procs > 1:
         global ProcessPoolExecutor
@@ -396,7 +396,7 @@ def tv_estimates_goe_side(n: int, ds, samples: int, rng: RngState,
     alpha evaluations each, every draw as drawn and mirrored, with the pair
     sums corrected by the even power-sum control variates and the stderr
     taken over the pairs; an odd ``samples`` drops the last mirror."""
-    return _estimate(n, list(ds), samples, rng, GOE_SIDE, workers)
+    return _estimate(n, tuple(ds), samples, rng, GOE_SIDE, workers)
 
 
 def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
@@ -409,7 +409,7 @@ def tv_estimate_goe_side(n: int, d: int, samples: int, rng: RngState,
 def tv_estimate_wishart_side(n: int, d: int, samples: int, rng: RngState,
                              workers: int = 1) -> TvEstimate:
     """TV estimate from Wishart draws (always PSD)."""
-    return _estimate(n, [d], samples, rng, WISHART_SIDE, workers)[0]
+    return _estimate(n, (d,), samples, rng, WISHART_SIDE, workers)[0]
 
 
 @dataclass(frozen=True)
