@@ -25,7 +25,6 @@ from .limit_theory import LimitParams, limiting_tv_closed_form
 from .rng import RngState
 from .tv_mc import Z99, _check_params, tv_estimates_goe_side
 
-CSV_HEADER = "c,n,d,tv_mc,tv_stderr,tv_limit,frac_in_q,runtime_s,seed"
 # the fewest distinct c values that figure 1 is drawn from
 _SVG_MIN_C = 5
 
@@ -81,6 +80,9 @@ class SweepRow:
     seed: int
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+
 def degrees_of_freedom(c: float, n: int) -> int:
     """The canonical finite-n realization of d / n^3 -> c."""
     return int(round(c * n ** 3))
@@ -88,22 +90,31 @@ def degrees_of_freedom(c: float, n: int) -> int:
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False,
           "yes": True, "no": False}
+# how a config value is read, by the type of its ExperimentConfig field
+_CONVERT = {tuple[float, ...]: lambda v: tuple(map(float, v.split(","))),
+            tuple[int, ...]: lambda v: tuple(map(int, v.split(","))),
+            int: int, Path: Path, bool: lambda v: _BOOLS[v.lower()]}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a flat key = value config file.
+    """Read a flat key = value config file in UTF-8.
 
     Recognized keys: c_grid and n_list (comma-separated), samples, seed,
     workers, out_dir, emit_svg, record_runtime.  Lines starting with '#'
     are comments.  An unknown or repeated key is an error, so a misspelled
-    key cannot fall back silently to its default.
+    key cannot fall back silently to its default, and so is a value that
+    does not convert to its key's type; each error names its line.
     """
-    known = {f.name for f in fields(ExperimentConfig)}
-    raw = {}
+    convert = {f.name: _CONVERT[f.type] for f in fields(ExperimentConfig)}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line_no}: not valid UTF-8") from exc
+    kwargs = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -111,34 +122,19 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in known:
+        key, value = key.strip(), value.strip()
+        if key not in convert:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        if key in raw:
+        if key in kwargs:
             raise ConfigError(f"{path}:{line_no}: repeated key {key!r}")
-        raw[key] = value.strip()
-    try:
-        kwargs = {}
-        if "c_grid" in raw:
-            kwargs["c_grid"] = tuple(float(v) for v in raw["c_grid"].split(","))
-        if "n_list" in raw:
-            kwargs["n_list"] = tuple(int(v) for v in raw["n_list"].split(","))
-        for key in ("samples", "seed", "workers"):
-            if key in raw:
-                kwargs[key] = int(raw[key])
-        if "out_dir" in raw:
-            kwargs["out_dir"] = Path(raw["out_dir"])
-        for key in ("emit_svg", "record_runtime"):
-            if key in raw:
-                try:
-                    kwargs[key] = _BOOLS[raw[key].lower()]
-                except KeyError:
-                    raise ConfigError(f"{path}: bad boolean for {key}: {raw[key]}")
-        if "c_grid" not in kwargs or "n_list" not in kwargs:
-            raise ConfigError(f"{path}: c_grid and n_list are required")
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        try:
+            kwargs[key] = convert[key](value)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}:{line_no}: bad value for {key!r}: {value!r}") from exc
+    if "c_grid" not in kwargs or "n_list" not in kwargs:
+        raise ConfigError(f"{path}: c_grid and n_list are required")
+    return ExperimentConfig(**kwargs)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -170,11 +166,7 @@ def emit_csv(rows: list[SweepRow], path) -> None:
     if not rows:
         raise ConfigError("no rows to write")
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            repr(r.c), str(r.n), str(r.d), repr(r.tv_mc), repr(r.tv_stderr),
-            repr(r.tv_limit), repr(r.frac_in_q), repr(r.runtime_s),
-            str(r.seed)]))
+    lines += (",".join(map(repr, vars(r).values())) for r in rows)
     try:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
                               newline="\n")
@@ -187,14 +179,14 @@ def read_csv(path) -> list[SweepRow]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: missing or unexpected header")
+    columns = fields(SweepRow)
     rows = []
     for line in lines[1:]:
-        f = line.split(",")
-        if len(f) != 9:
-            raise ConfigError(f"{path}: expected 9 columns, got {len(f)}")
-        rows.append(SweepRow(float(f[0]), int(f[1]), int(f[2]), float(f[3]),
-                             float(f[4]), float(f[5]), float(f[6]),
-                             float(f[7]), int(f[8])))
+        values = line.split(",")
+        if len(values) != len(columns):
+            raise ConfigError(f"{path}: expected {len(columns)} columns, "
+                              f"got {len(values)}")
+        rows.append(SweepRow(*(f.type(v) for f, v in zip(columns, values))))
     return rows
 
 

@@ -99,8 +99,10 @@ _CLT_BATCH_ELEMENTS = 2 ** 21
 # the largest order one batch holds a draw of (1448); with it, a batch, its
 # packed normals and the G G^T buffer bound clt's memory near 42 MB
 _CLT_MAX_N = math.isqrt(_CLT_BATCH_ELEMENTS)
-# the most draws one run takes: its (reps, 2) array of pairs is 64 MB
-_CLT_MAX_REPS = 2 ** 22
+# the most draws one run of sample_clt_pairs or limiting_tv_mc takes: the
+# former's (reps, 2) array of pairs is 64 MB, the latter's draws and their
+# temporaries 172 MB, at about 41 bytes a sample
+_MAX_DRAWS = 2 ** 22
 
 
 def sample_clt_pairs(n: int, reps: int, rng: RngState) -> np.ndarray:
@@ -113,12 +115,12 @@ def sample_clt_pairs(n: int, reps: int, rng: RngState) -> np.ndarray:
     released before the next is drawn, so the peak holds one batch.  The
     pairs agree with the eigenvalue sums of the same draws to about 1e-14
     relative.  Orders above ``_CLT_MAX_N`` = 1448 are rejected, as one
-    draw would outgrow a batch, and so are more than ``_CLT_MAX_REPS``
+    draw would outgrow a batch, and so are more than ``_MAX_DRAWS``
     draws, before anything is allocated.
     """
-    if not (2 <= n <= _CLT_MAX_N and 1 <= reps <= _CLT_MAX_REPS):
+    if not (2 <= n <= _CLT_MAX_N and 1 <= reps <= _MAX_DRAWS):
         raise InvalidParameterError(
-            f"need 2 <= n <= {_CLT_MAX_N} and 1 <= reps <= {_CLT_MAX_REPS}, "
+            f"need 2 <= n <= {_CLT_MAX_N} and 1 <= reps <= {_MAX_DRAWS}, "
             f"got n={n}, reps={reps}")
     gen = replace(rng, purpose="clt").generator()
     out = np.empty((reps, 2))
@@ -158,10 +160,13 @@ def limiting_tv_mc(p: LimitParams, samples: int,
     Z ~ N(0, 6), which reproduces the covariance [[2, 6], [6, 24]].  The
     exponent s0 + s2 + s4 + k1 N1 + k3 N3 takes its coefficients from
     ``s_limit_vector`` and goes through the GOE-side TV integrand.  The
-    draws come from the stream of ``rng`` with the purpose "limit".
+    draws come from the stream of ``rng`` with the purpose "limit", all at
+    once, so more than ``_MAX_DRAWS`` samples are rejected before any is
+    drawn.
     """
-    if samples < 1:
-        raise InvalidParameterError(f"need samples >= 1, got {samples}")
+    if not 1 <= samples <= _MAX_DRAWS:
+        raise InvalidParameterError(
+            f"need 1 <= samples <= {_MAX_DRAWS}, got {samples}")
     s0, k1, s2, k3, s4 = s_limit_vector(p.c)
     gen = replace(rng, purpose="limit").generator()
     y = gen.standard_normal(samples) * math.sqrt(2.0)

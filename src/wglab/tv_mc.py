@@ -205,16 +205,11 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
 _SKEW_TOL = 0.05
 
 
-def _controlled(samples: int) -> bool:
-    """Whether a GOE-side run of ``samples`` evaluations collects the
-    control variates' partial sums: p1^2 alone keeps a run of fewer than
-    8 / _SKEW_TOL^2 = 3,200 pairs from passing the skewness test."""
-    return samples // 2 >= 8 / _SKEW_TOL ** 2
-
-
 def _controls(side: str, samples: int) -> int:
-    """m, the number of controls: 4 on a GOE-side run where ``_controlled``."""
-    return 4 if side == GOE_SIDE and _controlled(samples) else 0
+    """m, the number of controls: 4 on a GOE-side run of at least
+    8 / _SKEW_TOL^2 = 3,200 pairs, as p1^2 alone keeps a shorter run from
+    passing the skewness test, and 0 elsewhere."""
+    return 4 if side == GOE_SIDE and samples // 2 >= 8 / _SKEW_TOL ** 2 else 0
 
 
 def _block_stats(task):
@@ -296,44 +291,35 @@ def _unit_fit(units, m):
     The units u are regressed on the centered controls x (Lavenberg and
     Welch 1981): beta solves Cxx beta = Cxu on the centered
     cross-products, and the residual variance, (Cuu - beta . Cxu) /
-    (P - 1 - m), has P - 1 - m degrees of freedom.  Gaussian elimination
-    needs no pivoting, as Cxx is positive definite; its i-th pivot is the
-    part of control i's variance that the ones before it leave
-    unexplained.  Where a pivot is below 1e-10 of that variance the
-    controls are collinear, as at n = 1, where p2 = p1^2 leaves a share of
-    rounding size, 1e-16; the least measured at n >= 2 was 2e-7 (n = 2,
-    7 pairs).  There, where P <= 1 + m and where the mean of a control is
-    too skewed (``_SKEW_TOL``), the fit is the m = 0 one: beta = [], the
-    sample variance of the units, and a ratio of 1.
+    (P - 1 - m), has P - 1 - m degrees of freedom.  The squared diagonal
+    of the Cholesky factor of Cxx holds the pivots of Gaussian
+    elimination on it: the i-th is the part of control i's variance that
+    the ones before it leave unexplained.  Where a pivot is below 1e-10 of
+    that variance, or Cxx is not positive definite, the controls are
+    collinear, as at n = 1, where p2 = p1^2 leaves a share of rounding
+    size, 1e-16; the least measured at n >= 2 was 2e-7 (n = 2, 7 pairs).
+    There, where P <= 1 + m and where the mean of a control is too skewed
+    (``_SKEW_TOL``), the fit is the m = 0 one: beta = [], the sample
+    variance of the units, and a ratio of 1.
     """
     count, total, cross, cubes = units
     plain = 0.0, sample_variance(count, float(cross[0, 0])), 1.0
     if not m or count <= 1 + m:
         return plain
-    # rows [Cxx | Cxu] of the centered cross-products
-    rows = cross[1:, [*range(1, m + 1), 0]].tolist()
-    var = [rows[i][i] / count for i in range(m)]
-    cxu = [row[m] for row in rows]
-    for i, row in enumerate(rows):
-        third = cubes[i + 1] / count
-        if not (third * third <= _SKEW_TOL ** 2 * count * var[i] ** 3
-                and row[i] > 1e-10 * count * var[i]):
-            return plain
-        for below in rows[i + 1:]:
-            f = below[i] / row[i]
-            for j in range(i + 1, m + 1):
-                below[j] -= f * row[j]
-    beta = [0.0] * m
-    for i in reversed(range(m)):
-        row = rows[i]
-        beta[i] = (row[m] - _dot(row[i + 1:m], beta[i + 1:])) / row[i]
-    resid = max(float(cross[0, 0]) - _dot(beta, cxu), 0.0) / (count - 1 - m)
-    return (_dot(beta, total[1:].tolist()), resid,
+    cxx, cxu = cross[1:, 1:], cross[1:, 0]
+    var = cxx.diagonal() / count
+    third = cubes[1:] / count
+    try:
+        pivots = np.linalg.cholesky(cxx).diagonal() ** 2
+    except np.linalg.LinAlgError:
+        return plain
+    if not (np.all(third * third <= _SKEW_TOL ** 2 * count * var ** 3)
+            and np.all(pivots > 1e-10 * count * var)):
+        return plain
+    beta = np.linalg.solve(cxx, cxu)
+    resid = max(float(cross[0, 0] - beta @ cxu), 0.0) / (count - 1 - m)
+    return (float(beta @ total[1:]), resid,
             plain[1] / resid if resid > 0 else 1.0)
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _estimate(n, ds, samples, rng, side, workers):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -118,3 +119,45 @@ def test_unknown_or_unclean_checkout_is_refused(tmp_path, case):
     assert proc.returncode == 2
     assert str(change) in proc.stderr and "git worktree add" in proc.stderr
     assert not out.exists()
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_runs(parent, change):
+    """Runs of one seed per pair, each side's {metric: values}."""
+    runs = []
+    for seed in range(len(parent["wall_s"])):
+        for commit, values in (("parent", parent), ("change", change)):
+            metrics = {k: {"value": v[seed]} for k, v in values.items()}
+            runs.append({"commit": commit, "seed": seed,
+                         "result": {"metrics": metrics}})
+    return runs
+
+
+def test_verdict_flags_each_metric_worse_than_its_bound():
+    declared = [*DECLARED["end_to_end"],
+                {"name": "draws_per_s", "better": "higher", "bound": 0.25}]
+    summarize = load_tool().summarize
+    parent = {"wall_s": [1.0, 1.1, 0.9], "ok_frac": [1.0, 1.0, 1.0],
+              "draws_per_s": [100.0, 110.0, 90.0]}
+    # within every bound, though the change lost every pair of wall_s
+    lines = summarize(synthetic_runs(parent, {
+        "wall_s": [1.2, 1.3, 1.1], "ok_frac": [1.0, 1.0, 1.0],
+        "draws_per_s": [80.0, 90.0, 70.0]}), declared)
+    assert "change/parent 1.2, bound 0.25: ok" in lines[1]
+    assert "change/parent 0.8, bound 0.25: ok" in lines[3]
+    assert lines[-1] == "verdict: no metric worse than its bound"
+    # 30% slower, 2% of calls failed and 30% fewer draws per second
+    lines = summarize(synthetic_runs(parent, {
+        "wall_s": [1.3, 1.4, 1.2], "ok_frac": [0.98, 0.98, 0.98],
+        "draws_per_s": [70.0, 80.0, 60.0]}), declared)
+    assert "change/parent 1.3, bound 0.25: WORSE THAN BOUND" in lines[1]
+    assert "change/parent 0.98, bound 0.01: WORSE THAN BOUND" in lines[2]
+    assert "change/parent 0.7, bound 0.25: WORSE THAN BOUND" in lines[3]
+    assert lines[-1] == "verdict: worse than bound: wall_s, ok_frac, " \
+                        "draws_per_s"

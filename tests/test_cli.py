@@ -231,6 +231,16 @@ def test_sweep_command_bad_config(tmp_path):
     assert cli_dispatch(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_sweep_command_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    # a decode error once escaped cli_dispatch as a traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"c_grid = 0.5, 1.0\nn_list = 4\n# caf\xe9\n"
+                    + f"out_dir = {tmp_path / 'out'}\n".encode())
+    assert cli_dispatch(["sweep", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_command_rejects_svg_with_few_c_before_running(tmp_path):
     # figure 1 needs 5 c values; 3 are refused before any point runs, so
     # no sweep.csv is written

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import xml.etree.ElementTree as ET
@@ -139,6 +140,28 @@ def test_parse_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize("text,line,key", [
+    ("c_grid = 0.5\nn_list = 4\nemit_svg = maybe\n", 3, "emit_svg"),
+    ("c_grid = 0.5\n\nsamples = 1e3\nn_list = 4\n", 3, "samples"),
+    ("c_grid = 0.5, x\nn_list = 4\n", 1, "c_grid"),
+    ("n_list = 4, 8.0\nc_grid = 0.5\n", 1, "n_list"),
+])
+def test_parse_config_names_the_key_and_line_of_a_bad_value(tmp_path, text,
+                                                            line, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert f":{line}:" in str(exc.value) and repr(key) in str(exc.value)
+
+
+def test_parse_config_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"c_grid = 0.5, 1.0\nn_list = 4\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=":3: not valid UTF-8"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("text,line,key", [
     ("c_grid = 0.5\nn_list = 4\nsample = 10\n", 3, "sample"),
     ("c_grid = 0.5\n# note\nn_list = 4\nseed = 1\nseed = 2\n", 5, "seed"),
     ("c_grid = 0.5\nn_list = 4\nN_list = 8\n", 3, "N_list"),
@@ -251,6 +274,25 @@ def test_csv_roundtrip(tmp_path):
     assert len(lines) == len(rows) + 1
     assert all(line.count(",") == 8 for line in lines)
     assert read_csv(path) == rows
+
+
+def test_sweep_artifact_bytes_are_pinned(tmp_path):
+    # the benchmark's sweep grid at samples 2000, seed 11, one worker: the
+    # sha256 of each artifact, recorded before the CSV and config code was
+    # written from the dataclass fields
+    cfg = ExperimentConfig(c_grid=(0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0,
+                                   8.0), n_list=(4, 8, 16), samples=2000,
+                           seed=11, workers=1)
+    rows = run_sweep(cfg)
+    emit_csv(rows, tmp_path / "sweep.csv")
+    emit_figure1_svg(rows, tmp_path / "figure1.svg")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("sweep.csv", "figure1.svg")}
+    assert digest == {
+        "sweep.csv": "f579262b596b5064cdd9bb8d35017bf6"
+                     "c27d1d4526051e6005f3f8e7150d4347",
+        "figure1.svg": "0ef11deb5c79000fc7a33d760f4720ec"
+                       "bdf72386b546037fc2be38aed9dfcde4"}
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

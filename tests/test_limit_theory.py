@@ -115,6 +115,14 @@ def test_mc_invalid_samples():
         limiting_tv_mc(LimitParams(1.0), 0, RngState(0))
 
 
+@pytest.mark.parametrize("samples", [2 ** 22 + 1, 10 ** 18])
+def test_mc_rejects_samples_beyond_the_bound(samples):
+    # every sample is drawn at once, about 41 bytes each: more than 2^22
+    # are refused before any is drawn
+    with pytest.raises(InvalidParameterError, match="samples <= 4194304"):
+        limiting_tv_mc(LimitParams(1.0), samples, RngState(0))
+
+
 def test_asymptotic_tail():
     assert asymptotic_tail(LimitParams(1.0)) == pytest.approx(
         1.0 / (2.0 * math.sqrt(3.0 * math.pi)), rel=1e-14)

@@ -420,6 +420,86 @@ def test_unit_fit_skewness_test():
         _partials(u), 0)
 
 
+def reference_unit_fit(units, m):
+    """``_unit_fit`` by Gaussian elimination over Python lists, pivot by
+    pivot, with the same gates: the slow path the numpy fit is pinned to."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    count, total, cross, cubes = units
+    plain = 0.0, tv_mc.sample_variance(count, float(cross[0, 0])), 1.0
+    if not m or count <= 1 + m:
+        return plain
+    # rows [Cxx | Cxu] of the centered cross-products
+    rows = cross[1:, [*range(1, m + 1), 0]].tolist()
+    var = [rows[i][i] / count for i in range(m)]
+    cxu = [row[m] for row in rows]
+    for i, row in enumerate(rows):
+        third = cubes[i + 1] / count
+        if not (third * third <= tv_mc._SKEW_TOL ** 2 * count * var[i] ** 3
+                and row[i] > 1e-10 * count * var[i]):
+            return plain
+        for below in rows[i + 1:]:
+            f = below[i] / row[i]
+            for j in range(i + 1, m + 1):
+                below[j] -= f * row[j]
+    beta = [0.0] * m
+    for i in reversed(range(m)):
+        row = rows[i]
+        beta[i] = (row[m] - dot(row[i + 1:m], beta[i + 1:])) / row[i]
+    resid = max(float(cross[0, 0]) - dot(beta, cxu), 0.0) / (count - 1 - m)
+    return (dot(beta, total[1:].tolist()), resid,
+            plain[1] / resid if resid > 0 else 1.0)
+
+
+def _goe_units(n, samples, seed):
+    """The merged unit ``_moments`` of a GOE-side run at d = n^3."""
+    side = tv_mc.GOE_SIDE
+    task = (n, (n ** 3,), samples, RngState(seed), side, 0,
+            tv_mc._block_count(n, samples, side))
+    return tv_mc._merge_moments([b[0][3] for b in tv_mc._block_stats(task)])
+
+
+def _fit_cases():
+    """(units, m) of random Grams with m = 1..4 controls, of nearly
+    collinear and of skewed controls, and of GOE-side runs: collinear at
+    n = 1, too skewed at n = 4 and controlled at n = 32."""
+    rng = np.random.default_rng(7)
+    for m in range(1, 5):
+        for size in (m + 2, 50, 5000):
+            x = rng.standard_normal((m, m)) @ rng.standard_normal((m, size))
+            u = 0.3 + rng.standard_normal(m) @ x + rng.standard_normal(size)
+            yield _partials(u, x + 0.5), m
+    x = rng.standard_normal((4, 5000))
+    u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
+    near = x.copy()
+    near[1] = x[0] * (1.0 + 1e-7 * rng.standard_normal(5000))
+    skewed = x.copy()
+    skewed[3] = rng.exponential(size=5000) ** 3
+    yield _partials(u, near), 4
+    yield _partials(u, skewed), 4
+    for n in (1, 4, 32):
+        yield _goe_units(n, 20001, 3), 4
+
+
+def test_unit_fit_matches_the_elimination():
+    # the Cholesky gate takes the same decisions as the elimination's
+    # pivots, and the numpy fit gives its shift and residual variance
+    decisions = []
+    for units, m in _fit_cases():
+        plain = tv_mc._unit_fit(units, 0)
+        got, want = tv_mc._unit_fit(units, m), reference_unit_fit(units, m)
+        decisions.append(want != plain)
+        assert (got != plain) == decisions[-1]
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # every gate is met: 8 of the 12 random Grams are fitted (the skew
+    # of a mean over a few units turns the others off), as is the n = 32
+    # run, and the nearly collinear, skewed, n = 1 and n = 4 ones are not
+    assert sum(decisions[:12]) == 8
+    assert decisions[12:] == [False, False, False, False, True]
+
+
 def test_wishart_side_is_the_plain_mean(monkeypatch):
     # the Wishart side fits no control: over four blocks the mean is the
     # block-order sum of the values over N, and the stderr the i.i.d. one

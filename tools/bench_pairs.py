@@ -17,8 +17,10 @@ share it, as long as it names the same two commits.  A run that fails is
 recorded with a null result and its error.
 
 At the end, prints for each end-to-end metric the median and quartiles of
-each side over this invocation's complete pairs, and the number of pairs
-the change won, by the metric's declared direction.
+each side over this invocation's complete pairs, the number of pairs the
+change won, by the metric's declared direction, and the change's median
+over the parent's next to the metric's `bound`, flagged where it is worse
+than the bound; a last line names every such metric.
 """
 
 import argparse
@@ -88,8 +90,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
 
 
 def summarize(runs, declared):
-    """Lines of per-side medians and quartiles and the pairs the change
-    won, over the pairs (runs of one seed) that both sides completed."""
+    """Lines of per-side medians and quartiles, the pairs the change won
+    and the no-regression verdict, over the pairs (runs of one seed) that
+    both sides completed.  The verdict sets the change's median over the
+    parent's against the metric's bound: a metric is worse than its bound
+    where that ratio exceeds 1 + bound (lower is better) or falls below
+    1 - bound (higher is better)."""
     by_seed = {}
     for run in runs:
         if run["result"] is not None:
@@ -97,6 +103,7 @@ def summarize(runs, declared):
                 run["result"]["metrics"])
     pairs = [p for p in by_seed.values() if len(p) == 2]
     lines = [f"{len(pairs)} complete pairs"]
+    worse = []
     for m in declared:
         name = m["name"]
         values = [(p["parent"][name]["value"], p["change"][name]["value"])
@@ -104,14 +111,25 @@ def summarize(runs, declared):
                   if name in p["parent"] and name in p["change"]]
         if len(values) < 2:
             continue
-        text = []
+        text, medians = [], []
         for side, side_values in zip(("parent", "change"), zip(*values)):
             q1, med, q3 = statistics.quantiles(side_values, n=4)
             text.append(f"{side} {med:.6g} ({q1:.6g}-{q3:.6g})")
+            medians.append(med)
         lower = m["better"] == "lower"
         won = sum((c < p) if lower else (c > p) for p, c in values)
+        verdict = "no parent median"
+        if medians[0]:
+            ratio = medians[1] / medians[0]
+            bad = ratio > 1 + m["bound"] if lower else ratio < 1 - m["bound"]
+            verdict = (f"change/parent {ratio:.4g}, bound {m['bound']:g}: "
+                       f"{'WORSE THAN BOUND' if bad else 'ok'}")
+            if bad:
+                worse.append(name)
         lines.append(f"  {name}: {', '.join(text)}; change won "
-                     f"{won}/{len(values)}")
+                     f"{won}/{len(values)}; {verdict}")
+    lines.append(f"verdict: worse than bound: {', '.join(worse)}" if worse
+                 else "verdict: no metric worse than its bound")
     return lines
 
 
