@@ -14,6 +14,7 @@ gives the same output for any worker count.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -46,7 +47,9 @@ def _workers_from_env(default: int) -> int:
     return workers
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# built once per process: parsing reuses it, and leaves it as it was
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wglab",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -162,9 +165,8 @@ _COMMANDS = {"tv": _cmd_tv, "limit": _cmd_limit, "clt": _cmd_clt,
 
 def cli_dispatch(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

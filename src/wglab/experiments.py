@@ -181,12 +181,16 @@ def read_csv(path) -> list[SweepRow]:
         raise ConfigError(f"{path}: missing or unexpected header")
     columns = fields(SweepRow)
     rows = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], 2):
         values = line.split(",")
         if len(values) != len(columns):
-            raise ConfigError(f"{path}: expected {len(columns)} columns, "
-                              f"got {len(values)}")
-        rows.append(SweepRow(*(f.type(v) for f, v in zip(columns, values))))
+            raise ConfigError(f"{path}:{line_no}: expected {len(columns)} "
+                              f"columns, got {len(values)}")
+        try:
+            rows.append(SweepRow(*(f.type(v) for f, v in zip(columns,
+                                                              values))))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from exc
     return rows
 
 

@@ -34,20 +34,26 @@ side.  What is left of a pair sum is even under G -> -G, and its leading
 terms are products of the odd power sums.  With p_k = tr X^k,
 X = (T - dI) / sqrt(d), the even statistics p1^2, p2, p1 p3 and p3^2 of a
 draw, which its mirror shares, have exact finite-n means
-(``densities.power_sum_moments``), so they serve as m = 4 control
+(``densities.power_sum_moments``), so they serve as m <= 4 control
 variates (Lavenberg and Welch 1981; Glasserman 2004, section 4.1): the
 estimate is u-bar - beta . x-bar over the P units, with x those statistics
 less their means and beta the least-squares coefficients of u on x, and
 its stderr comes from the residuals, with P - 1 - m degrees of freedom.
 At n = 32, c = 1 the pair variance falls about 4x.  The controls are
-skewed, and a linear fit passes their skew on to the estimate, so they
-are used only where the mean of each is nearly normal (``_SKEW_TOL``):
-never below 3,200 pairs, and at small n only far above (at n = 4, from
-about 40,000).  beta is fitted on the draws it corrects, which biases the
+skewed, and a linear fit passes their skew on to the estimate, so each
+is used only where its mean is nearly normal (``_SKEW_TOL``), and the
+others are dropped.  p2 is exactly 2 chi^2_{n(n+1)/2} and nearly normal
+soon: it is eligible from 6,400 / (n(n+1)) pairs (320 at n = 4), the
+other three only from 3,200 pairs, and at small n far above (p3^2 at
+n = 4 fails at 10,000).  So a sweep point of 1,000 pairs at n >= 3 is
+fitted on p2 alone, with a pair variance about 1.4x lower at n = 4 and
+c = 0.125.  The controls are d-free, so one gate decides them for every
+d of a pass.  beta is fitted on the draws it corrects, which biases the
 estimate by O(1 / P): 0.00 +- 0.04 stderr measured at n = 32 and 5,000
-pairs.  Elsewhere, on the Wishart side, and at n = 1, where the controls
-are collinear, m = 0: beta = [] and the estimate is the plain mean of the
-units.  The unpaired draw of an odd ``samples`` enters uncontrolled.
+pairs.  On the Wishart side, at n = 1 (where p2 = p1^2 and the others
+are powers of the same entry) and where no control is kept, m = 0:
+beta = [] and the estimate is the plain mean of the units.  The
+unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
@@ -168,7 +174,7 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
     """
     batch = _batch_size(n, side)
     mirrored = side == GOE_SIDE
-    m = _controls(side, samples)
+    m = len(_controls(n, side))
     group = max(1, _PASS_COLUMNS // min(batch, samples))
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
@@ -195,21 +201,29 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
                        rows)
 
 
-# The control variates are used only where the mean of each control is
-# nearly normal: its skewness, the control's sample skewness over sqrt(P),
-# at most this.  The controls are skewed: p1^2 is exactly 2n chi^2_1, of
-# skewness sqrt(8), and p3^2 more so at small n (about 9 at n = 4, 3 at
-# n = 32).  A linear fit passes that skew on to the estimate: at P = 1,000
-# pairs and n = 4, one estimate in 10^4 fell 6 stderr from the truth, and
-# at n = 16 its tails were still heavier than normal.
+# A control is used only where its mean over the P pairs is nearly normal:
+# its skewness, the control's sample skewness over sqrt(P), at most this.
+# The controls are skewed: p1^2 is exactly 2n chi^2_1, of skewness sqrt(8),
+# p3^2 and p1 p3 about as much or more (p3^2 about 9 at n = 4, 3 at
+# n = 32), and p2 exactly 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)).
+# A linear fit passes that skew on to the estimate: at P = 1,000 pairs and
+# n = 4, with all four controls, one estimate in 10^4 fell 6 stderr from
+# the truth, and at n = 16 its tails were still heavier than normal.
 _SKEW_TOL = 0.05
 
 
-def _controls(side: str, samples: int) -> int:
-    """m, the number of controls: 4 on a GOE-side run of at least
-    8 / _SKEW_TOL^2 = 3,200 pairs, as p1^2 alone keeps a shorter run from
-    passing the skewness test, and 0 elsewhere."""
-    return 4 if side == GOE_SIDE and samples // 2 >= 8 / _SKEW_TOL ** 2 else 0
+def _controls(n: int, side: str) -> np.ndarray:
+    """The floors, in pairs, of the m controls of a run, in the order of
+    its control rows (p1^2, p2, p3^2, p1 p3): a control is eligible from
+    the P at which its exact skewness passes ``_SKEW_TOL``, so that a
+    sample skewness cannot pass by chance at tiny P.  That is
+    8 / _SKEW_TOL^2 = 3,200 pairs for all but p2, and
+    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  m = 4 on
+    the GOE side, and 0 on the Wishart side and at n = 1, where p2 = p1^2
+    and the other two are powers of the same one entry."""
+    if side != GOE_SIDE or n == 1:
+        return np.empty(0)
+    return np.array([8.0, 16.0 / (n * (n + 1)), 8.0, 8.0]) / _SKEW_TOL ** 2
 
 
 def _block_stats(task):
@@ -224,28 +238,46 @@ def _block_stats(task):
         # a GOE-side unit is the pair of draw j and evaluation k + j; a
         # Wishart-side unit is one value
         k = dev.shape[1] if side == GOE_SIDE else 0
+        z = rows[:, :values.shape[1] - k]
         if not lo:
             parts.append([])
+            # the controls are d-free: centered and reduced once per block
+            controls = _moments(z[1:], out=z[1:])
         for v, flag in zip(values, psd):
             units = v[:v.size - k] + v[k:] if k else v
-            rows[0, :units.size] = units
             parts[-1].append((float(v.sum()), int(np.count_nonzero(q)),
                               int(np.count_nonzero(flag)),
-                              _moments(rows[:, :units.size]),
+                              _unit_moments(units, z, controls),
                               _moments(v[None]) if odd else None))
     return parts
 
 
-def _moments(z: np.ndarray):
+def _moments(z: np.ndarray, out=None):
     """``(count, sums, cross, cubes)`` of an (r, count) array z, one
     variable per row: the r sums, and the r x r cross-products and r sums
     of cubes about the row means, which keep the digits that raw sums of
-    squares lose where a mean dwarfs the spread, as at a TV near 0 or 1."""
+    squares lose where a mean dwarfs the spread, as at a TV near 0 or 1.
+    z less its row means is written to ``out`` if given."""
     count = z.shape[1]
     sums = z.sum(axis=1)
-    c = z - (sums / max(count, 1))[:, None]
+    c = np.subtract(z, (sums / max(count, 1))[:, None], out=out)
     return (count, sums, np.einsum("ij,kj->ik", c, c),
             np.einsum("ij,ij,ij->i", c, c, c))
+
+
+def _unit_moments(units, z, controls):
+    """The ``_moments`` of (units, x), bit for bit, from the ``_moments``
+    of the controls x and an array z whose rows 1.. hold x less its
+    means: per d only the row of the units is centered, into row 0 of z,
+    and reduced."""
+    count, sums, cross, cubes = controls
+    total = units.sum()
+    c = np.subtract(units, total / max(count, 1), out=z[0])
+    full = np.empty((len(z), len(z)))
+    full[0] = np.einsum("ij,j->i", z, c)
+    full[1:, 0], full[1:, 1:] = full[0, 1:], cross
+    return (count, np.concatenate(((total,), sums)), full,
+            np.concatenate(((np.einsum("j,j,j->", c, c, c),), cubes)))
 
 
 def _merge_moments(parts):
@@ -283,42 +315,65 @@ def mc_summary(mean: float, stderr: float):
             min(mean + Z99 * stderr, 1.0))
 
 
-def _unit_fit(units, m):
-    """The regression of the P units on m controls from the merged
-    ``_moments`` of z = (u, x) over the units: (beta . sum x, the variance
-    of one unit about the fit, the plain variance of a unit over that).
+def _kept(units, floors):
+    """The controls the fit keeps, as indices into z = (u, x), from the
+    merged ``_moments`` of z over the P units and the controls' floors
+    (``_controls``).  The controls are d-free, so one gate serves every d
+    of a pass.
+
+    A control is dropped below its floor and where its mean is too skewed
+    (``_SKEW_TOL``): one array test, read elementwise.  The others are
+    taken in order, each kept where its pivot passes: the squared last
+    diagonal of the Cholesky factor of Cxx over the kept controls and it,
+    the part of its variance that they leave unexplained.  Below 1e-10 of
+    that variance, or where that Cxx is not positive definite, the control
+    is collinear with the kept ones (p2 = p1^2 at n = 1 leaves a share of
+    rounding size, 1e-16; the least measured at n >= 2 was 2e-7, at n = 2
+    and 7 pairs).  A pivot depends only on the controls before it, so this
+    drops a failing control and factors the rest without it.
+    """
+    count, _, cross, cubes = units
+    keep = []
+    # no control can be fitted to P <= 2 units
+    if count <= 2:
+        return keep
+    var, third = cross.diagonal()[1:] / count, cubes[1:] / count
+    ok = (count >= floors) & (
+        third * third <= _SKEW_TOL ** 2 * count * var ** 3)
+    for i in np.flatnonzero(ok).tolist():
+        trial = [*keep, i + 1]
+        try:
+            pivot = np.linalg.cholesky(cross[np.ix_(trial, trial)])[-1, -1]
+        except np.linalg.LinAlgError:
+            continue
+        if pivot * pivot > 1e-10 * count * var[i]:
+            keep = trial
+    return keep
+
+
+def _unit_fit(units, keep):
+    """The regression of the P units on the controls ``keep`` (indices into
+    z = (u, x)) from the merged ``_moments`` of z over the units:
+    (beta . sum x, the variance of one unit about the fit, the plain
+    variance of a unit over that).
 
     The units u are regressed on the centered controls x (Lavenberg and
     Welch 1981): beta solves Cxx beta = Cxu on the centered
     cross-products, and the residual variance, (Cuu - beta . Cxu) /
-    (P - 1 - m), has P - 1 - m degrees of freedom.  The squared diagonal
-    of the Cholesky factor of Cxx holds the pivots of Gaussian
-    elimination on it: the i-th is the part of control i's variance that
-    the ones before it leave unexplained.  Where a pivot is below 1e-10 of
-    that variance, or Cxx is not positive definite, the controls are
-    collinear, as at n = 1, where p2 = p1^2 leaves a share of rounding
-    size, 1e-16; the least measured at n >= 2 was 2e-7 (n = 2, 7 pairs).
-    There, where P <= 1 + m and where the mean of a control is too skewed
-    (``_SKEW_TOL``), the fit is the m = 0 one: beta = [], the sample
-    variance of the units, and a ratio of 1.
+    (P - 1 - m), has P - 1 - m degrees of freedom for m kept controls.
+    With none, or where P <= 1 + m, the fit is the m = 0 one: beta = [],
+    the sample variance of the units, and a ratio of 1.
     """
-    count, total, cross, cubes = units
+    count, total, cross, _ = units
     plain = 0.0, sample_variance(count, float(cross[0, 0])), 1.0
+    m = len(keep)
     if not m or count <= 1 + m:
         return plain
-    cxx, cxu = cross[1:, 1:], cross[1:, 0]
-    var = cxx.diagonal() / count
-    third = cubes[1:] / count
-    try:
-        pivots = np.linalg.cholesky(cxx).diagonal() ** 2
-    except np.linalg.LinAlgError:
-        return plain
-    if not (np.all(third * third <= _SKEW_TOL ** 2 * count * var ** 3)
-            and np.all(pivots > 1e-10 * count * var)):
-        return plain
-    beta = np.linalg.solve(cxx, cxu)
+    cols = cross[:, keep]
+    cxu = cols[0]
+    beta = np.linalg.solve(cols[keep], cxu)
     resid = max(float(cross[0, 0] - beta @ cxu), 0.0) / (count - 1 - m)
-    return (float(beta @ total[1:]), resid,
+    return (float(beta @ total[keep]), resid,
             plain[1] / resid if resid > 0 else 1.0)
 
 
@@ -329,8 +384,8 @@ def _estimate(n, ds, samples, rng, side, workers):
     The independent units are the P = N values on the Wishart side, and
     on the GOE side the P = floor(N / 2) antithetic pairs and, for odd N,
     one unpaired value.  The mean is (sum v - beta . sum x) / N, with beta
-    and the variance var(u) of a unit from ``_unit_fit`` on the run's
-    ``_controls``, and
+    and the variance var(u) of a unit from ``_unit_fit`` on the controls
+    ``_kept`` once for all of ``ds``, and
 
         stderr = sqrt(P var(u) + r var(v)) / N,
 
@@ -359,11 +414,16 @@ def _estimate(n, ds, samples, rng, side, workers):
     else:
         parts = _block_stats(tasks[0])
     single = samples % 2 if side == GOE_SIDE else 0
+    floors, keep = _controls(n, side), None
     out = []
     for d, col in zip(ds, zip(*parts)):
         sums, n_q, n_psd, units, values = zip(*col)
         units = _merge_moments(units)
-        shift, var_unit, ratio = _unit_fit(units, _controls(side, samples))
+        # the controls are d-free, and so are their moments: one gate per
+        # pass, on its first d
+        if keep is None:
+            keep = _kept(units, floors)
+        shift, var_unit, ratio = _unit_fit(units, keep)
         var = single and sample_variance(
             samples, float(_merge_moments(values)[2][0, 0]))
         stderr = math.sqrt(units[0] * var_unit + var) / samples

@@ -74,6 +74,38 @@ def test_tv_command_deterministic():
     assert code == 0 and float(parse_kv(text)["cv_var_ratio"]) > 2.0
 
 
+def test_tv_command_output_is_pinned():
+    # a run where all four controls pass prints, bit for bit, what the
+    # all-or-nothing gate printed
+    code, text = run_cli(["tv", "--n", "32", "--d", "32768", "--samples",
+                          "20000", "--seed", "3"])
+    assert code == 0
+    vals = parse_kv(text)
+    assert vals["tv_mean"] == "0.16837889685377938"
+    assert vals["tv_stderr"] == "0.0003442205261221819"
+    assert vals["cv_var_ratio"] == "4.563917802934297"
+
+
+def test_parser_is_built_once_and_survives_errors(capsys):
+    # one parser per process; a usage error and --help leave it parsing
+    # and running as before
+    assert wglab.cli._parser() is wglab.cli._parser()
+    args = ["tv", "--n", "2", "--d", "8", "--samples", "500", "--seed", "7"]
+    first = run_cli(args)
+    assert first[0] == 0
+    for bad, code in ((["tv", "--n", "2"], 2), (["tv", "--n", "x"], 2),
+                      (["frobnicate"], 2), (["--help"], 0),
+                      (["tv", "--help"], 0)):
+        assert cli_dispatch(bad) == code
+        assert run_cli(args) == first
+    _, text = run_cli(["tv", "--n", "2", "--d", "8", "--samples", "500",
+                       "--seed", "8", "--side", "wishart_side"])
+    assert text != first[1] and "cv_var_ratio=1.0" in text
+    code, text = run_cli(["limit", "--c", "1.0"])
+    assert code == 0 and "closed_form=" in text
+    capsys.readouterr()
+
+
 def test_tv_command_at_large_d():
     # TV at c = d / n^3 ~ 1.6e13 is Erf(1 / (4 sqrt(3c))) ~ 4e-8; a spectrum
     # constant off by 2 (grouping lgamma against d log d per term) made it

@@ -276,10 +276,32 @@ def test_csv_roundtrip(tmp_path):
     assert read_csv(path) == rows
 
 
+@pytest.mark.parametrize("bad, problem", [
+    ("x", "could not convert"), ("", "could not convert"),
+    ("1.5", "invalid literal")])
+def test_read_csv_names_the_line_of_a_bad_field(tmp_path, bad, problem):
+    # a field that does not convert is a ConfigError naming the path and
+    # line, as a wrong header or column count is; the n field is an int
+    path = tmp_path / "sweep.csv"
+    emit_csv(run_sweep(small_config()), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    field = 1 if problem == "invalid literal" else 3
+    cells = lines[2].split(",")
+    cells[field] = bad
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{path}:3: {problem}"):
+        read_csv(path)
+    lines[2] += ",0"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{path}:3: expected 9 columns"):
+        read_csv(path)
+
+
 def test_sweep_artifact_bytes_are_pinned(tmp_path):
     # the benchmark's sweep grid at samples 2000, seed 11, one worker: the
-    # sha256 of each artifact, recorded before the CSV and config code was
-    # written from the dataclass fields
+    # sha256 of each artifact, recorded when the per-control gate first
+    # fitted p2 to these 1,000-pair points (they were plain pairs before)
     cfg = ExperimentConfig(c_grid=(0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0,
                                    8.0), n_list=(4, 8, 16), samples=2000,
                            seed=11, workers=1)
@@ -289,10 +311,10 @@ def test_sweep_artifact_bytes_are_pinned(tmp_path):
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
               for name in ("sweep.csv", "figure1.svg")}
     assert digest == {
-        "sweep.csv": "f579262b596b5064cdd9bb8d35017bf6"
-                     "c27d1d4526051e6005f3f8e7150d4347",
-        "figure1.svg": "0ef11deb5c79000fc7a33d760f4720ec"
-                       "bdf72386b546037fc2be38aed9dfcde4"}
+        "sweep.csv": "47604f594749ab3924d7889c50f9ebca"
+                     "ddac3f7398137bcbf6fee8d4747d960d",
+        "figure1.svg": "1dcdc1e3ad0abf49cdfb316ce3711728"
+                       "8450dff944b4bb4595f4e18a7bef7260"}
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -42,22 +42,23 @@ def test_invalid_parameters():
         tv_profile(3, 2, 10, RngState(0))
 
 
-def lstsq_estimate(n, d, u, power, values):
+def lstsq_estimate(n, d, u, power, values, keep=(1, 2, 3, 4)):
     """(mean, stderr, var_ratio) of the control-variate estimate over the
     N = values.size integrand values, by a direct least-squares fit.
 
     u holds the P pair sums, power the (3, P) power sums p1..p3 of T - dI
-    of their draws, and values every integrand value, the unpaired one of
-    an odd N included.
+    of their draws, values every integrand value, the unpaired one of an
+    odd N included, and keep the controls fitted, numbered as the rows of
+    the estimator's z = (u, p1^2, p2, p3^2, p1 p3).
     """
     pairs, samples = u.size, values.size
     p1, p2, p3 = power / np.array([[d ** 0.5], [d], [d ** 1.5]])
     e11, e2, e13, e33 = power_sum_moments(n)
     x = np.column_stack([np.ones(pairs), p1 * p1 - e11, p2 - e2,
-                         p1 * p3 - e13, p3 * p3 - e33])
+                         p3 * p3 - e33, p1 * p3 - e13])[:, [0, *keep]]
     coef, *_ = np.linalg.lstsq(x, u, rcond=None)
     resid = u - x @ coef
-    var = resid @ resid / (pairs - 5)
+    var = resid @ resid / (pairs - 1 - len(keep))
     # with x centered at its exact mean, the intercept is the controlled
     # pair mean u-bar - beta . x-bar
     mean = (pairs * coef[0] + values.sum() - u.sum()) / samples
@@ -344,15 +345,14 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
 @pytest.mark.parametrize("n, samples, forced", [
     (1, 1, True), (1, 2, True), (1, 3, True), (1, 11, True), (1, 2001, True),
     (2, 1, True), (2, 2, True), (2, 3, True), (2, 11, True),
-    (8, 6399, False), (4, 20000, False)])
+    (2, 2133, False), (4, 639, False)])
 def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
                                               monkeypatch):
     # beta = 0, and the estimate is the plain antithetic one,
     # stderr = sqrt(P var(u) + (N mod 2) var(v)) / N, where there are at
-    # most 5 pairs, where n = 1 (p2 = p1^2 makes the controls collinear;
-    # the controls are forced on to reach that test), where there are
-    # fewer than 3,200 pairs, and where a control's mean is too skewed
-    # (p3^2 at n = 4 and 10,000 pairs); warnings are errors
+    # most 5 pairs, where n = 1 (which has no controls, even where they are
+    # forced on), and where P is below every control's floor: 1,066 pairs
+    # at n = 2 and 319 at n = 4, one short of p2's; warnings are errors
     if forced:
         monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     d = 4 * n
@@ -370,6 +370,63 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
                                    est.ci_hi)))
 
 
+def test_control_floors():
+    # a control is eligible from the P at which its exact skewness passes
+    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2 and p1 p3, 6,400 / (n(n+1)) for
+    # p2, whose law is 2 chi^2_{n(n+1)/2}; none on the Wishart side or at
+    # n = 1
+    for n in (2, 4, 8, 16, 32):
+        floors = tv_mc._controls(n, tv_mc.GOE_SIDE)
+        assert floors.tolist() == pytest.approx(
+            [3200, 6400 / (n * (n + 1)), 3200, 3200], rel=1e-12)
+        assert tv_mc._controls(n, tv_mc.WISHART_SIDE).size == 0
+    assert tv_mc._controls(1, tv_mc.GOE_SIDE).size == 0
+
+
+@pytest.mark.parametrize("n, samples, seed, kept", [
+    (8, 6399, 6399, [2]), (4, 2000, 1, [2]), (4, 2001, 2, [2]),
+    (4, 20000, 3, [1, 2, 4])])
+def test_failing_controls_are_dropped(n, samples, seed, kept):
+    # below 3,200 pairs only p2 is eligible, and at n = 4 and 10,000 pairs
+    # p3^2 is too skewed on this stream (p1 p3, of skewness near 5, passes
+    # on some streams and not on others): the controls that fail are
+    # dropped and the rest are fitted, where the all-or-nothing gate fitted
+    # none.  The estimate is the least-squares fit on the kept controls of
+    # the same draws, and the gate takes the decisions of the elimination
+    d = 4 * n
+    est = tv_estimate_goe_side(n, d, samples, RngState(seed))
+    units = _goe_units(n, samples, seed, d)
+    floors = tv_mc._controls(n, tv_mc.GOE_SIDE)
+    assert tv_mc._kept(units, floors) == kept
+    want_kept, want = reference_unit_fit(units, floors)
+    assert want_kept == kept
+    assert tv_mc._unit_fit(units, kept) == pytest.approx(want, rel=1e-12)
+    (_, drawn, *_, v), (*_, w) = tv_mc.profile_columns(n, d, samples,
+                                                       RngState(seed))
+    power = np.array(drawn[1:4]) / np.array(_taylor_terms(n, d)[:3])[:, None]
+    values = np.concatenate([v, w])
+    mean, stderr, ratio = lstsq_estimate(n, d, v[:w.size] + w,
+                                         power[:, :w.size], values, kept)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-9)
+    assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
+    assert est.var_ratio > 1.2
+
+
+def test_p2_is_not_used_below_its_floor():
+    # at n = 4 and 319 pairs, one short of p2's floor of 320, the sample
+    # skewness of p2 on this stream passes the test (0.032 against 0.05
+    # over sqrt(P)): without the floors p2 would be kept, with them the
+    # estimate is the plain one
+    n, samples = 4, 638
+    units = _goe_units(n, samples, 0)
+    assert units[0] == 319
+    assert tv_mc._kept(units, np.zeros(4)) == [2]
+    assert tv_mc._kept(units, tv_mc._controls(n, tv_mc.GOE_SIDE)) == []
+    assert tv_estimate_goe_side(n, n ** 3, samples,
+                                RngState(0)).var_ratio == 1.0
+
+
 def _partials(u, x=None):
     """The ``_moments`` of units u and controls x (none by default), as
     ``_unit_fit`` takes them merged."""
@@ -381,123 +438,156 @@ def test_unit_fit_without_controls_is_the_sample_variance():
     # m = 0: beta = [], the sample variance of the units and a ratio of 1;
     # with at most one unit the variance is 0
     u = np.random.default_rng(2).standard_normal(1001) + 0.5
-    shift, var, ratio = tv_mc._unit_fit(_partials(u), 0)
+    shift, var, ratio = tv_mc._unit_fit(_partials(u), [])
     assert (shift, ratio) == (0.0, 1.0)
     assert var == pytest.approx(float(np.var(u, ddof=1)), rel=1e-15)
     for size in (0, 1):
-        assert tv_mc._unit_fit(_partials(u[:size]), 0) == (0.0, 0.0, 1.0)
+        assert tv_mc._unit_fit(_partials(u[:size]), []) == (0.0, 0.0, 1.0)
 
 
 def test_unit_fit_rejects_nearly_collinear_controls():
-    # two controls equal up to a relative 1e-7 leave the second a share of
-    # about 1e-14 of its variance, below 1e-10: no control is used, where
-    # a test for an exactly zero pivot would fit rounding noise
+    # a control equal to an earlier one up to a relative 1e-7 leaves it a
+    # share of about 1e-14 of its variance, below 1e-10: that control is
+    # dropped, where a test for an exactly zero pivot would fit rounding
+    # noise, and the fit is the one on the other three; so is an exact
+    # copy, whose Cxx is singular
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 5000))
     u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
-    plain = tv_mc._unit_fit(_partials(u), 0)
+    plain = tv_mc._unit_fit(_partials(u), [])
     assert plain[1] == pytest.approx(float(np.var(u, ddof=1)), rel=1e-12)
-    near = x.copy()
-    near[1] = x[0] * (1.0 + 1e-7 * rng.standard_normal(5000))
-    assert tv_mc._unit_fit(_partials(u, near), 4) == plain
-    # with independent controls the fit removes x[0]'s part of u
-    shift, var, ratio = tv_mc._unit_fit(_partials(u, x), 4)
+    rest = tv_mc._unit_fit(_partials(u, x[[0, 2, 3]]), [1, 2, 3])
+    for scale in (1e-7 * rng.standard_normal(5000), 0.0):
+        near = x.copy()
+        near[1] = x[0] * (1.0 + scale)
+        units = _partials(u, near)
+        assert tv_mc._kept(units, np.zeros(4)) == [1, 3, 4]
+        assert tv_mc._unit_fit(units, [1, 3, 4]) == pytest.approx(
+            rest, rel=1e-12)
+    # with independent controls all four are kept, and the fit removes
+    # x[0]'s part of u
+    units = _partials(u, x)
+    assert tv_mc._kept(units, np.zeros(4)) == [1, 2, 3, 4]
+    shift, var, ratio = tv_mc._unit_fit(units, [1, 2, 3, 4])
     assert shift == pytest.approx(float(x[0].sum()), rel=0.05)
     assert var == pytest.approx(0.01, rel=0.1) and ratio > 50
+    assert rest[2] > 50
 
 
 def test_unit_fit_skewness_test():
     # a control's skewness is taken about its sample mean, so an offset
     # symmetric control passes; one whose mean over P = 5,000 is skewed by
-    # more than 0.05 (skewness above 3.5) turns the controls off
+    # more than 0.05 (skewness above 3.5) is dropped, and only it, so the
+    # fit is the one on the other three; a floor above P drops a control
+    # whatever its skewness
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 5000))
     u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
     x[3] += 10.0
-    assert tv_mc._unit_fit(_partials(u, x), 4)[2] > 50
+    units = _partials(u, x)
+    assert tv_mc._kept(units, np.zeros(4)) == [1, 2, 3, 4]
+    assert tv_mc._unit_fit(units, [1, 2, 3, 4])[2] > 50
+    assert tv_mc._kept(units, np.array([0, 5001, 0, 5000])) == [1, 3, 4]
     x[3] = rng.exponential(size=5000) ** 3
-    assert tv_mc._unit_fit(_partials(u, x), 4) == tv_mc._unit_fit(
-        _partials(u), 0)
+    units = _partials(u, x)
+    assert tv_mc._kept(units, np.zeros(4)) == [1, 2, 3]
+    assert tv_mc._unit_fit(units, [1, 2, 3]) == pytest.approx(
+        tv_mc._unit_fit(_partials(u, x[:3]), [1, 2, 3]), rel=1e-12)
+    assert tv_mc._unit_fit(units, [1, 2, 3])[2] > 50
 
 
-def reference_unit_fit(units, m):
-    """``_unit_fit`` by Gaussian elimination over Python lists, pivot by
-    pivot, with the same gates: the slow path the numpy fit is pinned to."""
+def reference_unit_fit(units, floors):
+    """``_kept`` and ``_unit_fit`` by Gaussian elimination over Python
+    lists, pivot by pivot, with the same tests: the slow path the numpy fit
+    is pinned to.  Returns (the kept controls, the fit).  A control below
+    its floor or too skewed is dropped first; then a control whose pivot
+    fails is dropped and the elimination starts again on the rest."""
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
     count, total, cross, cubes = units
     plain = 0.0, tv_mc.sample_variance(count, float(cross[0, 0])), 1.0
+    var = [float(cross[i, i]) / count for i in range(len(cross))]
+    keep = [i for i in range(1, len(floors) + 1) if count >= floors[i - 1]
+            and (cubes[i] / count) ** 2
+            <= tv_mc._SKEW_TOL ** 2 * count * var[i] ** 3]
+    while True:
+        m = len(keep)
+        # rows [Cxx | Cxu] of the centered cross-products
+        rows = cross[np.ix_(keep, [*keep, 0])].tolist()
+        for i, row in enumerate(rows):
+            if not row[i] > 1e-10 * count * var[keep[i]]:
+                del keep[i]
+                break
+            for below in rows[i + 1:]:
+                f = below[i] / row[i]
+                for j in range(i + 1, m + 1):
+                    below[j] -= f * row[j]
+        else:
+            break
     if not m or count <= 1 + m:
-        return plain
-    # rows [Cxx | Cxu] of the centered cross-products
-    rows = cross[1:, [*range(1, m + 1), 0]].tolist()
-    var = [rows[i][i] / count for i in range(m)]
-    cxu = [row[m] for row in rows]
-    for i, row in enumerate(rows):
-        third = cubes[i + 1] / count
-        if not (third * third <= tv_mc._SKEW_TOL ** 2 * count * var[i] ** 3
-                and row[i] > 1e-10 * count * var[i]):
-            return plain
-        for below in rows[i + 1:]:
-            f = below[i] / row[i]
-            for j in range(i + 1, m + 1):
-                below[j] -= f * row[j]
+        return keep, plain
+    cxu = cross[keep, 0].tolist()
     beta = [0.0] * m
     for i in reversed(range(m)):
         row = rows[i]
         beta[i] = (row[m] - dot(row[i + 1:m], beta[i + 1:])) / row[i]
     resid = max(float(cross[0, 0]) - dot(beta, cxu), 0.0) / (count - 1 - m)
-    return (dot(beta, total[1:].tolist()), resid,
-            plain[1] / resid if resid > 0 else 1.0)
+    return keep, (dot(beta, total[keep].tolist()), resid,
+                  plain[1] / resid if resid > 0 else 1.0)
 
 
-def _goe_units(n, samples, seed):
-    """The merged unit ``_moments`` of a GOE-side run at d = n^3."""
+def _goe_units(n, samples, seed, d=None):
+    """The merged unit ``_moments`` of a GOE-side run, at d = n^3 by
+    default."""
     side = tv_mc.GOE_SIDE
-    task = (n, (n ** 3,), samples, RngState(seed), side, 0,
+    task = (n, (d or n ** 3,), samples, RngState(seed), side, 0,
             tv_mc._block_count(n, samples, side))
     return tv_mc._merge_moments([b[0][3] for b in tv_mc._block_stats(task)])
 
 
 def _fit_cases():
-    """(units, m) of random Grams with m = 1..4 controls, of nearly
-    collinear and of skewed controls, and of GOE-side runs: collinear at
-    n = 1, too skewed at n = 4 and controlled at n = 32."""
+    """(units, floors) of random Grams with m = 1..4 controls, of nearly
+    collinear and of skewed controls, all without floors, and of GOE-side
+    runs with their own floors: none at n = 1, p2 alone at n = 4 and
+    1,000 pairs, p3^2 too skewed at n = 4 and 10,000 pairs, all four at
+    n = 32."""
     rng = np.random.default_rng(7)
     for m in range(1, 5):
         for size in (m + 2, 50, 5000):
             x = rng.standard_normal((m, m)) @ rng.standard_normal((m, size))
             u = 0.3 + rng.standard_normal(m) @ x + rng.standard_normal(size)
-            yield _partials(u, x + 0.5), m
+            yield _partials(u, x + 0.5), np.zeros(m)
     x = rng.standard_normal((4, 5000))
     u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
     near = x.copy()
     near[1] = x[0] * (1.0 + 1e-7 * rng.standard_normal(5000))
     skewed = x.copy()
     skewed[3] = rng.exponential(size=5000) ** 3
-    yield _partials(u, near), 4
-    yield _partials(u, skewed), 4
-    for n in (1, 4, 32):
-        yield _goe_units(n, 20001, 3), 4
+    yield _partials(u, near), np.zeros(4)
+    yield _partials(u, skewed), np.zeros(4)
+    for n, samples in ((1, 20001), (4, 2000), (4, 20001), (32, 20001)):
+        yield (_goe_units(n, samples, 3),
+               tv_mc._controls(n, tv_mc.GOE_SIDE))
 
 
 def test_unit_fit_matches_the_elimination():
-    # the Cholesky gate takes the same decisions as the elimination's
-    # pivots, and the numpy fit gives its shift and residual variance
-    decisions = []
-    for units, m in _fit_cases():
-        plain = tv_mc._unit_fit(units, 0)
-        got, want = tv_mc._unit_fit(units, m), reference_unit_fit(units, m)
-        decisions.append(want != plain)
-        assert (got != plain) == decisions[-1]
+    # the Cholesky gate keeps the controls that the elimination keeps, and
+    # the numpy fit on them gives its shift and residual variance
+    kept = []
+    for units, floors in _fit_cases():
+        want_kept, want = reference_unit_fit(units, floors)
+        kept.append(tv_mc._kept(units, floors))
+        assert kept[-1] == want_kept
+        got = tv_mc._unit_fit(units, kept[-1])
         assert all(type(v) is float for v in got)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    # every gate is met: 8 of the 12 random Grams are fitted (the skew
-    # of a mean over a few units turns the others off), as is the n = 32
-    # run, and the nearly collinear, skewed, n = 1 and n = 4 ones are not
-    assert sum(decisions[:12]) == 8
-    assert decisions[12:] == [False, False, False, False, True]
+    # every test is met: the skew of a mean over a few units drops some
+    # of the controls of the random Grams, and the nearly collinear,
+    # skewed and GOE-side cases keep the controls named above
+    assert [len(k) for k in kept[:12]] == [1, 1, 1, 0, 2, 2, 1, 3, 3, 1, 3, 4]
+    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2], [1, 2, 4],
+                         [1, 2, 3, 4]]
 
 
 def test_wishart_side_is_the_plain_mean(monkeypatch):
@@ -717,3 +807,53 @@ def test_pass_memory_is_bounded_by_the_column_budget(monkeypatch):
         tracemalloc.stop()
     assert len(estimates) == 512
     assert peak <= 24 * 8 * tv_mc._PASS_COLUMNS
+
+
+def test_one_gate_per_pass(monkeypatch):
+    # the benchmark sweep's 1,000-pair points at n = 4: the controls are
+    # d-free, so the gate runs once per pass and keeps p2 at every d, and
+    # each estimate is bit for bit its one-d call, in one block and over
+    # four blocks split across two tasks
+    gates = []
+    kept = tv_mc._kept
+
+    def counting_kept(units, floors):
+        gates.append(kept(units, floors))
+        return gates[-1]
+
+    monkeypatch.setattr(tv_mc, "_kept", counting_kept)
+    monkeypatch.setattr(tv_mc, "ProcessPoolExecutor", SequentialExecutor)
+    monkeypatch.setattr(tv_mc.os, "cpu_count", lambda: 2)
+    n, samples, rng = 4, 2000, RngState(19)
+    ds = [4, 8, 16, 32, 64, 128, 256, 512]
+    for blocks, budget in ((1, tv_mc._BATCH_BUDGET), (4, 500 * n)):
+        monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", budget)
+        assert tv_mc._block_count(n, samples, tv_mc.GOE_SIDE) == blocks
+        gates.clear()
+        grouped = tv_mc.tv_estimates_goe_side(n, ds, samples, rng, workers=2)
+        assert gates == [[2]]
+        assert all(e.var_ratio > 1.0 for e in grouped)
+        for workers in (1, 2):
+            assert [tv_estimate_goe_side(n, d, samples, rng, workers=workers)
+                    for d in ds] == grouped
+
+
+def test_sweep_point_calibration_at_small_p():
+    # the sweep's weakest point, n = 4 and c = 0.125 (d = 8), at 1,000
+    # pairs, where p2 alone is fitted: over 400 seeds the spread of the
+    # controlled means matches their mean reported stderr within 15% (its
+    # sampling error is about 3.5%), no z-score against a reference of
+    # 400,000 evaluations exceeds 4, and their mean stays within 0.2 (its
+    # sampling error is 0.05), where the fitted beta's O(1 / P) bias would
+    # show
+    n, d, samples = 4, 8, 2000
+    ref = tv_estimate_goe_side(n, d, 400_000, RngState(2 ** 40))
+    runs = [tv_estimate_goe_side(n, d, samples, RngState(seed))
+            for seed in range(4000, 4400)]
+    assert all(r.var_ratio > 1.2 for r in runs)
+    z = np.array([(r.mean - ref.mean) / math.hypot(r.stderr, ref.stderr)
+                  for r in runs])
+    spread = np.std([r.mean for r in runs], ddof=1)
+    assert abs(spread / np.mean([r.stderr for r in runs]) - 1.0) <= 0.15
+    assert np.abs(z).max() <= 4.0
+    assert abs(z.mean()) <= 0.2
