@@ -327,9 +327,9 @@ def _kept(units, floors):
     diagonal of the Cholesky factor of Cxx over the kept controls and it,
     the part of its variance that they leave unexplained.  Below 1e-10 of
     that variance, or where that Cxx is not positive definite, the control
-    is collinear with the kept ones (p2 = p1^2 at n = 1 leaves a share of
-    rounding size, 1e-16; the least measured at n >= 2 was 2e-7, at n = 2
-    and 7 pairs).  A pivot depends only on the controls before it, so this
+    is collinear with the kept ones (p2 after p1^2, which it equals at
+    n = 1, leaves a share of rounding size, 1e-16; the least share
+    measured at n >= 2 was 2e-7, at n = 2 and 7 pairs).  A pivot depends only on the controls before it, so this
     drops a failing control and factors the rest without it.
     """
     count, _, cross, cubes = units

@@ -385,7 +385,7 @@ def test_control_floors():
 
 @pytest.mark.parametrize("n, samples, seed, kept", [
     (8, 6399, 6399, [2]), (4, 2000, 1, [2]), (4, 2001, 2, [2]),
-    (4, 20000, 3, [1, 2, 4])])
+    (4, 20000, 3, [1, 2, 4])], ids=["8-6399", "4-2000", "4-2001", "4-20000"])
 def test_failing_controls_are_dropped(n, samples, seed, kept):
     # below 3,200 pairs only p2 is eligible, and at n = 4 and 10,000 pairs
     # p3^2 is too skewed on this stream (p1 p3, of skewness near 5, passes
