@@ -388,8 +388,9 @@ def test_control_floors():
     (4, 20000, 3, [1, 2, 4])], ids=["8-6399", "4-2000", "4-2001", "4-20000"])
 def test_failing_controls_are_dropped(n, samples, seed, kept):
     # below 3,200 pairs only p2 is eligible, and at n = 4 and 10,000 pairs
-    # p3^2 is too skewed on this stream (p1 p3, of skewness near 5, passes
-    # on some streams and not on others): the controls that fail are
+    # p3^2 is too skewed on this stream (p1 p3, whose sample skewness
+    # there sits near the bound of 5, passes on some streams and fails on
+    # others): the controls that fail are
     # dropped and the rest are fitted, where the all-or-nothing gate fitted
     # none.  The estimate is the least-squares fit on the kept controls of
     # the same draws, and the gate takes the decisions of the elimination
