@@ -31,7 +31,8 @@ h_k / k! of h at d come from ``_taylor_terms`` alone.
 ``breakdown_columns`` gives the same split over a tridiagonal batch from
 O(n) trace formulas, p1..p3 of X from ``power_sums``, which also feeds
 the Monte Carlo control variates; a spectrum is the diagonal case.  Their
-exact means under the GOE are ``power_sum_moments``.
+exact means under the GOE are ``power_sum_moments``, and
+``linear_statistic_variance`` is that of a conditional variance.
 """
 
 import math
@@ -204,7 +205,7 @@ def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
 
 
 def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
-                           mirrored: bool = False):
+                           mirrored: bool = False, power=None):
     """alpha, the Q-window flag and the PSD flag of T = dI + sqrt(d) X at
     each d of ``ds`` over a tridiagonal batch X and, if ``mirrored``, over
     the mirrors of all its columns, in one pass.
@@ -216,6 +217,8 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
     (len(ds), 2k) with mirrors, one row per d, and in_q of shape (k,) or
     (2k,): the columns as given, then their mirrors in the same order.  A
     caller that needs an odd number of evaluations drops the last mirror.
+    ``power``, if given, holds p1 and p2 of the columns as ``power_sums``
+    makes them, which are then not made again.
     The flags mean what ``alpha_from_eigenvalues`` and ``in_q_mask`` mean on
     the eigenvalues of T, and psd means lambda_min >= -TOL_PSD_SCALE * d.
     Every operation is per (d, column), so no result depends on the other
@@ -276,7 +279,8 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
         pd = least + 1.0 > _SAFMIN * np.maximum(
             np.max(off2, axis=0, initial=0.0) / d, 1.0)
         # the trace and Frobenius norm of T - dI are sqrt(d) p1 and d p2
-        p1, p2 = power_sums(dev, off2, take((2, k)))
+        p1, p2 = power_sums(dev, off2, take((2, k))) if power is None else (
+            power)
         alpha = (0.5 * ((d - n - 1) * logdet - signs * (root * p1) + 0.5 * p2)
                  + [[spectrum_constant(n, x)] for x in ds])
     alpha[~pd] = -np.inf
@@ -338,13 +342,14 @@ def power_sums(dev: np.ndarray, off2: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     """The power sums p_k = tr(X^k), k = 1, 2 and, if ``out`` has a third
     row, 3, of each column of a tridiagonal batch X, written to the rows of
-    ``out``, of shape (2, k) or (3, k), and returned.
+    ``out``, of shape (2, k), (3, k) or (4, k), and returned; a fourth row
+    gets the cross term Y of p3.
 
     ``dev`` and ``off2`` are as in ``alpha_from_tridiagonal``.  With
     x = dev and e^2 = off2,
 
         p1 = sum x,   p2 = sum x^2 + 2 sum e_i^2,
-        p3 = sum x^3 + 3 sum e_i^2 (x_i + x_{i+1}),
+        p3 = sum x^3 + 3 Y,   Y = sum e_i^2 (x_i + x_{i+1}),
 
     from column dot products, which make no other (n, k) array.
     """
@@ -352,10 +357,12 @@ def power_sums(dev: np.ndarray, off2: np.ndarray,
     dev.sum(axis=0, out=p1)
     np.einsum("ij,ij->j", dev, dev, out=p2)
     p2 += 2.0 * off2.sum(axis=0)
-    for p3 in cube:
+    if cube:
+        p3, *cross = cube
+        y = np.add(np.einsum("ij,ij->j", off2, dev[:-1]),
+                   np.einsum("ij,ij->j", off2, dev[1:]), *cross)
         np.einsum("ij,ij,ij->j", dev, dev, dev, out=p3)
-        p3 += 3.0 * (np.einsum("ij,ij->j", off2, dev[:-1])
-                     + np.einsum("ij,ij->j", off2, dev[1:]))
+        p3 += 3.0 * y
     return out
 
 
@@ -369,6 +376,17 @@ def power_sum_moments(n: int) -> tuple[int, int, int, int]:
     """
     return (2 * n, n * (n + 1), 6 * n * (n + 1),
             24 * n ** 3 + 54 * n ** 2 + 42 * n)
+
+
+def linear_statistic_variance(n: int) -> float:
+    """v(n) = E sigma^2 = 2 n (n^2 + 3n + 8) / (3 (n + 1)^2), correctly
+    rounded: the mean of the variance sigma^2 = 2 sum_i (1 - w_i / (n + 1))^2
+    of l = sum_i x_i (1 - w_i / (n + 1)) = p1 - Y / (n + 1) (``power_sums``)
+    given the off-diagonals of a GOE tridiagonal draw, w_i = e_{i-1}^2 + e_i^2
+    with e_0^2 = e_n^2 = 0, from E w_i = m_i and E w_i^2 = m_i^2 + 2 m_i,
+    m_i = (n - i + 1)[i > 1] + (n - i)[i < n].  Given them, l is exactly
+    N(0, sigma^2)."""
+    return 2 * n * (n * n + 3 * n + 8) / (3 * (n + 1) ** 2)
 
 
 def breakdown_columns(dev: np.ndarray, off2: np.ndarray, alpha: np.ndarray,

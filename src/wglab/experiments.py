@@ -18,6 +18,7 @@ timestamps or generated ids leak in.
 import math
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import ConfigError, InvalidParameterError
@@ -213,6 +214,18 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
+@lru_cache(maxsize=16)
+def _curve_points(cmin: float, cmax: float) -> str:
+    """The polyline points of the limit curve over [cmin, cmax], from
+    dense closed-form evaluations: the same for every sweep of one grid."""
+    pts = []
+    for i in range(_CURVE_POINTS):
+        c = cmin + i * (cmax - cmin) / (_CURVE_POINTS - 1)
+        tv = limiting_tv_closed_form(LimitParams(c))
+        pts.append(f"{_fmt(_xpix(c, cmin, cmax))},{_fmt(_ypix(tv))}")
+    return " ".join(pts)
+
+
 def emit_figure1_svg(rows: list[SweepRow], path) -> None:
     """Self-contained SVG: dense limit curve plus MC points with error bars."""
     cs = sorted({r.c for r in rows})
@@ -248,14 +261,8 @@ def emit_figure1_svg(rows: list[SweepRow], path) -> None:
     parts.append(f'<text x="18" y="{(_MT + _H - _MB) // 2}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{(_MT + _H - _MB) // 2})">total variation distance</text>')
-    # limit curve from dense closed-form evaluations
-    pts = []
-    for i in range(_CURVE_POINTS):
-        c = cmin + i * (cmax - cmin) / (_CURVE_POINTS - 1)
-        tv = limiting_tv_closed_form(LimitParams(c))
-        pts.append(f"{_fmt(_xpix(c, cmin, cmax))},{_fmt(_ypix(tv))}")
-    parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                 'stroke="#1f77b4" stroke-width="2"/>')
+    parts.append(f'<polyline points="{_curve_points(cmin, cmax)}" '
+                 'fill="none" stroke="#1f77b4" stroke-width="2"/>')
     # Monte Carlo overlay with 99% error bars; data embedded as attributes
     for r in rows:
         x = _xpix(r.c, cmin, cmax)

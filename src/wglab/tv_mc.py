@@ -31,27 +31,31 @@ law has no such symmetry: there each draw is one evaluation.
 Each estimate is one least-squares regression over independent units: a
 pair sum u = v + v' on the GOE side, one integrand value on the Wishart
 side.  What is left of a pair sum is even under G -> -G, and its leading
-terms are products of the odd power sums.  With p_k = tr X^k,
+terms are functions of the odd power sums.  With p_k = tr X^k,
 X = (T - dI) / sqrt(d), the even statistics p1^2, p2, p1 p3 and p3^2 of a
 draw, which its mirror shares, have exact finite-n means
-(``densities.power_sum_moments``), so they serve as m <= 4 control
+(``densities.power_sum_moments``), and so have three bounded kernel rows
+in l = p1 - Y / (n + 1), Y the cross term of p3, which is exactly normal
+given the off-diagonals of X (``_control_rows``).  l is, less a sum x^3
+part, the large-d direction of s1 + s3.  These serve as m <= 7 control
 variates (Lavenberg and Welch 1981; Glasserman 2004, section 4.1): the
 estimate is u-bar - beta . x-bar over the P units, with x those statistics
 less their means and beta the least-squares coefficients of u on x, and
 its stderr comes from the residuals, with P - 1 - m degrees of freedom.
-At n = 32, c = 1 the pair variance falls about 4x.  The controls are
+At c = 1 the pair variance falls about 28x at n = 32 (4.5x on the power
+sums alone), 9.5x at n = 16 and 450x at n = 256.  The controls are
 skewed, and a linear fit passes their skew on to the estimate, so each
 is used only where its mean is nearly normal (``_SKEW_TOL``), and the
 others are dropped.  p2 is exactly 2 chi^2_{n(n+1)/2} and nearly normal
 soon: it is eligible from 6,400 / (n(n+1)) pairs (320 at n = 4), the
-other three only from 3,200 pairs, and at small n far above (p3^2 at
+other six only from 3,200 pairs, and at small n far above (p3^2 at
 n = 4 fails at 10,000).  So a sweep point of 1,000 pairs at n >= 3 is
 fitted on p2 alone, with a pair variance about 1.4x lower at n = 4 and
 c = 0.125.  The controls are d-free, so one gate decides them for every
 d of a pass.  beta is fitted on the draws it corrects, which biases the
-estimate by O(1 / P): 0.00 +- 0.04 stderr measured at n = 32 and 5,000
+estimate by O(m / P): -0.01 +- 0.05 stderr measured at n = 32 and 3,200
 pairs.  On the Wishart side, at n = 1 (where p2 = p1^2 and the others
-are powers of the same entry) and where no control is kept, m = 0:
+are functions of the same entry) and where no control is kept, m = 0:
 beta = [] and the estimate is the plain mean of the units.  The
 unpaired draw of an odd ``samples`` enters uncontrolled.
 
@@ -74,7 +78,8 @@ import numpy as np
 
 from .densities import (AlphaBreakdown, alpha_from_tridiagonal,
                         breakdown_columns, breakdown_records,
-                        power_sum_moments, power_sums)
+                        linear_statistic_variance, power_sum_moments,
+                        power_sums)
 from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
@@ -174,7 +179,7 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
     """
     batch = _batch_size(n, side)
     mirrored = side == GOE_SIDE
-    m = len(_controls(n, side))
+    m = len(_controls(n, side, samples // 2))
     group = max(1, _PASS_COLUMNS // min(batch, samples))
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
@@ -184,46 +189,77 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
                 dev, off2 = goe_tridiagonal(n, size - size // 2, gen, empty)
             else:
                 dev, off2 = wishart_tridiagonal(n, ds[0], size, gen, empty)
-            # z: the units, then the controls of each draw, which its
-            # mirror shares: p1^2, p2, p3^2, p1 p3 less their exact means
-            rows = empty((m + 1, dev.shape[1]))
+            # p1, p2 and, for the controls, p3 and Y, once for every d
+            k = dev.shape[1]
+            power = power_sums(dev, off2, empty((4 if m else 2, k)))
+            # z: the units, then the controls
+            rows = empty((m + 1, k))
             if m:
-                power_sums(dev, off2, rows[1:4])
-                np.multiply(rows[1], rows[3], out=rows[4])
-                np.square(rows[1:4:2], out=rows[1:4:2])
-                p1p1, p2, p1p3, p3p3 = power_sum_moments(n)
-                rows[1:] -= np.array([[p1p1], [p2], [p3p3], [p1p3]], float)
+                _control_rows(power, off2, n, rows[1:])
             for lo in range(0, len(ds), group):
                 alpha, q, psd = alpha_from_tridiagonal(
-                    dev, off2, n, ds[lo:lo + group], mirrored)
+                    dev, off2, n, ds[lo:lo + group], mirrored, power[:2])
                 alpha, q, psd = alpha[:, :size], q[:size], psd[:, :size]
                 yield (lo, dev, off2, alpha, q, psd, _integrand(alpha, side),
                        rows)
 
 
+def _control_rows(power, off2, n, out):
+    """Write the m = 4 or 7 GOE-side controls of draws with squared
+    off-diagonals ``off2`` and ``power_sums`` rows p1, p2, p3, Y to the
+    rows of ``out``, of shape (m, k), each less its exact mean: p1^2, p2,
+    p3^2, p1 p3 and, for m = 7, the kernel rows
+    x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2), with l,
+    sigma^2 and v(n) as in ``densities.linear_statistic_variance`` and
+    s_j = (1/2, 1, 2) sqrt(v(n)).  l is N(0, sigma^2) given the
+    off-diagonals, so x_j has mean 0 at every n; it is bounded and even
+    under G -> -G.  sigma^2 takes sum w = 2 sum e^2 and
+    sum w^2 = 2 sum e^4 + 2 sum e_i^2 e_{i+1}^2 from column dot products:
+    no other (n, k) array is made."""
+    p1, p2, p3, y = power
+    np.square(power[:3:2], out=out[:3:2])
+    out[1] = p2
+    np.multiply(p1, p3, out=out[3])
+    e11, e2, e13, e33 = power_sum_moments(n)
+    out[:4] -= np.array([[e11], [e2], [e33], [e13]], float)
+    if len(out) > 4:
+        c, kernel = 1.0 / (n + 1), out[4:]
+        w2 = np.einsum("ij,ij->j", off2, off2) + np.einsum(
+            "ij,ij->j", off2[:-1], off2[1:])
+        var = 2.0 * (n - 4.0 * c * off2.sum(axis=0) + 2.0 * c * c * w2)
+        # s_j^2, about a quarter, one and four times the variance of l
+        scale = np.array([[0.25], [1.0], [4.0]]) * linear_statistic_variance(n)
+        np.multiply(np.square(p1 - c * y), -0.5 / scale, out=kernel)
+        np.exp(kernel, out=kernel)
+        kernel -= np.sqrt(scale / (scale + var))
+
 # A control is used only where its mean over the P pairs is nearly normal:
 # its skewness, the control's sample skewness over sqrt(P), at most this.
 # The controls are skewed: p1^2 is exactly 2n chi^2_1, of skewness sqrt(8),
 # p3^2 and p1 p3 about as much or more (p3^2 about 9 at n = 4, 3 at
-# n = 32), and p2 exactly 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)).
+# n = 32), p2 exactly 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)), and
+# the kernel rows about 0.2, -0.8 and -1.8 at every n >= 2.
 # A linear fit passes that skew on to the estimate: at P = 1,000 pairs and
 # n = 4, with all four controls, one estimate in 10^4 fell 6 stderr from
 # the truth, and at n = 16 its tails were still heavier than normal.
 _SKEW_TOL = 0.05
 
 
-def _controls(n: int, side: str) -> np.ndarray:
-    """The floors, in pairs, of the m controls of a run, in the order of
-    its control rows (p1^2, p2, p3^2, p1 p3): a control is eligible from
-    the P at which its exact skewness passes ``_SKEW_TOL``, so that a
-    sample skewness cannot pass by chance at tiny P.  That is
-    8 / _SKEW_TOL^2 = 3,200 pairs for all but p2, and
-    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  m = 4 on
-    the GOE side, and 0 on the Wishart side and at n = 1, where p2 = p1^2
-    and the other two are powers of the same one entry."""
+def _controls(n: int, side: str, pairs: int) -> np.ndarray:
+    """The floors, in pairs, of the m controls of a run of P = ``pairs``
+    units, in the order of its control rows (``_control_rows``): a control
+    is eligible from the P at which its exact skewness passes
+    ``_SKEW_TOL``, so that a sample skewness cannot pass by chance at tiny
+    P.  That is 8 / _SKEW_TOL^2 = 3,200 pairs for all but p2, and
+    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  m = 7 on
+    the GOE side, or 4 (no kernel rows) below their floor; m = 0 on the
+    Wishart side and at n = 1, where p2 = p1^2 and the others are
+    functions of the same one entry."""
     if side != GOE_SIDE or n == 1:
         return np.empty(0)
-    return np.array([8.0, 16.0 / (n * (n + 1)), 8.0, 8.0]) / _SKEW_TOL ** 2
+    floors = np.array([8.0, 16.0 / (n * (n + 1)), 8.0, 8.0, 8.0, 8.0, 8.0]
+                      ) / _SKEW_TOL ** 2
+    return floors if pairs >= floors[4] else floors[:4]
 
 
 def _block_stats(task):
@@ -414,7 +450,7 @@ def _estimate(n, ds, samples, rng, side, workers):
     else:
         parts = _block_stats(tasks[0])
     single = samples % 2 if side == GOE_SIDE else 0
-    floors, keep = _controls(n, side), None
+    floors, keep = _controls(n, side, samples // 2), None
     out = []
     for d, col in zip(ds, zip(*parts)):
         sums, n_q, n_psd, units, values = zip(*col)
@@ -474,7 +510,8 @@ def tv_profile(n: int, d: int, samples: int, rng: RngState):
     ``tv_estimate_goe_side``, mirrors included, in the same order, so
     there is one record per alpha evaluation.  The integrands' mean is the
     plain antithetic estimate; with p_k = s_k / (h_k / k!) of each draw as
-    drawn they also rebuild the estimator's controlled one.  s0..s4 come
+    drawn they also rebuild the power-sum part of the estimator's fit, but
+    not the kernel rows, which need the off-diagonals.  s0..s4 come
     from O(n) trace formulas on each draw and each mirror, with no
     eigenvalues.  The parameters are checked at once, and the records are
     made one block at a time as they are consumed, so memory stays bounded

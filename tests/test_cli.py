@@ -74,16 +74,35 @@ def test_tv_command_deterministic():
     assert code == 0 and float(parse_kv(text)["cv_var_ratio"]) > 2.0
 
 
-def test_tv_command_output_is_pinned():
-    # a run where all four controls pass prints, bit for bit, what the
-    # all-or-nothing gate printed
-    code, text = run_cli(["tv", "--n", "32", "--d", "32768", "--samples",
-                          "20000", "--seed", "3"])
+def test_tv_command_output_is_pinned(monkeypatch):
+    # with the kernel rows' floors out of reach, a run where the four
+    # power-sum controls pass prints, bit for bit, what the all-or-nothing
+    # gate printed before the kernel rows: their rows are computed but the
+    # fit is the one on the other four
+    args = ["tv", "--n", "32", "--d", "32768", "--samples", "20000",
+            "--seed", "3"]
+    controls = wglab.tv_mc._controls
+
+    def without_kernels(n, side, pairs):
+        floors = controls(n, side, pairs).copy()
+        floors[4:] = float("inf")
+        return floors
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wglab.tv_mc, "_controls", without_kernels)
+        code, text = run_cli(args)
     assert code == 0
     vals = parse_kv(text)
     assert vals["tv_mean"] == "0.16837889685377938"
     assert vals["tv_stderr"] == "0.0003442205261221819"
     assert vals["cv_var_ratio"] == "4.563917802934297"
+    # the default fit keeps all seven controls
+    code, text = run_cli(args)
+    assert code == 0
+    vals = parse_kv(text)
+    assert vals["tv_mean"] == "0.16832228790667067"
+    assert vals["tv_stderr"] == "0.00013765543174356596"
+    assert vals["cv_var_ratio"] == "28.538072467428247"
 
 
 def test_parser_is_built_once_and_survives_errors(capsys):

@@ -14,7 +14,8 @@ from wglab import (InvalidParameterError, RngState, Spectrum, alpha_exact,
                    shift_scale_goe, symmetric_eigenvalues)
 from wglab.densities import (TOL_PSD_SCALE, _sturm_counts, _taylor_terms,
                              alpha_from_eigenvalues, alpha_from_tridiagonal,
-                             in_q_mask, power_sum_moments, q_half_width,
+                             in_q_mask, linear_statistic_variance,
+                             power_sum_moments, q_half_width,
                              spectrum_constant)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              wishart_tridiagonal)
@@ -252,6 +253,19 @@ def test_power_sum_moments_exact(n):
                                              _poly_mul(p1, p3),
                                              _poly_mul(p3, p3)))
     assert got == power_sum_moments(n)
+
+
+def test_linear_statistic_variance_exact():
+    # v(n) = E sigma^2 = 2 sum_i (1 - 2 m_i / (n + 1)
+    # + (m_i^2 + 2 m_i) / (n + 1)^2), with m_i = E w_i the degrees of
+    # freedom of w_i = e_{i-1}^2 + e_i^2, summed in exact rationals: the
+    # closed form is its correctly rounded value
+    for n in range(1, 65):
+        m = [(n - i + 1) * (i > 1) + (n - i) * (i < n)
+             for i in range(1, n + 1)]
+        exact = 2 * sum(1 - Fraction(2 * k, n + 1)
+                        + Fraction(k * k + 2 * k, (n + 1) ** 2) for k in m)
+        assert linear_statistic_variance(n) == float(exact)
 
 
 # --- S decomposition and the Q window -------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wglab import (ConfigError, ExperimentConfig, RngState, SweepRow, emit_csv,
+                   experiments,
                    emit_figure1_svg, parse_config, run_sweep,
                    tv_estimate_goe_side)
 from wglab.experiments import CSV_HEADER, _ypix, degrees_of_freedom, read_csv
@@ -375,6 +376,34 @@ def test_svg_wellformed_and_deterministic(tmp_path):
         hi = min(r.tv_mc + Z99 * r.tv_stderr, 1.0)
         assert abs(float(bar.get("y1")) - _ypix(lo)) <= 0.01
         assert abs(float(bar.get("y2")) - _ypix(hi)) <= 0.01
+
+
+def test_svg_curve_is_built_once_per_grid(tmp_path, monkeypatch):
+    # the limit curve's 200 closed-form points are made on the first figure
+    # of a (cmin, cmax) and reused, with the same bytes, by the next; a
+    # grid with other ends makes its own
+    calls = []
+    closed_form = experiments.limiting_tv_closed_form
+
+    def counting(params):
+        calls.append(params.c)
+        return closed_form(params)
+
+    rows = run_sweep(small_config(c_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
+                                  n_list=(4,)))
+    monkeypatch.setattr(experiments, "limiting_tv_closed_form", counting)
+    experiments._curve_points.cache_clear()
+    paths = [tmp_path / f"{i}.svg" for i in range(3)]
+    emit_figure1_svg(rows, paths[0])
+    assert len(calls) == experiments._CURVE_POINTS
+    emit_figure1_svg(rows, paths[1])
+    assert len(calls) == experiments._CURVE_POINTS
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    experiments._curve_points.cache_clear()
+    emit_figure1_svg(rows, paths[2])
+    assert paths[2].read_bytes() == paths[0].read_bytes()
+    emit_figure1_svg(rows[1:] + [replace(rows[0], c=0.125)], paths[2])
+    assert len(calls) == 3 * experiments._CURVE_POINTS
 
 
 def test_svg_requires_five_c_values(tmp_path):

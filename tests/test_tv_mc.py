@@ -16,7 +16,8 @@ from wglab import (InvalidParameterError, RngState, Spectrum, s_decomposition,
                    tv_estimate_goe_side, tv_estimate_wishart_side, tv_profile)
 from wglab.densities import (TOL_PSD_SCALE, _taylor_terms,
                              alpha_from_eigenvalues, alpha_from_tridiagonal,
-                             in_q_mask, power_sum_moments)
+                             in_q_mask, linear_statistic_variance,
+                             power_sum_moments, power_sums)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              sample_wishart_dense)
 from wglab.spectral import batch_eigenvalues
@@ -42,20 +43,44 @@ def test_invalid_parameters():
         tv_profile(3, 2, 10, RngState(0))
 
 
-def lstsq_estimate(n, d, u, power, values, keep=(1, 2, 3, 4)):
+def kernel_rows_reference(n, dev, off2):
+    """The three kernel control rows of each draw (dev, off2), by an
+    explicit loop over i with ``math.exp``: the slow path the estimator's
+    vectorized rows are pinned to.  With w_i = e_{i-1}^2 + e_i^2,
+    l = sum g_i (1 - w_i / (n + 1)), sigma^2 = 2 sum (1 - w_i / (n + 1))^2
+    and s = (1/2, 1, 2) sqrt(v(n)), row j is
+    exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2)."""
+    root = math.sqrt(linear_statistic_variance(n))
+    rows = []
+    for g, e2 in zip(dev.T.tolist(), off2.T.tolist()):
+        e2 = [0.0, *e2, 0.0]
+        ell = var = 0.0
+        for i in range(n):
+            a = 1.0 - (e2[i] + e2[i + 1]) / (n + 1)
+            ell += g[i] * a
+            var += 2.0 * a * a
+        rows.append([math.exp(-ell * ell / (2.0 * s * s))
+                     - s / math.sqrt(s * s + var)
+                     for s in (0.5 * root, root, 2.0 * root)])
+    return np.array(rows).reshape(-1, 3).T
+
+
+def lstsq_estimate(n, d, u, power, values, kernel, keep=range(1, 8)):
     """(mean, stderr, var_ratio) of the control-variate estimate over the
     N = values.size integrand values, by a direct least-squares fit.
 
     u holds the P pair sums, power the (3, P) power sums p1..p3 of T - dI
-    of their draws, values every integrand value, the unpaired one of an
-    odd N included, and keep the controls fitted, numbered as the rows of
-    the estimator's z = (u, p1^2, p2, p3^2, p1 p3).
+    of their draws, kernel their (3, P) ``kernel_rows_reference``, values
+    every integrand value, the unpaired one of an odd N included, and keep
+    the controls fitted, numbered as the rows of the estimator's
+    z = (u, p1^2, p2, p3^2, p1 p3, x_1, x_2, x_3).
     """
     pairs, samples = u.size, values.size
     p1, p2, p3 = power / np.array([[d ** 0.5], [d], [d ** 1.5]])
     e11, e2, e13, e33 = power_sum_moments(n)
     x = np.column_stack([np.ones(pairs), p1 * p1 - e11, p2 - e2,
-                         p3 * p3 - e33, p1 * p3 - e13])[:, [0, *keep]]
+                         p3 * p3 - e33, p1 * p3 - e13,
+                         *kernel])[:, [0, *keep]]
     coef, *_ = np.linalg.lstsq(x, u, rcond=None)
     resid = u - x @ coef
     var = resid @ resid / (pairs - 1 - len(keep))
@@ -165,9 +190,9 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
         draws.append(size)
         return sample(n, size, gen, *empty)
 
-    def counting_alpha(dev, off2, n, ds, mirrored):
+    def counting_alpha(dev, off2, n, ds, mirrored, power):
         calls.append((dev.shape[1], mirrored))
-        return alpha(dev, off2, n, ds, mirrored)
+        return alpha(dev, off2, n, ds, mirrored, power)
 
     monkeypatch.setattr(tv_mc, "goe_tridiagonal", counting_sample)
     monkeypatch.setattr(tv_mc, "alpha_from_tridiagonal", counting_alpha)
@@ -183,6 +208,13 @@ def test_profile_makes_records_one_block_at_a_time(monkeypatch):
     assert calls == [(8, True)] * 3 + [(1, True)]
 
 
+def _block_draws(n, samples, seed):
+    """The draws (dev, off2) of a one-block GOE-side run."""
+    assert tv_mc._block_count(n, samples, tv_mc.GOE_SIDE) == 1
+    return goe_tridiagonal(n, samples - samples // 2,
+                           RngState(seed).substream(0).generator())
+
+
 def test_profile_reproduces_estimator_mean(monkeypatch):
     # one block of 250 draws and their mirrors, too few pairs for control
     # variates: the estimate is the profile's plain mean
@@ -193,15 +225,17 @@ def test_profile_reproduces_estimator_mean(monkeypatch):
     assert plain.var_ratio == 1.0
     assert float(vals.sum()) / samples == plain.mean
     # with the controls forced on, the profile's integrands and s1..s3
-    # rebuild the controlled estimate, with p_k = s_k / (h_k / k!) of each
-    # draw as drawn
+    # rebuild the power-sum part of the controlled estimate, with
+    # p_k = s_k / (h_k / k!) of each draw as drawn; the kernel rows come
+    # from the slow reference on the same draws
     monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     est = tv_estimate_goe_side(n, d, samples, RngState(13))
     (_, drawn, *_, v), (*_, w) = tv_mc.profile_columns(n, d, samples,
                                                        RngState(13))
     power = np.array(drawn[1:4]) / np.array(_taylor_terms(n, d)[:3])[:, None]
     values = np.concatenate([v, w])
-    mean, stderr, ratio = lstsq_estimate(n, d, v + w, power, values)
+    kernel = kernel_rows_reference(n, *_block_draws(n, samples, 13))
+    mean, stderr, ratio = lstsq_estimate(n, d, v + w, power, values, kernel)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-9)
     assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
@@ -310,7 +344,7 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
     monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     n, d, rng = 8, 512, RngState(31)
     est = tv_estimate_goe_side(n, d, samples, rng)
-    values, pair_sums, power = [], [], []
+    values, pair_sums, power, kernel = [], [], [], []
     for b in range(4):
         size = min(512, samples - 512 * b)
         dev, off2 = goe_tridiagonal(n, size - size // 2,
@@ -328,6 +362,7 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
         power.append((np.stack([dev.sum(axis=0), (dev ** 2).sum(axis=0)
                                 + 2.0 * off2.sum(axis=0), p3])
                       * np.array([[d ** 0.5], [d], [d ** 1.5]]))[:, :m])
+        kernel.append(kernel_rows_reference(n, dev[:, :m], off2[:, :m]))
     values, u = np.concatenate(values), np.concatenate(pair_sums)
     assert values.size == samples and u.size == samples // 2
     # the plain values are the profile's integrands, in its order
@@ -335,7 +370,7 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
                                                              rng)]
     np.testing.assert_array_equal(np.concatenate(profile), values)
     mean, stderr, ratio = lstsq_estimate(n, d, u, np.concatenate(power, 1),
-                                         values)
+                                         values, np.concatenate(kernel, 1))
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-9)
     assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
@@ -372,32 +407,37 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
 
 def test_control_floors():
     # a control is eligible from the P at which its exact skewness passes
-    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2 and p1 p3, 6,400 / (n(n+1)) for
-    # p2, whose law is 2 chi^2_{n(n+1)/2}; none on the Wishart side or at
-    # n = 1
+    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2, p1 p3 and the three kernel
+    # rows, 6,400 / (n(n+1)) for p2, whose law is 2 chi^2_{n(n+1)/2}; the
+    # kernel rows are made only from their floor on, and no control on the
+    # Wishart side or at n = 1
     for n in (2, 4, 8, 16, 32):
-        floors = tv_mc._controls(n, tv_mc.GOE_SIDE)
+        floors = tv_mc._controls(n, tv_mc.GOE_SIDE, 3200)
         assert floors.tolist() == pytest.approx(
-            [3200, 6400 / (n * (n + 1)), 3200, 3200], rel=1e-12)
-        assert tv_mc._controls(n, tv_mc.WISHART_SIDE).size == 0
-    assert tv_mc._controls(1, tv_mc.GOE_SIDE).size == 0
+            [3200, 6400 / (n * (n + 1)), 3200, 3200, 3200, 3200, 3200],
+            rel=1e-12)
+        assert tv_mc._controls(n, tv_mc.GOE_SIDE, 3199).tolist() == (
+            floors[:4].tolist())
+        assert tv_mc._controls(n, tv_mc.WISHART_SIDE, 10 ** 6).size == 0
+    assert tv_mc._controls(1, tv_mc.GOE_SIDE, 10 ** 6).size == 0
 
 
 @pytest.mark.parametrize("n, samples, seed, kept", [
     (8, 6399, 6399, [2]), (4, 2000, 1, [2]), (4, 2001, 2, [2]),
-    (4, 20000, 3, [1, 2, 4])], ids=["8-6399", "4-2000", "4-2001", "4-20000"])
+    (4, 20000, 3, [1, 2, 4, 5, 6, 7])],
+    ids=["8-6399", "4-2000", "4-2001", "4-20000"])
 def test_failing_controls_are_dropped(n, samples, seed, kept):
     # below 3,200 pairs only p2 is eligible, and at n = 4 and 10,000 pairs
     # p3^2 is too skewed on this stream (p1 p3, whose sample skewness
     # there sits near the bound of 5, passes on some streams and fails on
-    # others): the controls that fail are
+    # others), while the three kernel rows pass: the controls that fail are
     # dropped and the rest are fitted, where the all-or-nothing gate fitted
     # none.  The estimate is the least-squares fit on the kept controls of
     # the same draws, and the gate takes the decisions of the elimination
     d = 4 * n
     est = tv_estimate_goe_side(n, d, samples, RngState(seed))
     units = _goe_units(n, samples, seed, d)
-    floors = tv_mc._controls(n, tv_mc.GOE_SIDE)
+    floors = tv_mc._controls(n, tv_mc.GOE_SIDE, samples // 2)
     assert tv_mc._kept(units, floors) == kept
     want_kept, want = reference_unit_fit(units, floors)
     assert want_kept == kept
@@ -406,8 +446,11 @@ def test_failing_controls_are_dropped(n, samples, seed, kept):
                                                        RngState(seed))
     power = np.array(drawn[1:4]) / np.array(_taylor_terms(n, d)[:3])[:, None]
     values = np.concatenate([v, w])
+    dev, off2 = _block_draws(n, samples, seed)
+    kernel = kernel_rows_reference(n, dev[:, :w.size], off2[:, :w.size])
     mean, stderr, ratio = lstsq_estimate(n, d, v[:w.size] + w,
-                                         power[:, :w.size], values, kept)
+                                         power[:, :w.size], values, kernel,
+                                         kept)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-9)
     assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
@@ -417,13 +460,16 @@ def test_failing_controls_are_dropped(n, samples, seed, kept):
 def test_p2_is_not_used_below_its_floor():
     # at n = 4 and 319 pairs, one short of p2's floor of 320, the sample
     # skewness of p2 on this stream passes the test (0.032 against 0.05
-    # over sqrt(P)): without the floors p2 would be kept, with them the
-    # estimate is the plain one
+    # over sqrt(P)): without the floors p2 would be kept, and so it would
+    # with the other floors and none for p2; with them all the estimate is
+    # the plain one
     n, samples = 4, 638
     units = _goe_units(n, samples, 0)
     assert units[0] == 319
+    floors = tv_mc._controls(n, tv_mc.GOE_SIDE, units[0])
     assert tv_mc._kept(units, np.zeros(4)) == [2]
-    assert tv_mc._kept(units, tv_mc._controls(n, tv_mc.GOE_SIDE)) == []
+    assert tv_mc._kept(units, np.where(np.arange(4) == 1, 0.0, floors)) == [2]
+    assert tv_mc._kept(units, floors) == []
     assert tv_estimate_goe_side(n, n ** 3, samples,
                                 RngState(0)).var_ratio == 1.0
 
@@ -551,7 +597,7 @@ def _fit_cases():
     """(units, floors) of random Grams with m = 1..4 controls, of nearly
     collinear and of skewed controls, all without floors, and of GOE-side
     runs with their own floors: none at n = 1, p2 alone at n = 4 and
-    1,000 pairs, p3^2 too skewed at n = 4 and 10,000 pairs, all four at
+    1,000 pairs, p3^2 too skewed at n = 4 and 10,000 pairs, all seven at
     n = 32."""
     rng = np.random.default_rng(7)
     for m in range(1, 5):
@@ -569,7 +615,7 @@ def _fit_cases():
     yield _partials(u, skewed), np.zeros(4)
     for n, samples in ((1, 20001), (4, 2000), (4, 20001), (32, 20001)):
         yield (_goe_units(n, samples, 3),
-               tv_mc._controls(n, tv_mc.GOE_SIDE))
+               tv_mc._controls(n, tv_mc.GOE_SIDE, samples // 2))
 
 
 def test_unit_fit_matches_the_elimination():
@@ -587,8 +633,8 @@ def test_unit_fit_matches_the_elimination():
     # of the controls of the random Grams, and the nearly collinear,
     # skewed and GOE-side cases keep the controls named above
     assert [len(k) for k in kept[:12]] == [1, 1, 1, 0, 2, 2, 1, 3, 3, 1, 3, 4]
-    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2], [1, 2, 4],
-                         [1, 2, 3, 4]]
+    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2], [1, 2, 4, 5, 6, 7],
+                         [1, 2, 3, 4, 5, 6, 7]]
 
 
 def test_wishart_side_is_the_plain_mean(monkeypatch):
@@ -858,3 +904,63 @@ def test_sweep_point_calibration_at_small_p():
     assert abs(spread / np.mean([r.stderr for r in runs]) - 1.0) <= 0.15
     assert np.abs(z).max() <= 4.0
     assert abs(z.mean()) <= 0.2
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_kernel_rows_match_the_slow_reference(n, monkeypatch):
+    # the estimator's vectorized kernel rows of a block of 201 draws, made
+    # with the controls forced on, against the per-draw loop of
+    # kernel_rows_reference; a row is the difference of two terms in
+    # (0, 1], and matches to 1e-13 of them
+    monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
+    [(_, dev, off2, *_, rows)] = tv_mc._blocks(
+        n, [n ** 3], 402, RngState(80 + n), tv_mc.GOE_SIDE, 0, 1)
+    assert rows.shape == (8, 201)
+    np.testing.assert_allclose(rows[5:], kernel_rows_reference(n, dev, off2),
+                               rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 4, 32])
+def test_kernel_rows_have_mean_zero(n):
+    # given the off-diagonals, l is exactly N(0, sigma^2), so each kernel
+    # row has conditional mean 0 and so mean 0 at every n: over 10^6 draws
+    # each row's mean is within 4 stderr of 0
+    gen, size = RngState(7000 + n).generator(), 100_000
+    sums, squares = np.zeros(3), np.zeros(3)
+    for _ in range(10):
+        dev, off2 = goe_tridiagonal(n, size, gen)
+        power = power_sums(dev, off2, np.empty((4, size)))
+        rows = np.empty((7, size))
+        tv_mc._control_rows(power, off2, n, rows)
+        x = rows[4:]
+        sums += x.sum(axis=1)
+        squares += np.einsum("ij,ij->i", x, x)
+    mean = sums / 10 ** 6
+    stderr = np.sqrt((squares / 10 ** 6 - mean * mean) / (10 ** 6 - 1))
+    assert np.all(np.abs(mean) <= 4.0 * stderr)
+
+
+def test_kernel_floor_calibration(monkeypatch):
+    # n = 32, c = 1 at 3,200 pairs, the kernel rows' floor, where the
+    # three kernel rows are fitted in every run: over 400 seeds the
+    # z-scores against a reference of 4 * 10^6 evaluations have sd within
+    # 0.1 of 1 (its sampling error is about 0.035) and mean within 0.25 (its
+    # sampling error is 0.05), where the O(m / P) bias of a beta fitted on
+    # the draws it corrects would show
+    gates = []
+    kept = tv_mc._kept
+
+    def recording_kept(units, floors):
+        gates.append(kept(units, floors))
+        return gates[-1]
+
+    n, d, samples = 32, 32768, 6400
+    ref = tv_estimate_goe_side(n, d, 4_000_000, RngState(2 ** 41))
+    monkeypatch.setattr(tv_mc, "_kept", recording_kept)
+    runs = [tv_estimate_goe_side(n, d, samples, RngState(seed))
+            for seed in range(6000, 6400)]
+    assert len(gates) == 400 and all({5, 6, 7} <= set(g) for g in gates)
+    z = np.array([(r.mean - ref.mean) / math.hypot(r.stderr, ref.stderr)
+                  for r in runs])
+    assert abs(z.std(ddof=1) - 1.0) <= 0.1
+    assert abs(z.mean()) <= 0.25
