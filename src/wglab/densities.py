@@ -31,8 +31,9 @@ h_k / k! of h at d come from ``_taylor_terms`` alone.
 ``breakdown_columns`` gives the same split over a tridiagonal batch from
 O(n) trace formulas, p1..p3 of X from ``power_sums``, which also feeds
 the Monte Carlo control variates; a spectrum is the diagonal case.  Their
-exact means under the GOE are ``power_sum_moments``, and
-``linear_statistic_variance`` is that of a conditional variance.
+exact means under the GOE are ``power_sum_moments``, and the mean
+variance of the kernel controls' linear statistic is
+``linear_statistic_variance``.
 """
 
 import math
@@ -279,8 +280,8 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
         pd = least + 1.0 > _SAFMIN * np.maximum(
             np.max(off2, axis=0, initial=0.0) / d, 1.0)
         # the trace and Frobenius norm of T - dI are sqrt(d) p1 and d p2
-        p1, p2 = power_sums(dev, off2, take((2, k))) if power is None else (
-            power)
+        p1, p2 = (power_sums(dev, off2, take((2, k))) if power is None
+                  else power)
         alpha = (0.5 * ((d - n - 1) * logdet - signs * (root * p1) + 0.5 * p2)
                  + [[spectrum_constant(n, x)] for x in ds])
     alpha[~pd] = -np.inf

@@ -227,7 +227,7 @@ def _control_rows(power, off2, n, out):
         w2 = np.einsum("ij,ij->j", off2, off2) + np.einsum(
             "ij,ij->j", off2[:-1], off2[1:])
         var = 2.0 * (n - 4.0 * c * off2.sum(axis=0) + 2.0 * c * c * w2)
-        # s_j^2, about a quarter, one and four times the variance of l
+        # s_j^2: a quarter, one and four times v(n), the mean variance of l
         scale = np.array([[0.25], [1.0], [4.0]]) * linear_statistic_variance(n)
         np.multiply(np.square(p1 - c * y), -0.5 / scale, out=kernel)
         np.exp(kernel, out=kernel)
