@@ -380,14 +380,17 @@ def power_sum_moments(n: int) -> tuple[int, int, int, int]:
 
 
 def linear_statistic_variance(n: int) -> float:
-    """v(n) = E sigma^2 = 2 n (n^2 + 3n + 8) / (3 (n + 1)^2), correctly
-    rounded: the mean of the variance sigma^2 = 2 sum_i (1 - w_i / (n + 1))^2
-    of l = sum_i x_i (1 - w_i / (n + 1)) = p1 - Y / (n + 1) (``power_sums``)
+    """v(n) = E sigma^2 = 2 n (n + 4) / (3 (n - 1)), n >= 2, correctly
+    rounded: the mean of the variance sigma^2 = 2 sum_i (1 - w_i / (n - 1))^2
+    of l = sum_i x_i (1 - w_i / (n - 1)) = p1 - Y / (n - 1) (``power_sums``)
     given the off-diagonals of a GOE tridiagonal draw, w_i = e_{i-1}^2 + e_i^2
     with e_0^2 = e_n^2 = 0, from E w_i = m_i and E w_i^2 = m_i^2 + 2 m_i,
     m_i = (n - i + 1)[i > 1] + (n - i)[i < n].  Given them, l is exactly
-    N(0, sigma^2)."""
-    return 2 * n * (n * n + 3 * n + 8) / (3 * (n + 1) ** 2)
+    N(0, sigma^2), and it is the normal part of the large-d direction of
+    s1 + s3: as the x_i are N(0, 2), with E x^4 / E x^2 = 6,
+    p3 - 3 (n + 1) p1 = sum (x^3 - 6x) - 3 (n - 1) l, and the first term
+    is uncorrelated with every linear function of x."""
+    return 2 * n * (n + 4) / (3 * (n - 1))
 
 
 def breakdown_columns(dev: np.ndarray, off2: np.ndarray, alpha: np.ndarray,

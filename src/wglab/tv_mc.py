@@ -34,29 +34,34 @@ side.  What is left of a pair sum is even under G -> -G, and its leading
 terms are functions of the odd power sums.  With p_k = tr X^k,
 X = (T - dI) / sqrt(d), the even statistics p1^2, p2, p1 p3 and p3^2 of a
 draw, which its mirror shares, have exact finite-n means
-(``densities.power_sum_moments``), and so have three bounded kernel rows
-in l = p1 - Y / (n + 1), Y the cross term of p3, which is exactly normal
-given the off-diagonals of X (``_control_rows``).  l is, less a sum x^3
-part, the large-d direction of s1 + s3.  These serve as m <= 7 control
-variates (Lavenberg and Welch 1981; Glasserman 2004, section 4.1): the
-estimate is u-bar - beta . x-bar over the P units, with x those statistics
-less their means and beta the least-squares coefficients of u on x, and
-its stderr comes from the residuals, with P - 1 - m degrees of freedom.
-At c = 1 the pair variance falls about 28x at n = 32 (4.5x on the power
-sums alone), 9.5x at n = 16 and 450x at n = 256.  The controls are
+(``densities.power_sum_moments``), and so have six kernel rows in
+l = p1 - Y / (n - 1), Y the cross term of p3, which is exactly normal
+given the off-diagonals of X (``_control_rows``): three bounded functions
+x_j of l, the relative deviation r of its variance from its mean, and
+x_1 r and x_2 r.  As the diagonal of X is N(0, 2),
+p3 - 3 (n + 1) p1 = sum (x^3 - 6x) - 3 (n - 1) l, and the first term is
+uncorrelated with every linear function of the diagonal, so l is the
+exactly normal part of the large-d direction of s1 + s3.  These serve as
+m <= 10 control variates (Lavenberg and Welch 1981; Glasserman 2004,
+section 4.1): the estimate is u-bar - beta . x-bar over the P units, with
+x those statistics less their means and beta the least-squares
+coefficients of u on x, and its stderr comes from the residuals, with
+P - 1 - m degrees of freedom.  At c = 1 the pair variance falls about 62x
+at n = 32 (28x with l = p1 - Y / (n + 1) and no r rows, 4.5x on the power
+sums alone), 20x at n = 16 and 650x at n = 256.  The controls are
 skewed, and a linear fit passes their skew on to the estimate, so each
 is used only where its mean is nearly normal (``_SKEW_TOL``), and the
 others are dropped.  p2 is exactly 2 chi^2_{n(n+1)/2} and nearly normal
 soon: it is eligible from 6,400 / (n(n+1)) pairs (320 at n = 4), the
-other six only from 3,200 pairs, and at small n far above (p3^2 at
-n = 4 fails at 10,000).  So a sweep point of 1,000 pairs at n >= 3 is
-fitted on p2 alone, with a pair variance about 1.4x lower at n = 4 and
-c = 0.125.  The controls are d-free, so one gate decides them for every
-d of a pass.  beta is fitted on the draws it corrects, which biases the
-estimate by O(m / P): -0.01 +- 0.05 stderr measured at n = 32 and 3,200
-pairs.  On the Wishart side, at n = 1 (where p2 = p1^2 and the others
-are functions of the same entry) and where no control is kept, m = 0:
-beta = [] and the estimate is the plain mean of the units.  The
+other nine only from 3,200 pairs, and at small n far above (p3^2 and the
+r rows at n = 4 fail at 10,000).  So a sweep point of 1,000 pairs at
+n >= 3 is fitted on p2 alone, with a pair variance about 1.4x lower at
+n = 4 and c = 0.125.  The controls are d-free, so one gate decides them
+for every d of a pass.  beta is fitted on the draws it corrects, which
+biases the estimate by O(m / P): 0.07 +- 0.05 stderr measured at n = 32
+and 3,200 pairs.  On the Wishart side, at n = 1 (where p2 = p1^2 and the
+others are functions of the same entry) and where no control is kept,
+m = 0: beta = [] and the estimate is the plain mean of the units.  The
 unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
@@ -202,17 +207,22 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
                 alpha, q, psd = alpha[:, :size], q[:size], psd[:, :size]
                 yield (lo, dev, off2, alpha, q, psd, _integrand(alpha, side),
                        rows)
+            # leaving the frame may grow the buffer: hold no array of this
+            # block then, so that its fresh arrays are not counted twice
+            del dev, off2, power, rows, alpha, q, psd
 
 
 def _control_rows(power, off2, n, out):
-    """Write the m = 4 or 7 GOE-side controls of draws with squared
+    """Write the m = 4 or 10 GOE-side controls of draws with squared
     off-diagonals ``off2`` and ``power_sums`` rows p1, p2, p3, Y to the
     rows of ``out``, of shape (m, k), each less its exact mean: p1^2, p2,
-    p3^2, p1 p3 and, for m = 7, the kernel rows
-    x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2), with l,
-    sigma^2 and v(n) as in ``densities.linear_statistic_variance`` and
-    s_j = (1/2, 1, 2) sqrt(v(n)).  l is N(0, sigma^2) given the
-    off-diagonals, so x_j has mean 0 at every n; it is bounded and even
+    p3^2, p1 p3 and, for m = 10, the kernel rows
+    x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2), then
+    r = sigma^2 / v(n) - 1, x_1 r and x_2 r, with l, sigma^2 and v(n) as in
+    ``densities.linear_statistic_variance`` and s_j = (1/2, 1, 2) sqrt(v(n)).
+    l is N(0, sigma^2) given the off-diagonals, so x_j has mean 0 given
+    them, and so have x_1 r and x_2 r; r has mean 0 as v(n) = E sigma^2.
+    Each row is bounded or a function of the off-diagonals alone, and even
     under G -> -G.  sigma^2 takes sum w = 2 sum e^2 and
     sum w^2 = 2 sum e^4 + 2 sum e_i^2 e_{i+1}^2 from column dot products:
     no other (n, k) array is made."""
@@ -223,22 +233,28 @@ def _control_rows(power, off2, n, out):
     e11, e2, e13, e33 = power_sum_moments(n)
     out[:4] -= np.array([[e11], [e2], [e33], [e13]], float)
     if len(out) > 4:
-        c, kernel = 1.0 / (n + 1), out[4:]
+        c, v = 1.0 / (n - 1), linear_statistic_variance(n)
+        kernel, r = out[4:7], out[7]
         w2 = np.einsum("ij,ij->j", off2, off2) + np.einsum(
             "ij,ij->j", off2[:-1], off2[1:])
         var = 2.0 * (n - 4.0 * c * off2.sum(axis=0) + 2.0 * c * c * w2)
         # s_j^2: a quarter, one and four times v(n), the mean variance of l
-        scale = np.array([[0.25], [1.0], [4.0]]) * linear_statistic_variance(n)
+        scale = np.array([[0.25], [1.0], [4.0]]) * v
         np.multiply(np.square(p1 - c * y), -0.5 / scale, out=kernel)
         np.exp(kernel, out=kernel)
         kernel -= np.sqrt(scale / (scale + var))
+        np.subtract(var / v, 1.0, out=r)
+        np.multiply(kernel[:2], r, out=out[8:])
 
 # A control is used only where its mean over the P pairs is nearly normal:
 # its skewness, the control's sample skewness over sqrt(P), at most this.
 # The controls are skewed: p1^2 is exactly 2n chi^2_1, of skewness sqrt(8),
 # p3^2 and p1 p3 about as much or more (p3^2 about 9 at n = 4, 3 at
-# n = 32), p2 exactly 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)), and
-# the kernel rows about 0.2, -0.8 and -1.8 at every n >= 2.
+# n = 32), p2 exactly 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)), the
+# kernel rows x_j about 0.2, -0.8 and -1.8 from n = 8 on, and r, x_1 r and
+# x_2 r 0.65, 0.6 and -0.5 at n = 32, but about 3, 3.5 and 1.5 at n = 8
+# and 6 to 40 at n = 2 and 4, where the gate drops them until P is far
+# above the floor.
 # A linear fit passes that skew on to the estimate: at P = 1,000 pairs and
 # n = 4, with all four controls, one estimate in 10^4 fell 6 stderr from
 # the truth, and at n = 16 its tails were still heavier than normal.
@@ -251,13 +267,13 @@ def _controls(n: int, side: str, pairs: int) -> np.ndarray:
     is eligible from the P at which its exact skewness passes
     ``_SKEW_TOL``, so that a sample skewness cannot pass by chance at tiny
     P.  That is 8 / _SKEW_TOL^2 = 3,200 pairs for all but p2, and
-    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  m = 7 on
+    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  m = 10 on
     the GOE side, or 4 (no kernel rows) below their floor; m = 0 on the
     Wishart side and at n = 1, where p2 = p1^2 and the others are
     functions of the same one entry."""
     if side != GOE_SIDE or n == 1:
         return np.empty(0)
-    floors = np.array([8.0, 16.0 / (n * (n + 1)), 8.0, 8.0, 8.0, 8.0, 8.0]
+    floors = np.array([8.0, 16.0 / (n * (n + 1)), *[8.0] * 8]
                       ) / _SKEW_TOL ** 2
     return floors if pairs >= floors[4] else floors[:4]
 
@@ -285,6 +301,8 @@ def _block_stats(task):
                               int(np.count_nonzero(flag)),
                               _unit_moments(units, z, controls),
                               _moments(v[None]) if odd else None))
+        # as in _blocks: the next block may grow the buffer
+        del dev, _, q, psd, values, rows, z, v, flag, units
     return parts
 
 
@@ -511,7 +529,7 @@ def tv_profile(n: int, d: int, samples: int, rng: RngState):
     there is one record per alpha evaluation.  The integrands' mean is the
     plain antithetic estimate; with p_k = s_k / (h_k / k!) of each draw as
     drawn they also rebuild the power-sum part of the estimator's fit, but
-    not the kernel rows, which need the off-diagonals.  s0..s4 come
+    not the six kernel rows, which need the off-diagonals.  s0..s4 come
     from O(n) trace formulas on each draw and each mirror, with no
     eigenvalues.  The parameters are checked at once, and the records are
     made one block at a time as they are consumed, so memory stays bounded

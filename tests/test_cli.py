@@ -96,13 +96,13 @@ def test_tv_command_output_is_pinned(monkeypatch):
     assert vals["tv_mean"] == "0.16837889685377938"
     assert vals["tv_stderr"] == "0.0003442205261221819"
     assert vals["cv_var_ratio"] == "4.563917802934297"
-    # the default fit keeps all seven controls
+    # the default fit keeps all ten controls
     code, text = run_cli(args)
     assert code == 0
     vals = parse_kv(text)
-    assert vals["tv_mean"] == "0.16832228790667067"
-    assert vals["tv_stderr"] == "0.00013765543174356596"
-    assert vals["cv_var_ratio"] == "28.538072467428247"
+    assert vals["tv_mean"] == "0.1685591098768991"
+    assert vals["tv_stderr"] == "9.201359186846632e-05"
+    assert vals["cv_var_ratio"] == "63.87153796283117"
 
 
 def test_parser_is_built_once_and_survives_errors(capsys):

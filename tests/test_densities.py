@@ -256,15 +256,15 @@ def test_power_sum_moments_exact(n):
 
 
 def test_linear_statistic_variance_exact():
-    # v(n) = E sigma^2 = 2 sum_i (1 - 2 m_i / (n + 1)
-    # + (m_i^2 + 2 m_i) / (n + 1)^2), with m_i = E w_i the degrees of
+    # v(n) = E sigma^2 = 2 sum_i (1 - 2 m_i / (n - 1)
+    # + (m_i^2 + 2 m_i) / (n - 1)^2), with m_i = E w_i the degrees of
     # freedom of w_i = e_{i-1}^2 + e_i^2, summed in exact rationals: the
-    # closed form is its correctly rounded value
-    for n in range(1, 65):
+    # closed form is its correctly rounded value at every n >= 2
+    for n in range(2, 65):
         m = [(n - i + 1) * (i > 1) + (n - i) * (i < n)
              for i in range(1, n + 1)]
-        exact = 2 * sum(1 - Fraction(2 * k, n + 1)
-                        + Fraction(k * k + 2 * k, (n + 1) ** 2) for k in m)
+        exact = 2 * sum(1 - Fraction(2 * k, n - 1)
+                        + Fraction(k * k + 2 * k, (n - 1) ** 2) for k in m)
         assert linear_statistic_variance(n) == float(exact)
 
 

@@ -1,6 +1,7 @@
 import platform
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -89,6 +90,24 @@ def test_profile_groups_survive_estimates_in_between(monkeypatch):
     assert len(got) == len(ref) == 8
     for g, r in zip(got, ref):
         assert flat(g) == flat(r)
+
+
+def test_first_call_holds_no_block_twice(monkeypatch):
+    # the buffer grows as the first block's frame is left; the estimator
+    # holds none of that block's own arrays then, so the first call's
+    # peak is about one block's memory, not that and the grown buffer
+    ref = tv_estimate_goe_side(32, 32768, 20000, RngState(5))
+    s = Scratch()
+    monkeypatch.setattr(tv_mc, "SCRATCH", s)
+    monkeypatch.setattr(densities, "SCRATCH", s)
+    tracemalloc.start()
+    try:
+        got = tv_estimate_goe_side(32, 32768, 20000, RngState(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ref and s.top == 0
+    assert peak <= 1.25 * s.buf.nbytes
 
 
 def flat(group):

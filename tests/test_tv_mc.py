@@ -44,36 +44,39 @@ def test_invalid_parameters():
 
 
 def kernel_rows_reference(n, dev, off2):
-    """The three kernel control rows of each draw (dev, off2), by an
+    """The six kernel control rows of each draw (dev, off2), by an
     explicit loop over i with ``math.exp``: the slow path the estimator's
     vectorized rows are pinned to.  With w_i = e_{i-1}^2 + e_i^2,
-    l = sum g_i (1 - w_i / (n + 1)), sigma^2 = 2 sum (1 - w_i / (n + 1))^2
-    and s = (1/2, 1, 2) sqrt(v(n)), row j is
-    exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2)."""
-    root = math.sqrt(linear_statistic_variance(n))
+    l = sum g_i (1 - w_i / (n - 1)), sigma^2 = 2 sum (1 - w_i / (n - 1))^2
+    and s = (1/2, 1, 2) sqrt(v(n)), rows 1..3 are
+    x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2), and rows
+    4..6 are r = sigma^2 / v(n) - 1, x_1 r and x_2 r."""
+    v = linear_statistic_variance(n)
+    root = math.sqrt(v)
     rows = []
     for g, e2 in zip(dev.T.tolist(), off2.T.tolist()):
         e2 = [0.0, *e2, 0.0]
         ell = var = 0.0
         for i in range(n):
-            a = 1.0 - (e2[i] + e2[i + 1]) / (n + 1)
+            a = 1.0 - (e2[i] + e2[i + 1]) / (n - 1)
             ell += g[i] * a
             var += 2.0 * a * a
-        rows.append([math.exp(-ell * ell / (2.0 * s * s))
-                     - s / math.sqrt(s * s + var)
-                     for s in (0.5 * root, root, 2.0 * root)])
-    return np.array(rows).reshape(-1, 3).T
+        x = [math.exp(-ell * ell / (2.0 * s * s)) - s / math.sqrt(s * s + var)
+             for s in (0.5 * root, root, 2.0 * root)]
+        r = var / v - 1.0
+        rows.append([*x, r, x[0] * r, x[1] * r])
+    return np.array(rows).reshape(-1, 6).T
 
 
-def lstsq_estimate(n, d, u, power, values, kernel, keep=range(1, 8)):
+def lstsq_estimate(n, d, u, power, values, kernel, keep=range(1, 11)):
     """(mean, stderr, var_ratio) of the control-variate estimate over the
     N = values.size integrand values, by a direct least-squares fit.
 
     u holds the P pair sums, power the (3, P) power sums p1..p3 of T - dI
-    of their draws, kernel their (3, P) ``kernel_rows_reference``, values
+    of their draws, kernel their (6, P) ``kernel_rows_reference``, values
     every integrand value, the unpaired one of an odd N included, and keep
     the controls fitted, numbered as the rows of the estimator's
-    z = (u, p1^2, p2, p3^2, p1 p3, x_1, x_2, x_3).
+    z = (u, p1^2, p2, p3^2, p1 p3, x_1, x_2, x_3, r, x_1 r, x_2 r).
     """
     pairs, samples = u.size, values.size
     p1, p2, p3 = power / np.array([[d ** 0.5], [d], [d ** 1.5]])
@@ -407,15 +410,14 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
 
 def test_control_floors():
     # a control is eligible from the P at which its exact skewness passes
-    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2, p1 p3 and the three kernel
+    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2, p1 p3 and the six kernel
     # rows, 6,400 / (n(n+1)) for p2, whose law is 2 chi^2_{n(n+1)/2}; the
     # kernel rows are made only from their floor on, and no control on the
     # Wishart side or at n = 1
     for n in (2, 4, 8, 16, 32):
         floors = tv_mc._controls(n, tv_mc.GOE_SIDE, 3200)
         assert floors.tolist() == pytest.approx(
-            [3200, 6400 / (n * (n + 1)), 3200, 3200, 3200, 3200, 3200],
-            rel=1e-12)
+            [3200, 6400 / (n * (n + 1)), *[3200] * 8], rel=1e-12)
         assert tv_mc._controls(n, tv_mc.GOE_SIDE, 3199).tolist() == (
             floors[:4].tolist())
         assert tv_mc._controls(n, tv_mc.WISHART_SIDE, 10 ** 6).size == 0
@@ -430,7 +432,8 @@ def test_failing_controls_are_dropped(n, samples, seed, kept):
     # below 3,200 pairs only p2 is eligible, and at n = 4 and 10,000 pairs
     # p3^2 is too skewed on this stream (p1 p3, whose sample skewness
     # there sits near the bound of 5, passes on some streams and fails on
-    # others), while the three kernel rows pass: the controls that fail are
+    # others), and so are r, x_1 r and x_2 r, while the three kernel rows
+    # x_j pass: the controls that fail are
     # dropped and the rest are fitted, where the all-or-nothing gate fitted
     # none.  The estimate is the least-squares fit on the kept controls of
     # the same draws, and the gate takes the decisions of the elimination
@@ -597,8 +600,8 @@ def _fit_cases():
     """(units, floors) of random Grams with m = 1..4 controls, of nearly
     collinear and of skewed controls, all without floors, and of GOE-side
     runs with their own floors: none at n = 1, p2 alone at n = 4 and
-    1,000 pairs, p3^2 too skewed at n = 4 and 10,000 pairs, all seven at
-    n = 32."""
+    1,000 pairs, p3^2 and r and x_1 r too skewed at n = 4 and 10,000
+    pairs, all ten at n = 32."""
     rng = np.random.default_rng(7)
     for m in range(1, 5):
         for size in (m + 2, 50, 5000):
@@ -633,8 +636,8 @@ def test_unit_fit_matches_the_elimination():
     # of the controls of the random Grams, and the nearly collinear,
     # skewed and GOE-side cases keep the controls named above
     assert [len(k) for k in kept[:12]] == [1, 1, 1, 0, 2, 2, 1, 3, 3, 1, 3, 4]
-    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2], [1, 2, 4, 5, 6, 7],
-                         [1, 2, 3, 4, 5, 6, 7]]
+    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2],
+                         [1, 2, 4, 5, 6, 7, 10], list(range(1, 11))]
 
 
 def test_wishart_side_is_the_plain_mean(monkeypatch):
@@ -656,22 +659,19 @@ def test_wishart_side_is_the_plain_mean(monkeypatch):
 def test_control_variate_bias_and_spread():
     # beta is fitted on the draws it corrects, which biases the mean by
     # O(1 / P).  Over 200 seeds at n = 32, c = 1 and P = 5,000 pairs, where
-    # the controls are used, the mean of (controlled - plain) on the same
-    # draws stays within a quarter of the mean reported stderr (its
-    # sampling error is about 0.12 of it), and the spread of the controlled
-    # means matches that stderr within 25%, as test_stderr_is_honest asks
-    # of the plain pairs
+    # the controls are used, the mean of the controlled means stays within
+    # a quarter of the mean reported stderr of an independent reference of
+    # 4 * 10^6 evaluations on other seeds (the sampling error of that
+    # difference is about 0.09 of it: 0.07 from the 200 means and 0.05 from
+    # the reference), and the spread of the controlled means matches that
+    # stderr within 25%, as test_stderr_is_honest asks of the plain pairs
     n, d, samples = 32, 32768, 10000
-    runs, diffs = [], []
-    for seed in range(3000, 3200):
-        est = tv_estimate_goe_side(n, d, samples, RngState(seed))
-        values = np.concatenate([group[-1] for group in tv_mc.profile_columns(
-            n, d, samples, RngState(seed))])
-        runs.append(est)
-        diffs.append(est.mean - values.sum() / samples)
+    ref = tv_estimate_goe_side(n, d, 4_000_000, RngState(2 ** 42))
+    runs = [tv_estimate_goe_side(n, d, samples, RngState(seed))
+            for seed in range(3000, 3200)]
     assert sum(r.var_ratio > 1.0 for r in runs) >= 180
     reported = np.mean([r.stderr for r in runs])
-    assert abs(np.mean(diffs)) <= 0.25 * reported
+    assert abs(np.mean([r.mean for r in runs]) - ref.mean) <= 0.25 * reported
     spread = np.std([r.mean for r in runs], ddof=1)
     assert abs(spread / reported - 1.0) <= 0.25
 
@@ -910,27 +910,29 @@ def test_sweep_point_calibration_at_small_p():
 def test_kernel_rows_match_the_slow_reference(n, monkeypatch):
     # the estimator's vectorized kernel rows of a block of 201 draws, made
     # with the controls forced on, against the per-draw loop of
-    # kernel_rows_reference; a row is the difference of two terms in
-    # (0, 1], and matches to 1e-13 of them
+    # kernel_rows_reference; x_j is the difference of two terms in (0, 1],
+    # r of sigma^2 / v(n) and 1, and each row matches to 1e-13 of them
     monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     [(_, dev, off2, *_, rows)] = tv_mc._blocks(
         n, [n ** 3], 402, RngState(80 + n), tv_mc.GOE_SIDE, 0, 1)
-    assert rows.shape == (8, 201)
+    assert rows.shape == (11, 201)
     np.testing.assert_allclose(rows[5:], kernel_rows_reference(n, dev, off2),
                                rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 4, 32])
 def test_kernel_rows_have_mean_zero(n):
-    # given the off-diagonals, l is exactly N(0, sigma^2), so each kernel
-    # row has conditional mean 0 and so mean 0 at every n: over 10^6 draws
-    # each row's mean is within 4 stderr of 0
+    # given the off-diagonals, l is exactly N(0, sigma^2), so each x_j, and
+    # x_1 r and x_2 r with r a function of the off-diagonals, has
+    # conditional mean 0 and so mean 0 at every n, and r has mean 0 as
+    # v(n) = E sigma^2: over 10^6 draws each row's mean is within 4 stderr
+    # of 0
     gen, size = RngState(7000 + n).generator(), 100_000
-    sums, squares = np.zeros(3), np.zeros(3)
+    sums, squares = np.zeros(6), np.zeros(6)
     for _ in range(10):
         dev, off2 = goe_tridiagonal(n, size, gen)
         power = power_sums(dev, off2, np.empty((4, size)))
-        rows = np.empty((7, size))
+        rows = np.empty((10, size))
         tv_mc._control_rows(power, off2, n, rows)
         x = rows[4:]
         sums += x.sum(axis=1)
@@ -938,6 +940,28 @@ def test_kernel_rows_have_mean_zero(n):
     mean = sums / 10 ** 6
     stderr = np.sqrt((squares / 10 ** 6 - mean * mean) / (10 ** 6 - 1))
     assert np.all(np.abs(mean) <= 4.0 * stderr)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_kernel_direction_is_the_normal_part_of_p3(n):
+    # l = sum g_i (1 - w_i / (n - 1)) = p1 - Y / (n - 1), and
+    # p3 - 3 (n + 1) p1 = sum (g^3 - 6g) - 3 (n - 1) l on every draw: the
+    # first term is uncorrelated with every linear function of g ~ N(0, 2),
+    # so l is the exactly normal part of the direction of s1 + s3
+    dev, off2 = goe_tridiagonal(n, 500, RngState(90 + n).generator())
+    p1, _, p3, y = power_sums(dev, off2, np.empty((4, 500)))
+    w = np.zeros_like(dev)
+    w[:-1] += off2
+    w[1:] += off2
+    ell = (dev * (1.0 - w / (n - 1))).sum(axis=0)
+    # relative to the sizes of the terms summed, as l and the difference
+    # may cancel to near 0
+    g = np.abs(dev)
+    scale = (g ** 3 + 3.0 * g * w + 3.0 * (n + 1) * g).sum(axis=0)
+    assert np.all(np.abs(p1 - y / (n - 1) - ell) <= 1e-12 * scale)
+    got = p3 - 3.0 * (n + 1) * p1
+    want = (dev ** 3 - 6.0 * dev).sum(axis=0) - 3.0 * (n - 1) * ell
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_kernel_floor_calibration(monkeypatch):
