@@ -16,7 +16,9 @@ class Scratch(threading.local):
     array while the buffer is too small; leaving the frame frees them.
     Leaving the outermost frame grows the buffer to the most bytes that were
     taken at once.  A taken array must not outlive its frame, so none is
-    returned to a caller.
+    returned to a caller.  A caller drops the arrays it took, fresh ones
+    included, before the outermost frame is left: the buffer grows there,
+    and a fresh array still held then is counted twice in the peak memory.
     """
 
     def __init__(self):

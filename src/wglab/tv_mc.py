@@ -38,7 +38,7 @@ draw, which its mirror shares, have exact finite-n means
 l = p1 - Y / (n - 1), Y the cross term of p3, which is exactly normal
 given the off-diagonals of X (``_control_rows``): three bounded functions
 x_j of l, the relative deviation r of its variance from its mean, and
-x_1 r and x_2 r.  As the diagonal of X is N(0, 2),
+x_1 r and x_2 r, made from n = 10 on.  As the diagonal of X is N(0, 2),
 p3 - 3 (n + 1) p1 = sum (x^3 - 6x) - 3 (n - 1) l, and the first term is
 uncorrelated with every linear function of the diagonal, so l is the
 exactly normal part of the large-d direction of s1 + s3.  These serve as
@@ -53,8 +53,8 @@ skewed, and a linear fit passes their skew on to the estimate, so each
 is used only where its mean is nearly normal (``_SKEW_TOL``), and the
 others are dropped.  p2 is exactly 2 chi^2_{n(n+1)/2} and nearly normal
 soon: it is eligible from 6,400 / (n(n+1)) pairs (320 at n = 4), the
-other nine only from 3,200 pairs, and at small n far above (p3^2 and the
-r rows at n = 4 fail at 10,000).  So a sweep point of 1,000 pairs at
+others only from 3,200 pairs, and at small n far above (p3^2 at n = 4
+fails at 10,000).  So a sweep point of 1,000 pairs at
 n >= 3 is fitted on p2 alone, with a pair variance about 1.4x lower at
 n = 4 and c = 0.125.  The controls are d-free, so one gate decides them
 for every d of a pass.  beta is fitted on the draws it corrects, which
@@ -207,19 +207,19 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
                 alpha, q, psd = alpha[:, :size], q[:size], psd[:, :size]
                 yield (lo, dev, off2, alpha, q, psd, _integrand(alpha, side),
                        rows)
-            # leaving the frame may grow the buffer: hold no array of this
-            # block then, so that its fresh arrays are not counted twice
+            # hold no array of the frame as it is left (``Scratch``)
             del dev, off2, power, rows, alpha, q, psd
 
 
 def _control_rows(power, off2, n, out):
-    """Write the m = 4 or 10 GOE-side controls of draws with squared
+    """Write the m = 4, 7 or 10 GOE-side controls of draws with squared
     off-diagonals ``off2`` and ``power_sums`` rows p1, p2, p3, Y to the
     rows of ``out``, of shape (m, k), each less its exact mean: p1^2, p2,
-    p3^2, p1 p3 and, for m = 10, the kernel rows
-    x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2), then
-    r = sigma^2 / v(n) - 1, x_1 r and x_2 r, with l, sigma^2 and v(n) as in
-    ``densities.linear_statistic_variance`` and s_j = (1/2, 1, 2) sqrt(v(n)).
+    p3^2, p1 p3, for m >= 7 the kernel rows
+    x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2) and, for
+    m = 10, r = sigma^2 / v(n) - 1, x_1 r and x_2 r, with l, sigma^2 and
+    v(n) as in ``densities.linear_statistic_variance`` and
+    s_j = (1/2, 1, 2) sqrt(v(n)).
     l is N(0, sigma^2) given the off-diagonals, so x_j has mean 0 given
     them, and so have x_1 r and x_2 r; r has mean 0 as v(n) = E sigma^2.
     Each row is bounded or a function of the off-diagonals alone, and even
@@ -234,7 +234,7 @@ def _control_rows(power, off2, n, out):
     out[:4] -= np.array([[e11], [e2], [e33], [e13]], float)
     if len(out) > 4:
         c, v = 1.0 / (n - 1), linear_statistic_variance(n)
-        kernel, r = out[4:7], out[7]
+        kernel = out[4:7]
         w2 = np.einsum("ij,ij->j", off2, off2) + np.einsum(
             "ij,ij->j", off2[:-1], off2[1:])
         var = 2.0 * (n - 4.0 * c * off2.sum(axis=0) + 2.0 * c * c * w2)
@@ -243,8 +243,9 @@ def _control_rows(power, off2, n, out):
         np.multiply(np.square(p1 - c * y), -0.5 / scale, out=kernel)
         np.exp(kernel, out=kernel)
         kernel -= np.sqrt(scale / (scale + var))
-        np.subtract(var / v, 1.0, out=r)
-        np.multiply(kernel[:2], r, out=out[8:])
+        if len(out) > 7:
+            np.subtract(var / v, 1.0, out=out[7])
+            np.multiply(kernel[:2], out[7], out=out[8:])
 
 # A control is used only where its mean over the P pairs is nearly normal:
 # its skewness, the control's sample skewness over sqrt(P), at most this.
@@ -252,13 +253,16 @@ def _control_rows(power, off2, n, out):
 # p3^2 and p1 p3 about as much or more (p3^2 about 9 at n = 4, 3 at
 # n = 32), p2 exactly 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)), the
 # kernel rows x_j about 0.2, -0.8 and -1.8 from n = 8 on, and r, x_1 r and
-# x_2 r 0.65, 0.6 and -0.5 at n = 32, but about 3, 3.5 and 1.5 at n = 8
-# and 6 to 40 at n = 2 and 4, where the gate drops them until P is far
-# above the floor.
+# x_2 r (over 2 * 10^6 draws) 0.67, 0.61 and -0.49 at n = 32 and 2.2, 2.5
+# and 0.5 at n = 10, falling in n from there, but 2.8, 3.5 and 1.3 at
+# n = 8 and 6 to 28 at n <= 4 (``_R_ROWS_MIN_N``).
 # A linear fit passes that skew on to the estimate: at P = 1,000 pairs and
 # n = 4, with all four controls, one estimate in 10^4 fell 6 stderr from
 # the truth, and at n = 16 its tails were still heavier than normal.
 _SKEW_TOL = 0.05
+# the least n at which r, x_1 r and x_2 r are made: from it on their
+# skewness is below sqrt(8), so their floor of 8 / _SKEW_TOL^2 pairs holds
+_R_ROWS_MIN_N = 10
 
 
 def _controls(n: int, side: str, pairs: int) -> np.ndarray:
@@ -267,15 +271,18 @@ def _controls(n: int, side: str, pairs: int) -> np.ndarray:
     is eligible from the P at which its exact skewness passes
     ``_SKEW_TOL``, so that a sample skewness cannot pass by chance at tiny
     P.  That is 8 / _SKEW_TOL^2 = 3,200 pairs for all but p2, and
-    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  m = 10 on
-    the GOE side, or 4 (no kernel rows) below their floor; m = 0 on the
-    Wishart side and at n = 1, where p2 = p1^2 and the others are
-    functions of the same one entry."""
+    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  On the
+    GOE side m = 10, or 7 below ``_R_ROWS_MIN_N`` (no r rows, whose
+    skewness there exceeds sqrt(8)), or 4 (no kernel rows) below their
+    floor; m = 0 on the Wishart side and at n = 1, where p2 = p1^2 and the
+    others are functions of the same one entry."""
     if side != GOE_SIDE or n == 1:
         return np.empty(0)
     floors = np.array([8.0, 16.0 / (n * (n + 1)), *[8.0] * 8]
                       ) / _SKEW_TOL ** 2
-    return floors if pairs >= floors[4] else floors[:4]
+    if pairs < floors[4]:
+        return floors[:4]
+    return floors if n >= _R_ROWS_MIN_N else floors[:7]
 
 
 def _block_stats(task):
@@ -301,7 +308,7 @@ def _block_stats(task):
                               int(np.count_nonzero(flag)),
                               _unit_moments(units, z, controls),
                               _moments(v[None]) if odd else None))
-        # as in _blocks: the next block may grow the buffer
+        # as in _blocks: the next block may leave the outermost frame
         del dev, _, q, psd, values, rows, z, v, flag, units
     return parts
 
@@ -529,7 +536,7 @@ def tv_profile(n: int, d: int, samples: int, rng: RngState):
     there is one record per alpha evaluation.  The integrands' mean is the
     plain antithetic estimate; with p_k = s_k / (h_k / k!) of each draw as
     drawn they also rebuild the power-sum part of the estimator's fit, but
-    not the six kernel rows, which need the off-diagonals.  s0..s4 come
+    not the kernel rows, which need the off-diagonals.  s0..s4 come
     from O(n) trace formulas on each draw and each mirror, with no
     eigenvalues.  The parameters are checked at once, and the records are
     made one block at a time as they are consumed, so memory stays bounded

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +51,8 @@ def kernel_rows_reference(n, dev, off2):
     l = sum g_i (1 - w_i / (n - 1)), sigma^2 = 2 sum (1 - w_i / (n - 1))^2
     and s = (1/2, 1, 2) sqrt(v(n)), rows 1..3 are
     x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2), and rows
-    4..6 are r = sigma^2 / v(n) - 1, x_1 r and x_2 r."""
+    4..6 are r = sigma^2 / v(n) - 1, x_1 r and x_2 r, which the estimator
+    makes only from n = ``tv_mc._R_ROWS_MIN_N`` on."""
     v = linear_statistic_variance(n)
     root = math.sqrt(v)
     rows = []
@@ -68,22 +70,25 @@ def kernel_rows_reference(n, dev, off2):
     return np.array(rows).reshape(-1, 6).T
 
 
-def lstsq_estimate(n, d, u, power, values, kernel, keep=range(1, 11)):
+def lstsq_estimate(n, d, u, power, values, kernel, keep=None):
     """(mean, stderr, var_ratio) of the control-variate estimate over the
     N = values.size integrand values, by a direct least-squares fit.
 
     u holds the P pair sums, power the (3, P) power sums p1..p3 of T - dI
-    of their draws, kernel their (6, P) ``kernel_rows_reference``, values
-    every integrand value, the unpaired one of an odd N included, and keep
-    the controls fitted, numbered as the rows of the estimator's
+    of their draws, kernel their (6, P) ``kernel_rows_reference``, of which
+    the rows the estimator makes at n are used, values every integrand
+    value, the unpaired one of an odd N included, and keep the controls
+    fitted (all by default), numbered as the rows of the estimator's
     z = (u, p1^2, p2, p3^2, p1 p3, x_1, x_2, x_3, r, x_1 r, x_2 r).
     """
     pairs, samples = u.size, values.size
+    m = tv_mc._controls(n, tv_mc.GOE_SIDE, math.inf).size
+    keep = range(1, m + 1) if keep is None else keep
     p1, p2, p3 = power / np.array([[d ** 0.5], [d], [d ** 1.5]])
     e11, e2, e13, e33 = power_sum_moments(n)
     x = np.column_stack([np.ones(pairs), p1 * p1 - e11, p2 - e2,
                          p3 * p3 - e33, p1 * p3 - e13,
-                         *kernel])[:, [0, *keep]]
+                         *kernel[:m - 4]])[:, [0, *keep]]
     coef, *_ = np.linalg.lstsq(x, u, rcond=None)
     resid = u - x @ coef
     var = resid @ resid / (pairs - 1 - len(keep))
@@ -410,14 +415,15 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
 
 def test_control_floors():
     # a control is eligible from the P at which its exact skewness passes
-    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2, p1 p3 and the six kernel
-    # rows, 6,400 / (n(n+1)) for p2, whose law is 2 chi^2_{n(n+1)/2}; the
-    # kernel rows are made only from their floor on, and no control on the
-    # Wishart side or at n = 1
-    for n in (2, 4, 8, 16, 32):
+    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2, p1 p3 and the kernel rows,
+    # 6,400 / (n(n+1)) for p2, whose law is 2 chi^2_{n(n+1)/2}; the kernel
+    # rows are made only from their floor on, r, x_1 r and x_2 r only from
+    # n = 10 on, and no control on the Wishart side or at n = 1
+    for n in (2, 4, 8, 9, 10, 16, 32):
         floors = tv_mc._controls(n, tv_mc.GOE_SIDE, 3200)
         assert floors.tolist() == pytest.approx(
-            [3200, 6400 / (n * (n + 1)), *[3200] * 8], rel=1e-12)
+            [3200, 6400 / (n * (n + 1)), *[3200] * (8 if n >= 10 else 5)],
+            rel=1e-12)
         assert tv_mc._controls(n, tv_mc.GOE_SIDE, 3199).tolist() == (
             floors[:4].tolist())
         assert tv_mc._controls(n, tv_mc.WISHART_SIDE, 10 ** 6).size == 0
@@ -432,8 +438,8 @@ def test_failing_controls_are_dropped(n, samples, seed, kept):
     # below 3,200 pairs only p2 is eligible, and at n = 4 and 10,000 pairs
     # p3^2 is too skewed on this stream (p1 p3, whose sample skewness
     # there sits near the bound of 5, passes on some streams and fails on
-    # others), and so are r, x_1 r and x_2 r, while the three kernel rows
-    # x_j pass: the controls that fail are
+    # others), while the three kernel rows x_j pass (r, x_1 r and x_2 r are
+    # not made at n = 4): the controls that fail are
     # dropped and the rest are fitted, where the all-or-nothing gate fitted
     # none.  The estimate is the least-squares fit on the kept controls of
     # the same draws, and the gate takes the decisions of the elimination
@@ -600,8 +606,8 @@ def _fit_cases():
     """(units, floors) of random Grams with m = 1..4 controls, of nearly
     collinear and of skewed controls, all without floors, and of GOE-side
     runs with their own floors: none at n = 1, p2 alone at n = 4 and
-    1,000 pairs, p3^2 and r and x_1 r too skewed at n = 4 and 10,000
-    pairs, all ten at n = 32."""
+    1,000 pairs, p3^2 too skewed at n = 4 and 10,000 pairs, all ten at
+    n = 32."""
     rng = np.random.default_rng(7)
     for m in range(1, 5):
         for size in (m + 2, 50, 5000):
@@ -636,8 +642,8 @@ def test_unit_fit_matches_the_elimination():
     # of the controls of the random Grams, and the nearly collinear,
     # skewed and GOE-side cases keep the controls named above
     assert [len(k) for k in kept[:12]] == [1, 1, 1, 0, 2, 2, 1, 3, 3, 1, 3, 4]
-    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2],
-                         [1, 2, 4, 5, 6, 7, 10], list(range(1, 11))]
+    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2], [1, 2, 4, 5, 6, 7],
+                         list(range(1, 11))]
 
 
 def test_wishart_side_is_the_plain_mean(monkeypatch):
@@ -664,9 +670,13 @@ def test_control_variate_bias_and_spread():
     # 4 * 10^6 evaluations on other seeds (the sampling error of that
     # difference is about 0.09 of it: 0.07 from the 200 means and 0.05 from
     # the reference), and the spread of the controlled means matches that
-    # stderr within 25%, as test_stderr_is_honest asks of the plain pairs
+    # stderr within 25%, as test_stderr_is_honest asks of the plain pairs.
+    # The reference is controlled too, so a wrong exact mean of a control
+    # biases both sides alike: that the means are exact is checked by
+    # test_power_sum_moments_exact, test_linear_statistic_variance_exact
+    # and test_kernel_rows_have_mean_zero
     n, d, samples = 32, 32768, 10000
-    ref = tv_estimate_goe_side(n, d, 4_000_000, RngState(2 ** 42))
+    ref = goe_reference(n, d)
     runs = [tv_estimate_goe_side(n, d, samples, RngState(seed))
             for seed in range(3000, 3200)]
     assert sum(r.var_ratio > 1.0 for r in runs) >= 180
@@ -915,9 +925,15 @@ def test_kernel_rows_match_the_slow_reference(n, monkeypatch):
     monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     [(_, dev, off2, *_, rows)] = tv_mc._blocks(
         n, [n ** 3], 402, RngState(80 + n), tv_mc.GOE_SIDE, 0, 1)
-    assert rows.shape == (11, 201)
-    np.testing.assert_allclose(rows[5:], kernel_rows_reference(n, dev, off2),
-                               rtol=1e-13, atol=1e-13)
+    ref = kernel_rows_reference(n, dev, off2)
+    m = 10 if n >= tv_mc._R_ROWS_MIN_N else 7
+    assert rows.shape == (m + 1, 201)
+    np.testing.assert_allclose(rows[5:], ref[:m - 4], rtol=1e-13, atol=1e-13)
+    # below n = 10 a block makes no r rows, but they are made on request
+    full = np.empty((10, 201))
+    tv_mc._control_rows(power_sums(dev, off2, np.empty((4, 201))), off2, n,
+                        full)
+    np.testing.assert_allclose(full[4:], ref, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 4, 32])
@@ -964,13 +980,17 @@ def test_kernel_direction_is_the_normal_part_of_p3(n):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
-def test_kernel_floor_calibration(monkeypatch):
-    # n = 32, c = 1 at 3,200 pairs, the kernel rows' floor, where the
-    # three kernel rows are fitted in every run: over 400 seeds the
-    # z-scores against a reference of 4 * 10^6 evaluations have sd within
-    # 0.1 of 1 (its sampling error is about 0.035) and mean within 0.25 (its
-    # sampling error is 0.05), where the O(m / P) bias of a beta fitted on
-    # the draws it corrects would show
+@functools.cache
+def goe_reference(n, d):
+    """The GOE-side estimate of 4 * 10^6 evaluations at (n, d) on
+    ``RngState(2 ** 41)``, made once per process for the tests that
+    compare runs on other seeds with it."""
+    return tv_estimate_goe_side(n, d, 4_000_000, RngState(2 ** 41))
+
+
+def floor_z_scores(n, d, monkeypatch):
+    """The controls kept and the z-scores against ``goe_reference`` of 400
+    runs of 3,200 pairs at (n, d), seeds 6000..6399."""
     gates = []
     kept = tv_mc._kept
 
@@ -978,13 +998,54 @@ def test_kernel_floor_calibration(monkeypatch):
         gates.append(kept(units, floors))
         return gates[-1]
 
-    n, d, samples = 32, 32768, 6400
-    ref = tv_estimate_goe_side(n, d, 4_000_000, RngState(2 ** 41))
+    ref = goe_reference(n, d)
     monkeypatch.setattr(tv_mc, "_kept", recording_kept)
-    runs = [tv_estimate_goe_side(n, d, samples, RngState(seed))
+    runs = [tv_estimate_goe_side(n, d, 6400, RngState(seed))
             for seed in range(6000, 6400)]
-    assert len(gates) == 400 and all({5, 6, 7} <= set(g) for g in gates)
     z = np.array([(r.mean - ref.mean) / math.hypot(r.stderr, ref.stderr)
                   for r in runs])
+    return gates, z
+
+
+def test_kernel_floor_calibration(monkeypatch):
+    # n = 32, c = 1 at 3,200 pairs, the kernel rows' floor, where the
+    # three kernel rows are fitted in every run: over 400 seeds the
+    # z-scores against a reference of 4 * 10^6 evaluations have sd within
+    # 0.1 of 1 (its sampling error is about 0.035) and mean within 0.25 (its
+    # sampling error is 0.05), where the O(m / P) bias of a beta fitted on
+    # the draws it corrects would show
+    gates, z = floor_z_scores(32, 32768, monkeypatch)
+    assert len(gates) == 400 and all({5, 6, 7} <= set(g) for g in gates)
     assert abs(z.std(ddof=1) - 1.0) <= 0.1
     assert abs(z.mean()) <= 0.25
+
+
+def test_r_rows_floor_calibration(monkeypatch):
+    # the same check at n = 10, c = 1, the least n at which r, x_1 r and
+    # x_2 r are made, and where their skewness is largest: at 3,200 pairs
+    # they are kept in most runs, and the z-scores meet the same bounds
+    gates, z = floor_z_scores(10, 1000, monkeypatch)
+    assert len(gates) == 400
+    assert sum({8, 9, 10} <= set(g) for g in gates) >= 200
+    assert abs(z.std(ddof=1) - 1.0) <= 0.1
+    assert abs(z.mean()) <= 0.25
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_r_rows_skewness_below_their_floor_bound(n):
+    # the 3,200-pair floor of a control holds where its skewness is at
+    # most sqrt(8): over 10^6 draws the sample skewness of r, x_1 r and
+    # x_2 r is below it at n = 10 (2.2, 2.5, 0.5; from there it falls in
+    # n), and x_1 r is above it at n = 8 (3.5), where the rows are not made
+    gen, size = RngState(7100 + n).generator(), 100_000
+    powers = np.zeros((3, 3))
+    for _ in range(10):
+        dev, off2 = goe_tridiagonal(n, size, gen)
+        rows = np.empty((10, size))
+        tv_mc._control_rows(power_sums(dev, off2, np.empty((4, size))), off2,
+                            n, rows)
+        powers += [(rows[7:] ** k).sum(axis=1) for k in (1, 2, 3)]
+    m1, m2, m3 = powers / 10 ** 6
+    skew = (m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3) / (m2 - m1 * m1) ** 1.5
+    assert (np.abs(skew).max() <= math.sqrt(8)) == (
+        n >= tv_mc._R_ROWS_MIN_N)
