@@ -51,18 +51,18 @@ at n = 32 (28x with l = p1 - Y / (n + 1) and no r rows, 4.5x on the power
 sums alone), 20x at n = 16 and 650x at n = 256.  The controls are
 skewed, and a linear fit passes their skew on to the estimate, so each
 is used only where its mean is nearly normal (``_SKEW_TOL``), and the
-others are dropped.  p2 is exactly 2 chi^2_{n(n+1)/2} and nearly normal
-soon: it is eligible from 6,400 / (n(n+1)) pairs (320 at n = 4), the
-others only from 3,200 pairs, and at small n far above (p3^2 at n = 4
-fails at 10,000).  So a sweep point of 1,000 pairs at
-n >= 3 is fitted on p2 alone, with a pair variance about 1.4x lower at
-n = 4 and c = 0.125.  The controls are d-free, so one gate decides them
-for every d of a pass.  beta is fitted on the draws it corrects, which
-biases the estimate by O(m / P): 0.07 +- 0.05 stderr measured at n = 32
-and 3,200 pairs.  On the Wishart side, at n = 1 (where p2 = p1^2 and the
-others are functions of the same entry) and where no control is kept,
-m = 0: beta = [] and the estimate is the plain mean of the units.  The
-unpaired draw of an odd ``samples`` enters uncontrolled.
+others are dropped.  A run makes only the controls it may keep
+(``_controls``): none below p2's floor of 6,400 / (n(n+1)) pairs, p2
+alone below 3,200 pairs, the others' floor, which holds for a skewness of
+at most sqrt(8) (not for p3^2 and p1 p3: above it only the sample-skew
+test guards them).  So a sweep point of 1,000 pairs at n >= 3 fits p2
+alone, with a pair variance about 1.4x lower at n = 4 and c = 0.125.
+The controls are d-free, so one gate decides them for every d of a pass.
+beta is fitted on the draws it corrects, which biases the estimate by
+O(m / P): 0.07 +- 0.05 stderr measured at n = 32 and 3,200 pairs.  With
+no control made (on the Wishart side, at n = 1 and below p2's floor) or
+kept, m = 0: beta = [] and the estimate is the plain mean of the units.
+The unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
@@ -161,14 +161,14 @@ def _block_count(n: int, samples: int, side: str) -> int:
     return -(-samples // _batch_size(n, side))
 
 
-def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
+def _blocks(n, ds, samples, rng, side, first, stop, m, empty=np.empty):
     """Yield, for each of blocks first..stop-1 and each group of its d
     values, ``(lo, dev, off2, alpha, in_q, psd, integrand, rows)``: the
     index in ``ds`` of the group's first d, the tridiagonal batch X the
     block draws, in arrays made by ``empty(shape)``, the
     ``alpha_from_tridiagonal`` arrays of its evaluations with their
     integrands, one row per d of the group, and an (m + 1, k) array whose
-    rows 1.. hold the m ``_controls`` of its k draws.
+    rows 1.. hold the m ``_control_rows`` of its k draws (``_controls``).
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
@@ -184,7 +184,6 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
     """
     batch = _batch_size(n, side)
     mirrored = side == GOE_SIDE
-    m = len(_controls(n, side, samples // 2))
     group = max(1, _PASS_COLUMNS // min(batch, samples))
     for b in range(first, stop):
         size = min(batch, samples - b * batch)
@@ -194,9 +193,9 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
                 dev, off2 = goe_tridiagonal(n, size - size // 2, gen, empty)
             else:
                 dev, off2 = wishart_tridiagonal(n, ds[0], size, gen, empty)
-            # p1, p2 and, for the controls, p3 and Y, once for every d
+            # p1, p2 and, for m > 1, p3 and Y, once for every d
             k = dev.shape[1]
-            power = power_sums(dev, off2, empty((4 if m else 2, k)))
+            power = power_sums(dev, off2, empty((4 if m > 1 else 2, k)))
             # z: the units, then the controls
             rows = empty((m + 1, k))
             if m:
@@ -212,10 +211,10 @@ def _blocks(n, ds, samples, rng, side, first, stop, empty=np.empty):
 
 
 def _control_rows(power, off2, n, out):
-    """Write the m = 4, 7 or 10 GOE-side controls of draws with squared
-    off-diagonals ``off2`` and ``power_sums`` rows p1, p2, p3, Y to the
-    rows of ``out``, of shape (m, k), each less its exact mean: p1^2, p2,
-    p3^2, p1 p3, for m >= 7 the kernel rows
+    """Write the m = 1, 4, 7 or 10 GOE-side controls of draws with squared
+    off-diagonals ``off2`` and ``power_sums`` rows p1, p2 (and p3, Y for
+    m > 1) to the rows of ``out``, of shape (m, k), each less its exact
+    mean: p2 for m = 1, else p1^2, p2, p3^2, p1 p3, for m >= 7 the kernel rows
     x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2) and, for
     m = 10, r = sigma^2 / v(n) - 1, x_1 r and x_2 r, with l, sigma^2 and
     v(n) as in ``densities.linear_statistic_variance`` and
@@ -226,6 +225,9 @@ def _control_rows(power, off2, n, out):
     under G -> -G.  sigma^2 takes sum w = 2 sum e^2 and
     sum w^2 = 2 sum e^4 + 2 sum e_i^2 e_{i+1}^2 from column dot products:
     no other (n, k) array is made."""
+    if len(out) == 1:
+        np.subtract(power[1], float(power_sum_moments(n)[1]), out=out[0])
+        return
     p1, p2, p3, y = power
     np.square(power[:3:2], out=out[:3:2])
     out[1] = p2
@@ -249,40 +251,39 @@ def _control_rows(power, off2, n, out):
 
 # A control is used only where its mean over the P pairs is nearly normal:
 # its skewness, the control's sample skewness over sqrt(P), at most this.
-# The controls are skewed: p1^2 is exactly 2n chi^2_1, of skewness sqrt(8),
-# p3^2 and p1 p3 about as much or more (p3^2 about 9 at n = 4, 3 at
-# n = 32), p2 exactly 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)), the
-# kernel rows x_j about 0.2, -0.8 and -1.8 from n = 8 on, and r, x_1 r and
-# x_2 r (over 2 * 10^6 draws) 0.67, 0.61 and -0.49 at n = 32 and 2.2, 2.5
-# and 0.5 at n = 10, falling in n from there, but 2.8, 3.5 and 1.3 at
-# n = 8 and 6 to 28 at n <= 4 (``_R_ROWS_MIN_N``).
-# A linear fit passes that skew on to the estimate: at P = 1,000 pairs and
-# n = 4, with all four controls, one estimate in 10^4 fell 6 stderr from
-# the truth, and at n = 16 its tails were still heavier than normal.
+# A linear fit passes a control's skew on to the estimate: at P = 1,000
+# pairs and n = 4, with all four power sums, one estimate in 10^4 fell
+# 6 stderr from the truth, and at n = 16 its tails were still heavier than
+# normal.  A skewness of at most sqrt(8), that of p1^2 = 2n chi^2_1, passes
+# from 3,200 pairs, the floor of all but p2 (``_controls``).  p3^2 and
+# p1 p3 exceed it (p3^2 is skewed about 9 at n = 4, 3 at n = 32), so up to
+# (skew / _SKEW_TOL)^2 pairs only the sample-skew test guards them.  p2 is
+# 2 chi^2_{n(n+1)/2}, of skewness 4 / sqrt(n(n+1)), the kernel rows x_j
+# are skewed about 0.2, -0.8 and -1.8 from n = 8 on, and r, x_1 r and x_2 r
+# (over 2 * 10^6 draws) 0.67, 0.61 and -0.49 at n = 32 and 2.2, 2.5 and
+# 0.5 at n = 10, falling in n from there, but 2.8, 3.5 and 1.3 at n = 8
+# and 6 to 28 at n <= 4 (``_R_ROWS_MIN_N``).
 _SKEW_TOL = 0.05
 # the least n at which r, x_1 r and x_2 r are made: from it on their
 # skewness is below sqrt(8), so their floor of 8 / _SKEW_TOL^2 pairs holds
 _R_ROWS_MIN_N = 10
 
 
-def _controls(n: int, side: str, pairs: int) -> np.ndarray:
-    """The floors, in pairs, of the m controls of a run of P = ``pairs``
-    units, in the order of its control rows (``_control_rows``): a control
-    is eligible from the P at which its exact skewness passes
-    ``_SKEW_TOL``, so that a sample skewness cannot pass by chance at tiny
-    P.  That is 8 / _SKEW_TOL^2 = 3,200 pairs for all but p2, and
-    16 / (n(n+1) _SKEW_TOL^2) for p2: 320 at n = 4, 89 at n = 8.  On the
-    GOE side m = 10, or 7 below ``_R_ROWS_MIN_N`` (no r rows, whose
-    skewness there exceeds sqrt(8)), or 4 (no kernel rows) below their
-    floor; m = 0 on the Wishart side and at n = 1, where p2 = p1^2 and the
-    others are functions of the same one entry."""
-    if side != GOE_SIDE or n == 1:
-        return np.empty(0)
-    floors = np.array([8.0, 16.0 / (n * (n + 1)), *[8.0] * 8]
-                      ) / _SKEW_TOL ** 2
-    if pairs < floors[4]:
-        return floors[:4]
-    return floors if n >= _R_ROWS_MIN_N else floors[:7]
+def _controls(n: int, side: str, pairs: int) -> int:
+    """The number m of control rows (``_control_rows``) a run of
+    P = ``pairs`` units makes: those whose floor P reaches, so that a
+    sample skewness cannot pass ``_SKEW_TOL`` by chance at tiny P.  p2, of
+    law 2 chi^2_{n(n+1)/2}, has 16 / (n(n+1) _SKEW_TOL^2) pairs (320 at
+    n = 4); the others 8 / _SKEW_TOL^2 = 3,200, which holds for a skewness
+    of at most sqrt(8), not for p3^2 and p1 p3.  So m = 0, 1 (p2), then 10
+    or, below ``_R_ROWS_MIN_N``, 7; m = 0 on the Wishart side and at n = 1,
+    where p2 = p1^2 and the rest are functions of the one entry."""
+    if side != GOE_SIDE or n == 1 or (
+            pairs < 16.0 / (n * (n + 1)) / _SKEW_TOL ** 2):
+        return 0
+    if pairs < 8.0 / _SKEW_TOL ** 2:
+        return 1
+    return 10 if n >= _R_ROWS_MIN_N else 7
 
 
 def _block_stats(task):
@@ -290,10 +291,11 @@ def _block_stats(task):
     each d, the sum of its integrand values, its Q and PSD counts, the
     ``_moments`` of its units and, on a GOE-side run of odd ``samples``, the
     ``_moments`` of its values (None elsewhere)."""
-    samples, _, side = task[2:5]
+    n, _, samples, _, side = task[:5]
     odd = side == GOE_SIDE and samples % 2
+    blocks = _blocks(*task, _controls(n, side, samples // 2), SCRATCH.take)
     parts = []
-    for lo, dev, _, _, q, psd, values, rows in _blocks(*task, SCRATCH.take):
+    for lo, dev, _, _, q, psd, values, rows in blocks:
         # a GOE-side unit is the pair of draw j and evaluation k + j; a
         # Wishart-side unit is one value
         k = dev.shape[1] if side == GOE_SIDE else 0
@@ -376,22 +378,22 @@ def mc_summary(mean: float, stderr: float):
             min(mean + Z99 * stderr, 1.0))
 
 
-def _kept(units, floors):
+def _kept(units):
     """The controls the fit keeps, as indices into z = (u, x), from the
-    merged ``_moments`` of z over the P units and the controls' floors
-    (``_controls``).  The controls are d-free, so one gate serves every d
-    of a pass.
+    merged ``_moments`` of z over the P units, of the controls the run
+    made (``_controls``).  The controls are d-free, so one gate serves
+    every d of a pass.
 
-    A control is dropped below its floor and where its mean is too skewed
-    (``_SKEW_TOL``): one array test, read elementwise.  The others are
-    taken in order, each kept where its pivot passes: the squared last
-    diagonal of the Cholesky factor of Cxx over the kept controls and it,
-    the part of its variance that they leave unexplained.  Below 1e-10 of
-    that variance, or where that Cxx is not positive definite, the control
-    is collinear with the kept ones (p2 after p1^2, which it equals at
-    n = 1, leaves a share of rounding size, 1e-16; the least share
-    measured at n >= 2 was 2e-7, at n = 2 and 7 pairs).  A pivot depends only on the controls before it, so this
-    drops a failing control and factors the rest without it.
+    A control is dropped where its mean is too skewed (``_SKEW_TOL``): one
+    array test, read elementwise.  The others are taken in order, each
+    kept where its pivot passes: the squared last diagonal of the Cholesky
+    factor of Cxx over the kept controls and it, the part of its variance
+    that they leave unexplained.  Below 1e-10 of that variance, or where
+    that Cxx is not positive definite, the control is collinear with the
+    kept ones (p2 after p1^2, which it equals at n = 1, leaves a share of
+    rounding size, 1e-16; the least share measured at n >= 2 was 2e-7, at
+    n = 2 and 7 pairs).  A pivot depends only on the controls before it,
+    so this drops a failing control and factors the rest without it.
     """
     count, _, cross, cubes = units
     keep = []
@@ -399,8 +401,7 @@ def _kept(units, floors):
     if count <= 2:
         return keep
     var, third = cross.diagonal()[1:] / count, cubes[1:] / count
-    ok = (count >= floors) & (
-        third * third <= _SKEW_TOL ** 2 * count * var ** 3)
+    ok = third * third <= _SKEW_TOL ** 2 * count * var ** 3
     for i in np.flatnonzero(ok).tolist():
         trial = [*keep, i + 1]
         try:
@@ -475,15 +476,14 @@ def _estimate(n, ds, samples, rng, side, workers):
     else:
         parts = _block_stats(tasks[0])
     single = samples % 2 if side == GOE_SIDE else 0
-    floors, keep = _controls(n, side, samples // 2), None
-    out = []
+    keep, out = None, []
     for d, col in zip(ds, zip(*parts)):
         sums, n_q, n_psd, units, values = zip(*col)
         units = _merge_moments(units)
         # the controls are d-free, and so are their moments: one gate per
         # pass, on its first d
         if keep is None:
-            keep = _kept(units, floors)
+            keep = _kept(units)
         shift, var_unit, ratio = _unit_fit(units, keep)
         var = single and sample_variance(
             samples, float(_merge_moments(values)[2][0, 0]))
@@ -553,10 +553,10 @@ def profile_columns(n: int, d: int, samples: int, rng: RngState):
     tuples ``(alpha, terms, in_q, psd, integrand)`` of arrays, with
     ``terms`` as returned by ``breakdown_columns``; per block, one tuple for
     the draws as drawn, then one for their mirrors.  The parameters are
-    checked at once."""
+    checked at once; no control row is made."""
     _check_params(n, d, samples)
     blocks = _blocks(n, [d], samples, rng, GOE_SIDE, 0,
-                     _block_count(n, samples, GOE_SIDE))
+                     _block_count(n, samples, GOE_SIDE), 0)
     return (group for block in blocks
             for group in _profile_groups(*block, n, d))
 

@@ -161,3 +161,30 @@ def test_verdict_flags_each_metric_worse_than_its_bound():
     assert "change/parent 0.7, bound 0.25: WORSE THAN BOUND" in lines[3]
     assert lines[-1] == "verdict: worse than bound: wall_s, ok_frac, " \
                         "draws_per_s"
+
+
+def test_verdict_is_unresolved_where_the_parent_spreads_too_widely():
+    # the parent's wall_s quartiles (0.8 and 1.5) span 70% of its median,
+    # more than the bound of 25%: a change within the bound is unresolved
+    # unless every one of its runs beats every run of the parent; ok_frac,
+    # with no spread, stays ok
+    summarize = load_tool().summarize
+    parent = {"wall_s": [1.0, 1.5, 0.8], "ok_frac": [1.0, 1.0, 1.0]}
+    lines = summarize(synthetic_runs(parent, {
+        "wall_s": [0.9, 1.4, 1.0], "ok_frac": [1.0, 1.0, 1.0]}),
+        DECLARED["end_to_end"])
+    assert "change/parent 1, bound 0.25: unresolved" in lines[1]
+    assert "change/parent 1, bound 0.01: ok" in lines[2]
+    assert lines[-1] == "verdict: no metric worse than its bound; " \
+                        "unresolved: wall_s"
+    lines = summarize(synthetic_runs(parent, {
+        "wall_s": [0.5, 0.7, 0.6], "ok_frac": [1.0, 1.0, 1.0]}),
+        DECLARED["end_to_end"])
+    assert "change/parent 0.6, bound 0.25: ok" in lines[1]
+    assert lines[-1] == "verdict: no metric worse than its bound"
+    # a change worse than the bound is flagged so, however wide the spread
+    lines = summarize(synthetic_runs(parent, {
+        "wall_s": [1.3, 1.9, 1.2], "ok_frac": [1.0, 1.0, 1.0]}),
+        DECLARED["end_to_end"])
+    assert "change/parent 1.3, bound 0.25: WORSE THAN BOUND" in lines[1]
+    assert lines[-1] == "verdict: worse than bound: wall_s"

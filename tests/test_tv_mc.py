@@ -82,7 +82,7 @@ def lstsq_estimate(n, d, u, power, values, kernel, keep=None):
     z = (u, p1^2, p2, p3^2, p1 p3, x_1, x_2, x_3, r, x_1 r, x_2 r).
     """
     pairs, samples = u.size, values.size
-    m = tv_mc._controls(n, tv_mc.GOE_SIDE, math.inf).size
+    m = tv_mc._controls(n, tv_mc.GOE_SIDE, math.inf)
     keep = range(1, m + 1) if keep is None else keep
     p1, p2, p3 = power / np.array([[d ** 0.5], [d], [d ** 1.5]])
     e11, e2, e13, e33 = power_sum_moments(n)
@@ -259,7 +259,7 @@ def test_profile_matches_eigenvalue_decomposition(n, monkeypatch):
     d, samples, rng = n ** 3, 301, RngState(15 + n)
     records = list(tv_profile(n, d, samples, rng))
     blocks = tv_mc._blocks(n, [d], samples, rng, tv_mc.GOE_SIDE, 0,
-                           tv_mc._block_count(n, samples, tv_mc.GOE_SIDE))
+                           tv_mc._block_count(n, samples, tv_mc.GOE_SIDE), 0)
     # each block's draws, then their mirrors: the plain batches of the
     # evaluations in record order
     batches = [batch for _, dev, off2, alpha, *_ in blocks
@@ -324,7 +324,7 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
     # against the dense ensemble; within a group the columns are independent
     n, d, samples = 8, 512, 20_000
     blocks = tv_mc._blocks(n, [d], samples, RngState(41), side, 0,
-                           tv_mc._block_count(n, samples, side))
+                           tv_mc._block_count(n, samples, side), 0)
     drawn, mirrored = [], []
     for _, dev, *_, values, _ in blocks:
         drawn.append(values[0, :dev.shape[1]])
@@ -414,41 +414,54 @@ def test_no_control_falls_back_to_plain_pairs(n, samples, forced,
 
 
 def test_control_floors():
-    # a control is eligible from the P at which its exact skewness passes
-    # _SKEW_TOL: 3,200 pairs for p1^2, p3^2, p1 p3 and the kernel rows,
-    # 6,400 / (n(n+1)) for p2, whose law is 2 chi^2_{n(n+1)/2}; the kernel
-    # rows are made only from their floor on, r, x_1 r and x_2 r only from
-    # n = 10 on, and no control on the Wishart side or at n = 1
-    for n in (2, 4, 8, 9, 10, 16, 32):
-        floors = tv_mc._controls(n, tv_mc.GOE_SIDE, 3200)
-        assert floors.tolist() == pytest.approx(
-            [3200, 6400 / (n * (n + 1)), *[3200] * (8 if n >= 10 else 5)],
-            rel=1e-12)
-        assert tv_mc._controls(n, tv_mc.GOE_SIDE, 3199).tolist() == (
-            floors[:4].tolist())
-        assert tv_mc._controls(n, tv_mc.WISHART_SIDE, 10 ** 6).size == 0
-    assert tv_mc._controls(1, tv_mc.GOE_SIDE, 10 ** 6).size == 0
+    # a run makes only the controls whose floor its P reaches: none below
+    # p2's floor of 6,400 / (n(n+1)) pairs, whose law is
+    # 2 chi^2_{n(n+1)/2}, p2 alone from there up to 3,199 pairs, and from
+    # 3,200 pairs p1^2, p3^2, p1 p3 and the kernel rows too, with r, x_1 r
+    # and x_2 r only from n = 10 on; no control on the Wishart side or at
+    # n = 1
+    goe, p2_floors = tv_mc.GOE_SIDE, {2: 1067, 3: 534, 4: 320, 8: 89, 9: 72,
+                                      10: 59, 16: 24, 32: 7}
+    for n, floor in p2_floors.items():
+        assert floor == math.ceil(6400 / (n * (n + 1)))
+        assert tv_mc._controls(n, goe, floor - 1) == 0
+        assert tv_mc._controls(n, goe, floor) == 1
+        assert tv_mc._controls(n, goe, 3199) == 1
+        m = 10 if n >= 10 else 7
+        assert tv_mc._controls(n, goe, 3200) == m
+        assert tv_mc._controls(n, goe, 10 ** 6) == m
+        assert tv_mc._controls(n, tv_mc.WISHART_SIDE, 10 ** 6) == 0
+    assert tv_mc._controls(1, goe, 10 ** 6) == 0
+    assert tv_mc._controls(1, goe, 0) == 0
+
+
+def full_rows(n, pairs):
+    """The rows of z = (u, p1^2, p2, p3^2, p1 p3, x_1, x_2, x_3, r, x_1 r,
+    x_2 r) that are the rows of the estimator's z on a GOE-side run of
+    P = ``pairs`` units, as ``lstsq_estimate`` numbers its ``keep``: p2
+    alone where the run makes one control."""
+    m = tv_mc._controls(n, tv_mc.GOE_SIDE, pairs)
+    return [0, 2] if m == 1 else list(range(m + 1))
 
 
 @pytest.mark.parametrize("n, samples, seed, kept", [
-    (8, 6399, 6399, [2]), (4, 2000, 1, [2]), (4, 2001, 2, [2]),
+    (8, 6399, 6399, [1]), (4, 2000, 1, [1]), (4, 2001, 2, [1]),
     (4, 20000, 3, [1, 2, 4, 5, 6, 7])],
     ids=["8-6399", "4-2000", "4-2001", "4-20000"])
 def test_failing_controls_are_dropped(n, samples, seed, kept):
-    # below 3,200 pairs only p2 is eligible, and at n = 4 and 10,000 pairs
-    # p3^2 is too skewed on this stream (p1 p3, whose sample skewness
-    # there sits near the bound of 5, passes on some streams and fails on
-    # others), while the three kernel rows x_j pass (r, x_1 r and x_2 r are
-    # not made at n = 4): the controls that fail are
+    # below 3,200 pairs only p2 is made, and it is kept, and at n = 4 and
+    # 10,000 pairs p3^2 is too skewed on this stream (p1 p3, whose sample
+    # skewness there sits near the bound of 5, passes on some streams and
+    # fails on others), while the three kernel rows x_j pass (r, x_1 r and
+    # x_2 r are not made at n = 4): the controls that fail are
     # dropped and the rest are fitted, where the all-or-nothing gate fitted
     # none.  The estimate is the least-squares fit on the kept controls of
     # the same draws, and the gate takes the decisions of the elimination
     d = 4 * n
     est = tv_estimate_goe_side(n, d, samples, RngState(seed))
     units = _goe_units(n, samples, seed, d)
-    floors = tv_mc._controls(n, tv_mc.GOE_SIDE, samples // 2)
-    assert tv_mc._kept(units, floors) == kept
-    want_kept, want = reference_unit_fit(units, floors)
+    assert tv_mc._kept(units) == kept
+    want_kept, want = reference_unit_fit(units)
     assert want_kept == kept
     assert tv_mc._unit_fit(units, kept) == pytest.approx(want, rel=1e-12)
     (_, drawn, *_, v), (*_, w) = tv_mc.profile_columns(n, d, samples,
@@ -457,30 +470,71 @@ def test_failing_controls_are_dropped(n, samples, seed, kept):
     values = np.concatenate([v, w])
     dev, off2 = _block_draws(n, samples, seed)
     kernel = kernel_rows_reference(n, dev[:, :w.size], off2[:, :w.size])
+    rows = full_rows(n, samples // 2)
     mean, stderr, ratio = lstsq_estimate(n, d, v[:w.size] + w,
                                          power[:, :w.size], values, kernel,
-                                         kept)
+                                         [rows[i] for i in kept])
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-9)
     assert est.var_ratio == pytest.approx(ratio, rel=1e-9)
     assert est.var_ratio > 1.2
 
 
-def test_p2_is_not_used_below_its_floor():
-    # at n = 4 and 319 pairs, one short of p2's floor of 320, the sample
-    # skewness of p2 on this stream passes the test (0.032 against 0.05
-    # over sqrt(P)): without the floors p2 would be kept, and so it would
-    # with the other floors and none for p2; with them all the estimate is
-    # the plain one
+def test_p2_is_not_used_below_its_floor(monkeypatch):
+    # at n = 4 and 319 pairs, one short of p2's floor of 320, no control
+    # row is made and the estimate is the plain one.  The sample skewness
+    # of p2 on this stream passes the test (0.032 against 0.05 over
+    # sqrt(P)): a run made to make p2, alone or with the other three power
+    # sums (which fail the test there), would keep it
     n, samples = 4, 638
     units = _goe_units(n, samples, 0)
-    assert units[0] == 319
-    floors = tv_mc._controls(n, tv_mc.GOE_SIDE, units[0])
-    assert tv_mc._kept(units, np.zeros(4)) == [2]
-    assert tv_mc._kept(units, np.where(np.arange(4) == 1, 0.0, floors)) == [2]
-    assert tv_mc._kept(units, floors) == []
+    assert units[0] == 319 and units[2].shape == (1, 1)
+    assert tv_mc._kept(units) == []
     assert tv_estimate_goe_side(n, n ** 3, samples,
                                 RngState(0)).var_ratio == 1.0
+    for m, kept in ((1, [1]), (4, [2])):
+        monkeypatch.setattr(tv_mc, "_controls", lambda *_, m=m: m)
+        assert tv_mc._kept(_goe_units(n, samples, 0)) == kept
+
+
+def test_short_run_makes_p2_alone(monkeypatch):
+    # a 1,000-pair run at n = 8, the size of a benchmark sweep point,
+    # computes p1 and p2 but neither p3 nor Y, and its z is (u, p2)
+    shapes = []
+    power_sums, unit_moments = tv_mc.power_sums, tv_mc._unit_moments
+
+    def spy_power_sums(dev, off2, out):
+        shapes.append(("power", out.shape))
+        return power_sums(dev, off2, out)
+
+    def spy_unit_moments(units, z, controls):
+        shapes.append(("z", z.shape))
+        return unit_moments(units, z, controls)
+
+    monkeypatch.setattr(tv_mc, "power_sums", spy_power_sums)
+    monkeypatch.setattr(tv_mc, "_unit_moments", spy_unit_moments)
+    est = tv_estimate_goe_side(8, 512, 2000, RngState(4))
+    assert shapes == [("power", (2, 1000)), ("z", (2, 1000))]
+    assert est.var_ratio > 1.0
+
+
+def test_profile_makes_no_control_row(monkeypatch):
+    # the profile reads no control: at 20,000 samples, where the estimate
+    # on the same stream makes ten control rows in each of its three
+    # blocks, it makes none
+    calls = []
+    control_rows = tv_mc._control_rows
+
+    def spy_control_rows(power, off2, n, out):
+        calls.append(out.shape[0])
+        control_rows(power, off2, n, out)
+
+    monkeypatch.setattr(tv_mc, "_control_rows", spy_control_rows)
+    n, d, samples = 32, 32768, 20000
+    columns = list(tv_mc.profile_columns(n, d, samples, RngState(5)))
+    assert len(columns) == 6 and calls == []
+    tv_estimate_goe_side(n, d, samples, RngState(5))
+    assert calls == [10, 10, 10]
 
 
 def _partials(u, x=None):
@@ -517,13 +571,13 @@ def test_unit_fit_rejects_nearly_collinear_controls():
         near = x.copy()
         near[1] = x[0] * (1.0 + scale)
         units = _partials(u, near)
-        assert tv_mc._kept(units, np.zeros(4)) == [1, 3, 4]
+        assert tv_mc._kept(units) == [1, 3, 4]
         assert tv_mc._unit_fit(units, [1, 3, 4]) == pytest.approx(
             rest, rel=1e-12)
     # with independent controls all four are kept, and the fit removes
     # x[0]'s part of u
     units = _partials(u, x)
-    assert tv_mc._kept(units, np.zeros(4)) == [1, 2, 3, 4]
+    assert tv_mc._kept(units) == [1, 2, 3, 4]
     shift, var, ratio = tv_mc._unit_fit(units, [1, 2, 3, 4])
     assert shift == pytest.approx(float(x[0].sum()), rel=0.05)
     assert var == pytest.approx(0.01, rel=0.1) and ratio > 50
@@ -534,38 +588,35 @@ def test_unit_fit_skewness_test():
     # a control's skewness is taken about its sample mean, so an offset
     # symmetric control passes; one whose mean over P = 5,000 is skewed by
     # more than 0.05 (skewness above 3.5) is dropped, and only it, so the
-    # fit is the one on the other three; a floor above P drops a control
-    # whatever its skewness
+    # fit is the one on the other three
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 5000))
     u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
     x[3] += 10.0
     units = _partials(u, x)
-    assert tv_mc._kept(units, np.zeros(4)) == [1, 2, 3, 4]
+    assert tv_mc._kept(units) == [1, 2, 3, 4]
     assert tv_mc._unit_fit(units, [1, 2, 3, 4])[2] > 50
-    assert tv_mc._kept(units, np.array([0, 5001, 0, 5000])) == [1, 3, 4]
     x[3] = rng.exponential(size=5000) ** 3
     units = _partials(u, x)
-    assert tv_mc._kept(units, np.zeros(4)) == [1, 2, 3]
+    assert tv_mc._kept(units) == [1, 2, 3]
     assert tv_mc._unit_fit(units, [1, 2, 3]) == pytest.approx(
         tv_mc._unit_fit(_partials(u, x[:3]), [1, 2, 3]), rel=1e-12)
     assert tv_mc._unit_fit(units, [1, 2, 3])[2] > 50
 
 
-def reference_unit_fit(units, floors):
+def reference_unit_fit(units):
     """``_kept`` and ``_unit_fit`` by Gaussian elimination over Python
     lists, pivot by pivot, with the same tests: the slow path the numpy fit
-    is pinned to.  Returns (the kept controls, the fit).  A control below
-    its floor or too skewed is dropped first; then a control whose pivot
-    fails is dropped and the elimination starts again on the rest."""
+    is pinned to.  Returns (the kept controls, the fit).  A control too
+    skewed is dropped first; then a control whose pivot fails is dropped
+    and the elimination starts again on the rest."""
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
     count, total, cross, cubes = units
     plain = 0.0, tv_mc.sample_variance(count, float(cross[0, 0])), 1.0
     var = [float(cross[i, i]) / count for i in range(len(cross))]
-    keep = [i for i in range(1, len(floors) + 1) if count >= floors[i - 1]
-            and (cubes[i] / count) ** 2
+    keep = [i for i in range(1, len(cross)) if (cubes[i] / count) ** 2
             <= tv_mc._SKEW_TOL ** 2 * count * var[i] ** 3]
     while True:
         m = len(keep)
@@ -603,37 +654,36 @@ def _goe_units(n, samples, seed, d=None):
 
 
 def _fit_cases():
-    """(units, floors) of random Grams with m = 1..4 controls, of nearly
-    collinear and of skewed controls, all without floors, and of GOE-side
-    runs with their own floors: none at n = 1, p2 alone at n = 4 and
-    1,000 pairs, p3^2 too skewed at n = 4 and 10,000 pairs, all ten at
+    """The unit ``_moments`` of random Grams with m = 1..4 controls, of
+    nearly collinear and of skewed controls, and of GOE-side runs with the
+    controls they make: none at n = 1, p2 alone at n = 4 and 1,000 pairs,
+    seven with p3^2 too skewed at n = 4 and 10,000 pairs, all ten at
     n = 32."""
     rng = np.random.default_rng(7)
     for m in range(1, 5):
         for size in (m + 2, 50, 5000):
             x = rng.standard_normal((m, m)) @ rng.standard_normal((m, size))
             u = 0.3 + rng.standard_normal(m) @ x + rng.standard_normal(size)
-            yield _partials(u, x + 0.5), np.zeros(m)
+            yield _partials(u, x + 0.5)
     x = rng.standard_normal((4, 5000))
     u = 1.0 + x[0] + 0.1 * rng.standard_normal(5000)
     near = x.copy()
     near[1] = x[0] * (1.0 + 1e-7 * rng.standard_normal(5000))
     skewed = x.copy()
     skewed[3] = rng.exponential(size=5000) ** 3
-    yield _partials(u, near), np.zeros(4)
-    yield _partials(u, skewed), np.zeros(4)
+    yield _partials(u, near)
+    yield _partials(u, skewed)
     for n, samples in ((1, 20001), (4, 2000), (4, 20001), (32, 20001)):
-        yield (_goe_units(n, samples, 3),
-               tv_mc._controls(n, tv_mc.GOE_SIDE, samples // 2))
+        yield _goe_units(n, samples, 3)
 
 
 def test_unit_fit_matches_the_elimination():
     # the Cholesky gate keeps the controls that the elimination keeps, and
     # the numpy fit on them gives its shift and residual variance
     kept = []
-    for units, floors in _fit_cases():
-        want_kept, want = reference_unit_fit(units, floors)
-        kept.append(tv_mc._kept(units, floors))
+    for units in _fit_cases():
+        want_kept, want = reference_unit_fit(units)
+        kept.append(tv_mc._kept(units))
         assert kept[-1] == want_kept
         got = tv_mc._unit_fit(units, kept[-1])
         assert all(type(v) is float for v in got)
@@ -642,7 +692,7 @@ def test_unit_fit_matches_the_elimination():
     # of the controls of the random Grams, and the nearly collinear,
     # skewed and GOE-side cases keep the controls named above
     assert [len(k) for k in kept[:12]] == [1, 1, 1, 0, 2, 2, 1, 3, 3, 1, 3, 4]
-    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [2], [1, 2, 4, 5, 6, 7],
+    assert kept[12:] == [[1, 3, 4], [1, 2, 3], [], [1], [1, 2, 4, 5, 6, 7],
                          list(range(1, 11))]
 
 
@@ -654,7 +704,7 @@ def test_wishart_side_is_the_plain_mean(monkeypatch):
     est = tv_estimate_wishart_side(n, d, samples, RngState(17))
     assert tv_mc._block_count(n, samples, side) == 4
     blocks = [values[0].copy() for *_, values, _ in tv_mc._blocks(
-        n, [d], samples, RngState(17), side, 0, 4)]
+        n, [d], samples, RngState(17), side, 0, 4, 0)]
     values = np.concatenate(blocks)
     assert values.size == samples and est.var_ratio == 1.0
     assert est.mean == math.fsum(float(v.sum()) for v in blocks) / samples
@@ -693,7 +743,7 @@ def test_mirrored_columns_match_eigenvalues(n):
     # match the eigenvalues of each draw with its diagonal negated
     d, samples = n ** 3, 201
     [(_, dev, off2, alpha, q, psd, _, _)] = tv_mc._blocks(
-        n, [d], samples, RngState(60 + n), tv_mc.GOE_SIDE, 0, 1)
+        n, [d], samples, RngState(60 + n), tv_mc.GOE_SIDE, 0, 1, 0)
     assert dev.shape == (n, 101) and alpha.shape == (1, 201)
     alpha, q, psd = alpha[0, 101:], q[101:], psd[0, 101:]
     eigs = np.array([eigvalsh_tridiagonal(d - math.sqrt(d) * dev[:, k],
@@ -801,7 +851,7 @@ def test_stderr_matches_two_pass_variance_near_one(blocks, monkeypatch):
     assert tv_mc._block_count(n, samples, side) == blocks
     est = tv_estimate_wishart_side(n, d, samples, RngState(22401))
     values = np.concatenate([v[0].copy() for *_, v, _ in tv_mc._blocks(
-        n, [d], samples, RngState(22401), side, 0, blocks)])
+        n, [d], samples, RngState(22401), side, 0, blocks, 0)])
     two_pass = math.sqrt(np.var(values, ddof=1) / samples)
     assert est.mean > 0.99
     assert est.stderr == pytest.approx(two_pass, rel=1e-6)
@@ -874,8 +924,8 @@ def test_one_gate_per_pass(monkeypatch):
     gates = []
     kept = tv_mc._kept
 
-    def counting_kept(units, floors):
-        gates.append(kept(units, floors))
+    def counting_kept(units):
+        gates.append(kept(units))
         return gates[-1]
 
     monkeypatch.setattr(tv_mc, "_kept", counting_kept)
@@ -888,7 +938,7 @@ def test_one_gate_per_pass(monkeypatch):
         assert tv_mc._block_count(n, samples, tv_mc.GOE_SIDE) == blocks
         gates.clear()
         grouped = tv_mc.tv_estimates_goe_side(n, ds, samples, rng, workers=2)
-        assert gates == [[2]]
+        assert gates == [[1]]
         assert all(e.var_ratio > 1.0 for e in grouped)
         for workers in (1, 2):
             assert [tv_estimate_goe_side(n, d, samples, rng, workers=workers)
@@ -923,10 +973,11 @@ def test_kernel_rows_match_the_slow_reference(n, monkeypatch):
     # kernel_rows_reference; x_j is the difference of two terms in (0, 1],
     # r of sigma^2 / v(n) and 1, and each row matches to 1e-13 of them
     monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
+    m = tv_mc._controls(n, tv_mc.GOE_SIDE, 201)
+    assert m == (10 if n >= tv_mc._R_ROWS_MIN_N else 7)
     [(_, dev, off2, *_, rows)] = tv_mc._blocks(
-        n, [n ** 3], 402, RngState(80 + n), tv_mc.GOE_SIDE, 0, 1)
+        n, [n ** 3], 402, RngState(80 + n), tv_mc.GOE_SIDE, 0, 1, m)
     ref = kernel_rows_reference(n, dev, off2)
-    m = 10 if n >= tv_mc._R_ROWS_MIN_N else 7
     assert rows.shape == (m + 1, 201)
     np.testing.assert_allclose(rows[5:], ref[:m - 4], rtol=1e-13, atol=1e-13)
     # below n = 10 a block makes no r rows, but they are made on request
@@ -994,8 +1045,8 @@ def floor_z_scores(n, d, monkeypatch):
     gates = []
     kept = tv_mc._kept
 
-    def recording_kept(units, floors):
-        gates.append(kept(units, floors))
+    def recording_kept(units):
+        gates.append(kept(units))
         return gates[-1]
 
     ref = goe_reference(n, d)

@@ -20,7 +20,8 @@ At the end, prints for each end-to-end metric the median and quartiles of
 each side over this invocation's complete pairs, the number of pairs the
 change won, by the metric's declared direction, and the change's median
 over the parent's next to the metric's `bound`, flagged where it is worse
-than the bound; a last line names every such metric.
+than the bound, or as unresolved where the parent's runs spread too widely
+to tell; a last line names every such metric.
 """
 
 import argparse
@@ -95,7 +96,10 @@ def summarize(runs, declared):
     both sides completed.  The verdict sets the change's median over the
     parent's against the metric's bound: a metric is worse than its bound
     where that ratio exceeds 1 + bound (lower is better) or falls below
-    1 - bound (higher is better)."""
+    1 - bound (higher is better).  Otherwise it is ok, unless the parent's
+    interquartile range exceeds bound times its median, where the medians
+    cannot show a change of the bound's size: then it is unresolved, but
+    for a change each of whose runs beats every run of the parent."""
     by_seed = {}
     for run in runs:
         if run["result"] is not None:
@@ -103,7 +107,7 @@ def summarize(runs, declared):
                 run["result"]["metrics"])
     pairs = [p for p in by_seed.values() if len(p) == 2]
     lines = [f"{len(pairs)} complete pairs"]
-    worse = []
+    worse, unresolved = [], []
     for m in declared:
         name = m["name"]
         values = [(p["parent"][name]["value"], p["change"][name]["value"])
@@ -111,25 +115,37 @@ def summarize(runs, declared):
                   if name in p["parent"] and name in p["change"]]
         if len(values) < 2:
             continue
-        text, medians = [], []
-        for side, side_values in zip(("parent", "change"), zip(*values)):
+        parents, changes = zip(*values)
+        text, quartiles = [], []
+        for side, side_values in (("parent", parents), ("change", changes)):
             q1, med, q3 = statistics.quantiles(side_values, n=4)
             text.append(f"{side} {med:.6g} ({q1:.6g}-{q3:.6g})")
-            medians.append(med)
+            quartiles.append((q1, med, q3))
+        (q1, parent, q3), (_, change, _) = quartiles
         lower = m["better"] == "lower"
         won = sum((c < p) if lower else (c > p) for p, c in values)
+        beats_all = (max(changes) < min(parents) if lower
+                     else min(changes) > max(parents))
         verdict = "no parent median"
-        if medians[0]:
-            ratio = medians[1] / medians[0]
+        if parent:
+            ratio = change / parent
             bad = ratio > 1 + m["bound"] if lower else ratio < 1 - m["bound"]
-            verdict = (f"change/parent {ratio:.4g}, bound {m['bound']:g}: "
-                       f"{'WORSE THAN BOUND' if bad else 'ok'}")
             if bad:
+                state = "WORSE THAN BOUND"
                 worse.append(name)
+            elif q3 - q1 > m["bound"] * abs(parent) and not beats_all:
+                state = "unresolved"
+                unresolved.append(name)
+            else:
+                state = "ok"
+            verdict = (f"change/parent {ratio:.4g}, bound {m['bound']:g}: "
+                       f"{state}")
         lines.append(f"  {name}: {', '.join(text)}; change won "
                      f"{won}/{len(values)}; {verdict}")
     lines.append(f"verdict: worse than bound: {', '.join(worse)}" if worse
                  else "verdict: no metric worse than its bound")
+    if unresolved:
+        lines[-1] += f"; unresolved: {', '.join(unresolved)}"
     return lines
 
 
