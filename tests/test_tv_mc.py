@@ -435,15 +435,6 @@ def test_control_floors():
     assert tv_mc._controls(1, goe, 0) == 0
 
 
-def full_rows(n, pairs):
-    """The rows of z = (u, p1^2, p2, p3^2, p1 p3, x_1, x_2, x_3, r, x_1 r,
-    x_2 r) that are the rows of the estimator's z on a GOE-side run of
-    P = ``pairs`` units, as ``lstsq_estimate`` numbers its ``keep``: p2
-    alone where the run makes one control."""
-    m = tv_mc._controls(n, tv_mc.GOE_SIDE, pairs)
-    return [0, 2] if m == 1 else list(range(m + 1))
-
-
 @pytest.mark.parametrize("n, samples, seed, kept", [
     (8, 6399, 6399, [1]), (4, 2000, 1, [1]), (4, 2001, 2, [1]),
     (4, 20000, 3, [1, 2, 4, 5, 6, 7])],
@@ -470,7 +461,9 @@ def test_failing_controls_are_dropped(n, samples, seed, kept):
     values = np.concatenate([v, w])
     dev, off2 = _block_draws(n, samples, seed)
     kernel = kernel_rows_reference(n, dev[:, :w.size], off2[:, :w.size])
-    rows = full_rows(n, samples // 2)
+    # lstsq_estimate numbers p2 as row 2 of the full z, which a run that
+    # makes p2 alone has in row 1
+    rows = [0, 2] if len(units[2]) == 2 else range(11)
     mean, stderr, ratio = lstsq_estimate(n, d, v[:w.size] + w,
                                          power[:, :w.size], values, kernel,
                                          [rows[i] for i in kept])
