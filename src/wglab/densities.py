@@ -20,9 +20,10 @@ is ||T - dI||_F^2.  ``alpha_from_tridiagonal``, the Monte Carlo hot path,
 takes these from a tridiagonal batch X, T = dI + sqrt(d) X, at a group of
 d values in O(n) per draw and d: the determinant from the LDL^T pivots, the
 d-free Q-window flag from a Gershgorin bound with Sturm counts where it
-cannot decide, and the PSD flag from the pivots with a Sturm count where
-they are not all positive.  The eigenvalue functions stay as its test
-reference; the scalar ones are size-1 views of the batch ones.
+cannot decide, and the PSD flag from the same pivots: a draw is PSD where
+they are all positive, which is where alpha is finite.  The eigenvalue
+functions stay as its test reference; the scalar ones are size-1 views of
+the batch ones.
 
 ``s_decomposition`` splits alpha into the constant, linear, quadratic, cubic
 and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
@@ -46,18 +47,14 @@ from .errors import InvalidParameterError
 from .scratch import SCRATCH
 from .spectral import Spectrum
 
-# eigensolver noise threshold on a d-scale matrix: below this lambda_min is
-# treated as zero for the PSD diagnostic
-TOL_PSD_SCALE = 1e-8
-
 
 @dataclass(frozen=True)
 class AlphaBreakdown:
     """alpha and its decomposition into the five spectral statistics.
 
     ``remainder`` is defined by subtraction, so the stored fields satisfy
-    alpha = s0 + s1 + s2 + s3 + s4 + remainder exactly.  For a non-PSD
-    spectrum alpha is -inf and the s-fields are None.
+    alpha = s0 + s1 + s2 + s3 + s4 + remainder exactly.  ``psd`` is False
+    exactly where alpha is -inf, and there the s-fields are None.
     """
 
     alpha: float
@@ -221,22 +218,21 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
     ``power``, if given, holds p1 and p2 of the columns as ``power_sums``
     makes them, which are then not made again.
     The flags mean what ``alpha_from_eigenvalues`` and ``in_q_mask`` mean on
-    the eigenvalues of T, and psd means lambda_min >= -TOL_PSD_SCALE * d.
-    Every operation is per (d, column), so no result depends on the other
-    d values or columns of the call.
+    the eigenvalues of T: psd is lambda_min > 0, and it is True exactly
+    where alpha is finite.  Every operation is per (d, column), so no
+    result depends on the other d values or columns of the call.
 
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
     w_i = a_i - b_{i-1} / (1 + w_{i-1}), with a = dev / sqrt(d) and
-    b = off2 / d; alpha is -inf unless every pivot 1 + w_i is positive,
-    and a column whose pivots are, is PSD.  The pivots run row by row, on
-    T and its mirror at every d at once: O(len(ds) k) floats.  The trace
-    and Frobenius norm of X (a mirror's trace is its draw's negated) do not
-    depend on d, nor does the Q window, |lambda(X)| <= 3 sqrt(n), which is
-    symmetric about 0, so a mirror takes its draw's flag.  A Gershgorin
-    bound on X certifies most columns inside it, and Sturm counts on X
-    decide the rest: once at the window's edges (an eigenvalue on an edge
-    is inside), and per d at the PSD thresholds of T and its mirror (one
-    on a threshold is PSD).
+    b = off2 / d; a column is positive definite, so PSD, where every pivot
+    1 + w_i is positive, and alpha is -inf elsewhere.  The pivots run row
+    by row, on T and its mirror at every d at once: O(len(ds) k) floats.
+    The trace and Frobenius norm of X (a mirror's trace is its draw's
+    negated) do not depend on d, nor does the Q window,
+    |lambda(X)| <= 3 sqrt(n), which is symmetric about 0, so a mirror takes
+    its draw's flag.  A Gershgorin bound on X certifies most columns inside
+    it, and one Sturm count on X at the window's edges decides the rest
+    (an eigenvalue on an edge is inside).
     """
     if min(ds) < n:
         raise InvalidParameterError(f"need d >= n, got n={n}, d={min(ds)}")
@@ -276,7 +272,7 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
                 np.minimum(least, w, out=least)
                 if i < n - 1:
                     np.divide(off2[i], d, out=b[0])
-        # 1 + w_i > pivmin for every i, on the scale of T / d
+        # the PSD flag: 1 + w_i > pivmin for every i, on the scale of T / d
         pd = least + 1.0 > _SAFMIN * np.maximum(
             np.max(off2, axis=0, initial=0.0) / d, 1.0)
         # the trace and Frobenius norm of T - dI are sqrt(d) p1 and d p2
@@ -285,24 +281,15 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
         alpha = (0.5 * ((d - n - 1) * logdet - signs * (root * p1) + 0.5 * p2)
                  + [[spectrum_constant(n, x)] for x in ds])
     alpha[~pd] = -np.inf
-    # pd becomes the PSD flag.  The Sturm pivots of X at -s are those of
-    # -X at s, negated, so the count at -s with ties the other way is the
-    # mirror's at s
-    checks = [(None, np.flatnonzero(~q), half)] + [
-        (j, np.flatnonzero(~pd[:, j].all(axis=0)),
-         (1.0 + TOL_PSD_SCALE) * root[j, 0]) for j in range(d.size)]
-    for j, cols, s in checks:
-        if cols.size:
-            counts = _sturm_counts(dev[:, cols], off2[:, cols],
-                                   np.array([-s, s]), _SAFMIN * np.max(
-                                       off2[:, cols], axis=0, initial=1.0),
-                                   ties=np.array([1.0, -1.0]))
-            below, above = counts[0] == 0, counts[1] == n
-            if j is None:
-                q[cols] |= below & above
-            else:
-                for flag, ok in zip(pd[:, j], (below, above)):
-                    flag[cols] |= ok
+    # an uncertified column is inside where no eigenvalue of X is below
+    # -half and all are below half, with one on an edge counted inside
+    cols = np.flatnonzero(~q)
+    if cols.size:
+        counts = _sturm_counts(dev[:, cols], off2[:, cols],
+                               np.array([-half, half]), _SAFMIN * np.max(
+                                   off2[:, cols], axis=0, initial=1.0),
+                               ties=np.array([1.0, -1.0]))
+        q[cols] = (counts[0] == 0) & (counts[1] == n)
     return (np.concatenate(alpha, axis=1), np.concatenate([q] * signs.size),
             np.concatenate(pd, axis=1))
 
@@ -447,5 +434,6 @@ def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
     alpha = alpha_from_eigenvalues(lam, n, d)
     terms = breakdown_columns((lam.T - d) / math.sqrt(d),
                               np.zeros((lam.size - 1, 1)), alpha, n, d)
+    # lambda_min > 0: the test by which alpha_from_eigenvalues sets -inf
     return breakdown_records(alpha, terms, in_q_mask(lam, n, d),
-                             lam[:, 0] >= -TOL_PSD_SCALE * d)[0]
+                             lam[:, 0] > 0.0)[0]

@@ -127,6 +127,7 @@ class TvEstimate:
     n: int
     d: int
     frac_in_q: float
+    # the share of positive-definite evaluations, those with finite alpha
     frac_psd: float
     # plain over controlled variance of a GOE-side pair sum; 1 without control
     var_ratio: float
@@ -211,10 +212,10 @@ def _blocks(n, ds, samples, rng, side, first, stop, m, empty=np.empty):
 
 
 def _control_rows(power, off2, n, out):
-    """Write the m = 1, 4, 7 or 10 GOE-side controls of draws with squared
-    off-diagonals ``off2`` and ``power_sums`` rows p1, p2 (and p3, Y for
-    m > 1) to the rows of ``out``, of shape (m, k), each less its exact
-    mean: p2 for m = 1, else p1^2, p2, p3^2, p1 p3, for m >= 7 the kernel rows
+    """Write the m = 1, 7 or 10 GOE-side controls (``_controls``) of draws
+    with squared off-diagonals ``off2`` and ``power_sums`` rows p1, p2 (and
+    p3, Y for m > 1) to the rows of ``out``, of shape (m, k), each less its
+    exact mean: p2 for m = 1, else p1^2, p2, p3^2, p1 p3, the kernel rows
     x_j = exp(-l^2 / (2 s_j^2)) - s_j / sqrt(s_j^2 + sigma^2) and, for
     m = 10, r = sigma^2 / v(n) - 1, x_1 r and x_2 r, with l, sigma^2 and
     v(n) as in ``densities.linear_statistic_variance`` and
@@ -234,20 +235,19 @@ def _control_rows(power, off2, n, out):
     np.multiply(p1, p3, out=out[3])
     e11, e2, e13, e33 = power_sum_moments(n)
     out[:4] -= np.array([[e11], [e2], [e33], [e13]], float)
-    if len(out) > 4:
-        c, v = 1.0 / (n - 1), linear_statistic_variance(n)
-        kernel = out[4:7]
-        w2 = np.einsum("ij,ij->j", off2, off2) + np.einsum(
-            "ij,ij->j", off2[:-1], off2[1:])
-        var = 2.0 * (n - 4.0 * c * off2.sum(axis=0) + 2.0 * c * c * w2)
-        # s_j^2: a quarter, one and four times v(n), the mean variance of l
-        scale = np.array([[0.25], [1.0], [4.0]]) * v
-        np.multiply(np.square(p1 - c * y), -0.5 / scale, out=kernel)
-        np.exp(kernel, out=kernel)
-        kernel -= np.sqrt(scale / (scale + var))
-        if len(out) > 7:
-            np.subtract(var / v, 1.0, out=out[7])
-            np.multiply(kernel[:2], out[7], out=out[8:])
+    c, v = 1.0 / (n - 1), linear_statistic_variance(n)
+    kernel = out[4:7]
+    w2 = np.einsum("ij,ij->j", off2, off2) + np.einsum(
+        "ij,ij->j", off2[:-1], off2[1:])
+    var = 2.0 * (n - 4.0 * c * off2.sum(axis=0) + 2.0 * c * c * w2)
+    # s_j^2: a quarter, one and four times v(n), the mean variance of l
+    scale = np.array([[0.25], [1.0], [4.0]]) * v
+    np.multiply(np.square(p1 - c * y), -0.5 / scale, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel -= np.sqrt(scale / (scale + var))
+    if len(out) > 7:
+        np.subtract(var / v, 1.0, out=out[7])
+        np.multiply(kernel[:2], out[7], out=out[8:])
 
 # A control is used only where its mean over the P pairs is nearly normal:
 # its skewness, the control's sample skewness over sqrt(P), at most this.

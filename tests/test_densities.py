@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from wglab import (InvalidParameterError, RngState, Spectrum, alpha_exact,
                    alpha_from_densities, in_q, log_goe_density,
                    log_wishart_density, s_decomposition, sample_goe,
                    shift_scale_goe, symmetric_eigenvalues)
-from wglab.densities import (TOL_PSD_SCALE, _sturm_counts, _taylor_terms,
+from wglab.cli import cli_dispatch
+from wglab.densities import (_sturm_counts, _taylor_terms,
                              alpha_from_eigenvalues, alpha_from_tridiagonal,
                              in_q_mask, linear_statistic_variance,
                              power_sum_moments, q_half_width,
@@ -340,10 +342,11 @@ def dense_tridiagonal(dev, off2, d):
 
 
 def eigenvalue_reference(dev, off2, n, d):
-    """(alpha, in_q, psd, eigenvalues) through the dense eigensolver path."""
+    """(alpha, in_q, psd, eigenvalues) through the dense eigensolver path,
+    with psd lambda_min > 0, as alpha_from_eigenvalues reads it."""
     eigs = batch_eigenvalues(dense_tridiagonal(dev, off2, d))
     return (alpha_from_eigenvalues(eigs, n, d), in_q_mask(eigs, n, d),
-            eigs[:, 0] >= -TOL_PSD_SCALE * d, eigs)
+            eigs[:, 0] > 0.0, eigs)
 
 
 EQUIVALENCE_POINTS = [(1, 1), (2, 8), (3, 27), (8, 512), (32, 32768),
@@ -425,8 +428,7 @@ def test_tridiagonal_alpha_matches_eigenvalues_at_large_n(sampler, n):
                                               np.sqrt(one * y))
                          for x, y in zip(dev.T, off2.T)])
         np.testing.assert_array_equal(q, in_q_mask(eigs, n, one))
-        np.testing.assert_array_equal(psd[row],
-                                      eigs[:, 0] >= -TOL_PSD_SCALE * one)
+        np.testing.assert_array_equal(psd[row], eigs[:, 0] > 0.0)
         ref = alpha_from_eigenvalues(eigs, n, one)
         assert np.all(np.isfinite(ref))
         err = np.abs(alpha[row] - ref)
@@ -436,15 +438,14 @@ def test_tridiagonal_alpha_matches_eigenvalues_at_large_n(sampler, n):
 def sturm_flags(dev, off2, n, d):
     """(in_q, psd) of T = dI + sqrt(d) X from Sturm counts on every column
     X: at the Q window's upper edge 3 sqrt(n) on X and on -X (whose upper
-    edge is X's lower one, so both edges are closed) and at the PSD
-    threshold -(1 + TOL_PSD_SCALE) sqrt(d), where an eigenvalue on the
-    threshold counts as above it, so it is PSD.  This is what the
-    Gershgorin certificate and the pivots stand in for."""
+    edge is X's lower one, so both edges are closed) and at -sqrt(d), the
+    zero of T, where an eigenvalue on the shift counts as below it, so
+    that psd is lambda_min > 0.  This is what the Gershgorin certificate
+    and the pivots stand in for."""
     pivmin = np.finfo(float).tiny * np.max(off2, axis=0, initial=1.0)
     half = q_half_width(n, 1)
-    low = -(1.0 + TOL_PSD_SCALE) * math.sqrt(d)
-    counts = _sturm_counts(dev, off2, np.array([half, low]), pivmin,
-                           ties=np.array([-1.0, 1.0]))
+    counts = _sturm_counts(dev, off2, np.array([half, -math.sqrt(d)]),
+                           pivmin)
     below = _sturm_counts(-dev, off2, np.array([half]), pivmin)[0]
     return (counts[0] == n) & (below == n), counts[1] == 0
 
@@ -482,24 +483,30 @@ def test_one_pass_matches_separate_calls(n, width):
 
 
 def test_one_pass_matches_separate_calls_at_exact_ties():
-    # n = 1, d = 10^8: X = [s] with s = (1 + 1e-8) sqrt(d) is T = [2d + 1],
-    # and its mirror [-s], T = [-1], is exactly on the PSD threshold
-    # -1e-8 d; -+3 are the Q window's edges on the scale of X.  The Sturm
-    # pivots of a mirror are exactly zero there, and the one call takes
-    # them from X with the tie the other way.  An eigenvalue on the
-    # threshold is PSD, as lambda_min >= -1e-8 d says, so every column is
+    # n = 1, d = 10^8: X = [r] with r = sqrt(d) is T = [2d], and its mirror
+    # [-r] is T = [0], an eigenvalue exactly at zero; X = [s] with
+    # s = (1 + 1e-8) sqrt(d) is T = [2d + 1], and its mirror [-s] is
+    # T = [-1], at -1e-8 d; -+3 are the Q window's edges on the scale of X.
+    # A matrix with an eigenvalue at or below zero is not PSD, on the
+    # pivots as on the eigenvalues, and its alpha is -inf
     n, d = 1, 10 ** 8
     half = q_half_width(n, 1)
-    s = (1.0 + TOL_PSD_SCALE) * math.sqrt(d)
-    dev = np.array([[s, -s, -half, half, 0.0]])
+    r = math.sqrt(d)
+    s = (1.0 + 1e-8) * r
+    dev = np.array([[r, -r, s, -s, -half, half, 0.0]])
     off2 = np.zeros((0, dev.shape[1]))
     got = alpha_from_tridiagonal(dev, off2, n, [d], True)
     ref = zip(alpha_from_tridiagonal(dev, off2, n, [d]),
               alpha_from_tridiagonal(-dev, off2, n, [d]))
     for g, (plain, mirror) in zip(got, ref):
         assert g.tobytes() == np.concatenate([plain, mirror], -1).tobytes()
-    assert list(got[2][0]) == [True] * 10
-    assert s_decomposition(Spectrum(np.array([-1.0])), n, d).psd
+    alpha, _, psd = got
+    drawn = [True, False, True, False, True, True, True]
+    assert list(psd[0]) == drawn + [not x for x in drawn[:4]] + [True] * 3
+    np.testing.assert_array_equal(psd, alpha > -np.inf)
+    for lam in (0.0, -1e-8 * d):
+        bd = s_decomposition(Spectrum(np.array([lam])), n, d)
+        assert not bd.psd and bd.alpha == -math.inf
 
 
 def test_q_certificate_boundary():
@@ -584,8 +591,8 @@ def test_tridiagonal_exactly_zero_pivots():
     # at the upper edge is exactly zero.  A zero pivot counts as negative,
     # so an eigenvalue on the upper edge is inside the window, as in
     # in_q_mask.  Column 3 is X = [[-2, 2], [2, -2]], T = [[8, 8], [8, 8]]
-    # singular and PSD: its second pivot of T / d is exactly zero, so alpha
-    # is -inf and psd comes from the Sturm count.
+    # singular: its second pivot of T / d is exactly zero, so alpha is
+    # -inf and it is not PSD, as its eigenvalue 0 says.
     n, d = 2, 16
     h = q_half_width(n, 1)
     dev = np.array([[-4.0, -h, h - 1.0, -2.0], [0.0, 0.0, h - 4.0, -2.0]])
@@ -598,9 +605,39 @@ def test_tridiagonal_exactly_zero_pivots():
     assert alpha[0, 3] == -np.inf
     assert list(q) == [True, False, True, True]
     assert list(q[:2]) == list(ref_q[:2])
-    assert list(psd[0]) == [False, False, True, True] == list(ref_psd)
+    assert list(psd[0]) == [False, False, True, False] == list(ref_psd)
     for got, ref in zip((q, psd[0]), sturm_flags(dev, off2, n, d)):
         np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_psd_flag_is_finite_alpha(n):
+    # at d = n, where most GOE-side draws are not PSD, the PSD flag is True
+    # exactly where alpha is finite: on mirrored GOE-side batches and on
+    # Wishart batches, in s_decomposition of the eigenvalues of each draw
+    # and mirror, and in every row of the profile CSV
+    d = n
+    gen = RngState(40 + n).generator()
+    for sampler, mirrored in ((goe_tridiagonal, True),
+                              (wishart_tridiagonal, False)):
+        dev, off2 = draw(sampler, n, d, 300, gen)
+        alpha, _, psd = alpha_from_tridiagonal(dev, off2, n, [d], mirrored)
+        np.testing.assert_array_equal(psd, alpha > -np.inf)
+        if mirrored:
+            assert not psd.all()
+            dev = np.concatenate([dev, -dev], axis=1)
+            off2 = np.concatenate([off2, off2], axis=1)
+        for x, y in zip(dev.T, off2.T):
+            bd = s_decomposition(Spectrum(eigvalsh_tridiagonal(
+                d + math.sqrt(d) * x, np.sqrt(d * y))), n, d)
+            assert bd.psd == (bd.alpha > -math.inf)
+    out = io.StringIO()
+    assert cli_dispatch(["profile", "--n", str(n), "--d", str(d),
+                         "--samples", "601", "--seed", "5"], out=out) == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    assert len(rows) == 601
+    assert all((r[8] == "true") == (r[0] != "-inf") for r in rows)
+    assert any(r[8] == "false" for r in rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -624,7 +661,7 @@ def test_tridiagonal_alpha_property(n, ratios, data):
         # eigensolver rounding alone could flip the reference
         half = 3.0 * math.sqrt(d * n)
         if any(np.any(np.abs(eigs[0] - edge) <= 1e-6 * d)
-               for edge in (0.0, d - half, d + half, -TOL_PSD_SCALE * d)):
+               for edge in (0.0, d - half, d + half)):
             continue
         assert q[0] == ref_q[0] and psd[row, 0] == ref_psd[0]
         if ref_alpha[0] == -np.inf:

@@ -15,10 +15,10 @@ from scipy.stats import chi2, norm
 import wglab.tv_mc as tv_mc
 from wglab import (InvalidParameterError, RngState, Spectrum, s_decomposition,
                    tv_estimate_goe_side, tv_estimate_wishart_side, tv_profile)
-from wglab.densities import (TOL_PSD_SCALE, _taylor_terms,
-                             alpha_from_eigenvalues, alpha_from_tridiagonal,
-                             in_q_mask, linear_statistic_variance,
-                             power_sum_moments, power_sums)
+from wglab.densities import (_taylor_terms, alpha_from_eigenvalues,
+                             alpha_from_tridiagonal, in_q_mask,
+                             linear_statistic_variance, power_sum_moments,
+                             power_sums)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              sample_wishart_dense)
 from wglab.spectral import batch_eigenvalues
@@ -176,6 +176,22 @@ def test_cross_side_agreement():
 def test_wishart_side_all_psd():
     est = tv_estimate_wishart_side(4, 16, 2000, RngState(9))
     assert est.frac_psd == 1.0
+
+
+def test_frac_psd_is_the_share_of_finite_alpha():
+    # n = d = 59 on the Wishart side: one draw of 7,001 has a smallest
+    # eigenvalue below the rounding of its tridiagonal X, whose last pivot
+    # of T / d is -4e-16 (-5e-17 in exact arithmetic on the same X), so its
+    # alpha is -inf, and frac_psd, the share of finite alpha, leaves it out
+    n = d = 59
+    side, samples = tv_mc.WISHART_SIDE, 7001
+    est = tv_estimate_wishart_side(n, d, samples, RngState(59))
+    blocks = tv_mc._blocks(n, (d,), samples, RngState(59), side, 0,
+                           tv_mc._block_count(n, samples, side), 0)
+    finite = sum(int(np.count_nonzero(alpha > -np.inf))
+                 for _, _, _, alpha, *_ in blocks)
+    assert finite == samples - 1
+    assert est.frac_psd == finite / samples
 
 
 def test_profile_stream_length_and_consistency():
@@ -477,15 +493,16 @@ def test_p2_is_not_used_below_its_floor(monkeypatch):
     # at n = 4 and 319 pairs, one short of p2's floor of 320, no control
     # row is made and the estimate is the plain one.  The sample skewness
     # of p2 on this stream passes the test (0.032 against 0.05 over
-    # sqrt(P)): a run made to make p2, alone or with the other three power
-    # sums (which fail the test there), would keep it
+    # sqrt(P)): a run made to make p2, alone or with the six other controls
+    # of n = 4 (of which p1^2, p3^2, p1 p3 and x_3 are not kept there),
+    # would keep it
     n, samples = 4, 638
     units = _goe_units(n, samples, 0)
     assert units[0] == 319 and units[2].shape == (1, 1)
     assert tv_mc._kept(units) == []
     assert tv_estimate_goe_side(n, n ** 3, samples,
                                 RngState(0)).var_ratio == 1.0
-    for m, kept in ((1, [1]), (4, [2])):
+    for m, kept in ((1, [1]), (7, [2, 5, 6])):
         monkeypatch.setattr(tv_mc, "_controls", lambda *_, m=m: m)
         assert tv_mc._kept(_goe_units(n, samples, 0)) == kept
 
@@ -743,7 +760,7 @@ def test_mirrored_columns_match_eigenvalues(n):
                                           np.sqrt(d * off2[:, k]))
                      for k in range(100)])
     np.testing.assert_array_equal(q, in_q_mask(eigs, n, d))
-    np.testing.assert_array_equal(psd, eigs[:, 0] >= -TOL_PSD_SCALE * d)
+    np.testing.assert_array_equal(psd, eigs[:, 0] > 0.0)
     ref = alpha_from_eigenvalues(eigs, n, d)
     finite = np.isfinite(ref)
     np.testing.assert_array_equal(np.isfinite(alpha), finite)
