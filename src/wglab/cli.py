@@ -144,17 +144,18 @@ def _cmd_profile(args, out) -> int:
     return 0
 
 
-def _profile_rows(alpha, terms, q, psd, values):
+def _profile_rows(alpha, terms, q, values):
     """The CSV rows of one group of evaluations, built a column at a time:
-    floats as repr, flags as true/false, and no s-fields where alpha is
-    -inf."""
+    floats as repr, flags as true/false, PSD where alpha is finite, and no
+    s-fields where alpha is -inf."""
     s0, *rest = terms
     fields = [[repr(s0)] * alpha.size,
               *(list(map(repr, col.tolist())) for col in rest)]
     for j in np.flatnonzero(alpha == -np.inf).tolist():
         for col in fields:
             col[j] = ""
-    flags = (np.where(f, "true", "false").tolist() for f in (q, psd))
+    flags = (np.where(f, "true", "false").tolist()
+             for f in (q, alpha > -np.inf))
     return map(",".join, zip(map(repr, alpha.tolist()), *fields, *flags,
                              map(repr, values.tolist())))
 

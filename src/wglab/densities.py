@@ -18,12 +18,13 @@ Summed over the spectrum, h needs no eigenvalues: sum_i log(lambda_i / d) is
 log det(T / d), sum_i (lambda_i - d) is tr(T - dI) and sum_i (lambda_i - d)^2
 is ||T - dI||_F^2.  ``alpha_from_tridiagonal``, the Monte Carlo hot path,
 takes these from a tridiagonal batch X, T = dI + sqrt(d) X, at a group of
-d values in O(n) per draw and d: the determinant from the LDL^T pivots, the
-d-free Q-window flag from a Gershgorin bound with Sturm counts where it
-cannot decide, and the PSD flag from the same pivots: a draw is PSD where
-they are all positive, which is where alpha is finite.  The eigenvalue
-functions stay as its test reference; the scalar ones are size-1 views of
-the batch ones.
+d values in O(n) per draw and d, the determinant from the LDL^T pivots.
+alpha is -inf where a pivot is not positive, and that is the PSD verdict:
+a draw is PSD exactly where its alpha is finite.  The Q-window flag does
+not depend on d, so ``q_window_flags`` makes it once per batch, from a
+Gershgorin bound with Sturm counts where that cannot decide.  The
+eigenvalue functions stay as their test reference; the scalar ones are
+size-1 views of the batch ones.
 
 ``s_decomposition`` splits alpha into the constant, linear, quadratic, cubic
 and quartic centered-spectral statistics s0..s4 plus a remainder, the Taylor
@@ -165,74 +166,61 @@ def alpha_from_eigenvalues(eigs: np.ndarray, n: int, d: int) -> np.ndarray:
     psd = eigs[:, 0] > 0.0
     out = np.full(eigs.shape[0], -np.inf)
     if np.any(psd):
-        # log1p on the relative deviation keeps accuracy for |x - d| << d
-        t = eigs[psd] / d - 1.0
-        h = 0.5 * ((d - n - 1) * np.log1p(t) - d * t + 0.5 * d * t * t)
+        # log1p on the relative deviation keeps accuracy for |x - d| << d,
+        # and log x - log d where t has lost half its digits (all at -1)
+        x = eigs[psd]
+        t = x / d - 1.0
+        log = np.log1p(t, out=np.log(x) - math.log(d),
+                       where=x >= 2.0 ** -26 * d)
+        h = 0.5 * ((d - n - 1) * log - d * t + 0.5 * d * t * t)
         out[psd] = h.sum(axis=1) + spectrum_constant(n, d)
     return out
 
 
-# a pivot of magnitude at most _SAFMIN * max(1, max off-diagonal^2) is
-# replaced by that bound with the sign of a tie, minus unless a caller says
-# otherwise, as LAPACK's dstebz does: the next division stays finite
+# a Sturm pivot of magnitude at most pivmin = _SAFMIN * max(1, max
+# off-diagonal^2) takes that magnitude with the sign of a tie, as LAPACK's
+# dstebz does, so that the next division stays finite
 _SAFMIN = np.finfo(float).tiny
 
 
-def _guard(pivot: np.ndarray, pivmin: np.ndarray,
-           tie: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(pivot) <= pivmin, tie, pivot)
-
-
 def _sturm_counts(a: np.ndarray, b: np.ndarray, shifts: np.ndarray,
-                  pivmin: np.ndarray, ties=-1.0) -> np.ndarray:
+                  pivmin: np.ndarray, ties: np.ndarray) -> np.ndarray:
     """(len(shifts), size) counts of the eigenvalues below each shift of the
     tridiagonal batch with diagonal a and squared off-diagonal b.
 
-    A pivot within pivmin of zero takes the sign of ``ties``, one value or
-    one per shift: at -1 an eigenvalue on the shift counts as below it, at
-    +1 as above it.
+    A pivot within pivmin of zero takes the sign of the shift's entry of
+    ``ties``: at -1 an eigenvalue on the shift counts as below it, at +1 as
+    above it.
     """
-    shifts = shifts[:, None]
-    tie = np.reshape(ties, (-1, 1)) * pivmin
-    q = _guard(a[0] - shifts, pivmin, tie)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, a.shape[0]):
-        q = _guard(a[i] - shifts - b[i - 1] / q, pivmin, tie)
-        count += q < 0.0
+    shifts, tie = shifts[:, None], ties[:, None] * pivmin
+    count = q = 0
+    for i in range(a.shape[0]):
+        q = a[i] - shifts - (b[i - 1] / q if i else 0.0)
+        q = np.where(np.abs(q) <= pivmin, tie, q)
+        count = count + (q < 0.0)
     return count
 
 
 def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
-                           mirrored: bool = False, power=None):
-    """alpha, the Q-window flag and the PSD flag of T = dI + sqrt(d) X at
-    each d of ``ds`` over a tridiagonal batch X and, if ``mirrored``, over
-    the mirrors of all its columns, in one pass.
+                           mirrored: bool, power) -> np.ndarray:
+    """alpha of T = dI + sqrt(d) X at each d of ``ds`` over a tridiagonal
+    batch X and, if ``mirrored``, over the mirrors of all its columns, in
+    one pass: alpha alone, -inf exactly where T is not positive definite.
 
     ``dev`` is the (n, k) array of the diagonals of X and ``off2`` the
-    (n - 1, k) array of its squared off-diagonals, one column per draw.
-    The mirror of a column is the same X with ``dev`` negated.  Returns
-    ``(alpha, in_q, psd)``: alpha and psd of shape (len(ds), k), or
-    (len(ds), 2k) with mirrors, one row per d, and in_q of shape (k,) or
-    (2k,): the columns as given, then their mirrors in the same order.  A
-    caller that needs an odd number of evaluations drops the last mirror.
-    ``power``, if given, holds p1 and p2 of the columns as ``power_sums``
-    makes them, which are then not made again.
-    The flags mean what ``alpha_from_eigenvalues`` and ``in_q_mask`` mean on
-    the eigenvalues of T: psd is lambda_min > 0, and it is True exactly
-    where alpha is finite.  Every operation is per (d, column), so no
-    result depends on the other d values or columns of the call.
+    (n - 1, k) array of its squared off-diagonals, one column per draw;
+    a mirror is the same X with ``dev`` negated.  ``power`` holds p1 and
+    p2 of the columns from ``power_sums``.  alpha has shape (len(ds), k),
+    or (len(ds), 2k) with mirrors, one row per d: the columns, then their
+    mirrors in the same order (a caller that needs an odd number of
+    evaluations drops the last).  Every operation is per (d, column), so
+    no result depends on the other d values or columns of the call.
 
     log det(T / d) is sum_i log1p(w_i) over the scaled pivots
     w_i = a_i - b_{i-1} / (1 + w_{i-1}), with a = dev / sqrt(d) and
-    b = off2 / d; a column is positive definite, so PSD, where every pivot
-    1 + w_i is positive, and alpha is -inf elsewhere.  The pivots run row
-    by row, on T and its mirror at every d at once: O(len(ds) k) floats.
-    The trace and Frobenius norm of X (a mirror's trace is its draw's
-    negated) do not depend on d, nor does the Q window,
-    |lambda(X)| <= 3 sqrt(n), which is symmetric about 0, so a mirror takes
-    its draw's flag.  A Gershgorin bound on X certifies most columns inside
-    it, and one Sturm count on X at the window's edges decides the rest
-    (an eigenvalue on an edge is inside).
+    b = off2 / d, run row by row on T and its mirror at every d at once:
+    O(len(ds) k) floats.  The trace and Frobenius norm of X (a mirror's
+    trace is its draw's negated) do not depend on d.
     """
     if min(ds) < n:
         raise InvalidParameterError(f"need d >= n, got n={n}, d={min(ds)}")
@@ -240,18 +228,6 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
     signs = np.array([1.0, -1.0][:1 + mirrored]).reshape(-1, 1, 1)
     d = np.array(ds, float).reshape(-1, 1)
     root = np.sqrt(d)
-    half = q_half_width(n, 1)
-    with SCRATCH.frame() as take:
-        # Gershgorin: every eigenvalue of X lies within
-        # max_i(|x_i| + e_{i-1} + e_i) of 0, with e = sqrt(off2).  The
-        # margin of 1e-9 half dominates the rounding of this bound and of
-        # the Sturm count, which moves an eigenvalue by a few ulps of half,
-        # so a certified column is one the count would find inside
-        e = np.sqrt(off2, out=take(off2.shape))
-        radius = np.abs(dev, out=take(dev.shape))
-        radius[:-1] += e
-        radius[1:] += e
-        q = radius.max(axis=0) < half * (1.0 - 1e-9)
     with SCRATCH.frame() as take:
         b = take((1, d.size, k))
         w, p, logdet, least = (take((signs.size, d.size, k))
@@ -272,15 +248,36 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
                 np.minimum(least, w, out=least)
                 if i < n - 1:
                     np.divide(off2[i], d, out=b[0])
-        # the PSD flag: 1 + w_i > pivmin for every i, on the scale of T / d
+        # positive definite: 1 + w_i > pivmin for every i, on T / d
         pd = least + 1.0 > _SAFMIN * np.maximum(
             np.max(off2, axis=0, initial=0.0) / d, 1.0)
         # the trace and Frobenius norm of T - dI are sqrt(d) p1 and d p2
-        p1, p2 = (power_sums(dev, off2, take((2, k))) if power is None
-                  else power)
+        p1, p2 = power
         alpha = (0.5 * ((d - n - 1) * logdet - signs * (root * p1) + 0.5 * p2)
                  + [[spectrum_constant(n, x)] for x in ds])
     alpha[~pd] = -np.inf
+    return np.concatenate(alpha, axis=1)
+
+
+def q_window_flags(dev: np.ndarray, off2: np.ndarray, n: int) -> np.ndarray:
+    """The (k,) Q-window flags of a tridiagonal batch X as in
+    ``alpha_from_tridiagonal``: ``in_q_mask`` of T = dI + sqrt(d) X at any
+    d, as the window is |lambda(X)| <= 3 sqrt(n), free of d and symmetric
+    about 0, so a mirror has its draw's flag.  A Gershgorin bound on X
+    certifies most columns inside it, and one Sturm count at the window's
+    edges decides the rest (an eigenvalue on an edge is inside)."""
+    half = q_half_width(n, 1)
+    with SCRATCH.frame() as take:
+        # Gershgorin: every eigenvalue of X lies within
+        # max_i(|x_i| + e_{i-1} + e_i) of 0, with e = sqrt(off2).  The
+        # margin of 1e-9 half dominates the rounding of this bound and of
+        # the Sturm count, which moves an eigenvalue by a few ulps of half,
+        # so a certified column is one the count would find inside
+        e = np.sqrt(off2, out=take(off2.shape))
+        radius = np.abs(dev, out=take(dev.shape))
+        radius[:-1] += e
+        radius[1:] += e
+        q = radius.max(axis=0) < half * (1.0 - 1e-9)
     # an uncertified column is inside where no eigenvalue of X is below
     # -half and all are below half, with one on an edge counted inside
     cols = np.flatnonzero(~q)
@@ -288,10 +285,9 @@ def alpha_from_tridiagonal(dev: np.ndarray, off2: np.ndarray, n: int, ds,
         counts = _sturm_counts(dev[:, cols], off2[:, cols],
                                np.array([-half, half]), _SAFMIN * np.max(
                                    off2[:, cols], axis=0, initial=1.0),
-                               ties=np.array([1.0, -1.0]))
+                               np.array([1.0, -1.0]))
         q[cols] = (counts[0] == 0) & (counts[1] == n)
-    return (np.concatenate(alpha, axis=1), np.concatenate([q] * signs.size),
-            np.concatenate(pd, axis=1))
+    return q
 
 
 def q_half_width(n: int, d: int) -> float:
@@ -411,17 +407,16 @@ def breakdown_columns(dev: np.ndarray, off2: np.ndarray, alpha: np.ndarray,
     return s0, s1, s2, s3, s4, alpha - (s0 + s1 + s2 + s3 + s4)
 
 
-def breakdown_records(alpha: np.ndarray, terms, q: np.ndarray,
-                      psd: np.ndarray) -> list[AlphaBreakdown]:
+def breakdown_records(alpha: np.ndarray, terms,
+                      q: np.ndarray) -> list[AlphaBreakdown]:
     """One AlphaBreakdown per column, from alpha, the ``breakdown_columns``
-    terms, the Q-window flag q and the PSD flag."""
+    terms and the Q-window flag q; PSD is finite alpha."""
     s0, *rest = terms
     # a column with alpha = -inf (not positive definite) has no s-fields
     return [AlphaBreakdown(a, *((None,) * 6 if a == -math.inf else (s0, *t)),
-                           qa, pa)
-            for a, t, qa, pa in zip(alpha.tolist(),
-                                    zip(*(x.tolist() for x in rest)),
-                                    q.tolist(), psd.tolist())]
+                           qa, a > -math.inf)
+            for a, t, qa in zip(alpha.tolist(),
+                                zip(*(x.tolist() for x in rest)), q.tolist())]
 
 
 def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
@@ -434,6 +429,4 @@ def s_decomposition(s: Spectrum, n: int, d: int) -> AlphaBreakdown:
     alpha = alpha_from_eigenvalues(lam, n, d)
     terms = breakdown_columns((lam.T - d) / math.sqrt(d),
                               np.zeros((lam.size - 1, 1)), alpha, n, d)
-    # lambda_min > 0: the test by which alpha_from_eigenvalues sets -inf
-    return breakdown_records(alpha, terms, in_q_mask(lam, n, d),
-                             lam[:, 0] > 0.0)[0]
+    return breakdown_records(alpha, terms, in_q_mask(lam, n, d))[0]

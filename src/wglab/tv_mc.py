@@ -8,9 +8,10 @@ integrand value lies in [0, 1], so a normal-approximation confidence interval
 is well behaved.
 
 Each draw is a tridiagonal matrix with the exact spectral law of its
-ensemble, and alpha with the Q-window and PSD flags comes from O(n)
-recurrences on it, so a draw costs O(n): no dense matrix is formed and no
-eigenvalue is computed.
+ensemble, and alpha comes from O(n) recurrences on it at each d, so a draw
+costs O(n): no dense matrix is formed and no eigenvalue is computed.  A
+draw is PSD where its alpha is finite.  Its Q-window flag, like the
+draws and the controls, does not depend on d, and is made once per block.
 
 The GOE law is invariant under G -> -G, and the signs of the off-diagonals
 do not change the spectrum, so a GOE-side draw (dev, off2) and its mirror
@@ -47,8 +48,7 @@ section 4.1): the estimate is u-bar - beta . x-bar over the P units, with
 x those statistics less their means and beta the least-squares
 coefficients of u on x, and its stderr comes from the residuals, with
 P - 1 - m degrees of freedom.  At c = 1 the pair variance falls about 62x
-at n = 32 (28x with l = p1 - Y / (n + 1) and no r rows, 4.5x on the power
-sums alone), 20x at n = 16 and 650x at n = 256.  The controls are
+at n = 32, 20x at n = 16 and 650x at n = 256.  The controls are
 skewed, and a linear fit passes their skew on to the estimate, so each
 is used only where its mean is nearly normal (``_SKEW_TOL``), and the
 others are dropped.  A run makes only the controls it may keep
@@ -66,12 +66,12 @@ The unpaired draw of an odd ``samples`` enters uncontrolled.
 
 A run of evaluations is cut into fixed-size blocks, each drawn from its own
 substream into the thread's scratch memory.  Workers take contiguous
-ranges of blocks.  Per d, the blocks' sums, flag counts and ``_moments``
-about their own means are merged in block order (Chan, Golub and LeVeque
-1979) and beta is fitted once after the merge, so the seed alone fixes
-every estimate: any worker count gives bit-identical results.  The pool
-never starts more processes than there are blocks or CPUs, and a run of
-one block starts none.
+ranges of blocks.  The blocks' Q counts and, per d, their sums, PSD counts
+and ``_moments`` about their own means are merged in block order (Chan,
+Golub and LeVeque 1979) and beta is fitted once after the merge, so the
+seed alone fixes every estimate: any worker count gives bit-identical
+results.  The pool never starts more processes than there are blocks or
+CPUs, and a run of one block starts none.
 """
 
 import math
@@ -84,7 +84,7 @@ import numpy as np
 from .densities import (AlphaBreakdown, alpha_from_tridiagonal,
                         breakdown_columns, breakdown_records,
                         linear_statistic_variance, power_sum_moments,
-                        power_sums)
+                        power_sums, q_window_flags)
 from .ensembles import goe_tridiagonal, wishart_tridiagonal
 from .errors import InvalidParameterError
 from .rng import RngState
@@ -137,7 +137,8 @@ def _check_params(n: int, d: int, samples: int) -> None:
     if not 1 <= n <= min(d, MAX_N):
         raise InvalidParameterError(
             f"need 1 <= n <= d and n <= {MAX_N}, got n={n}, d={d}")
-    # alpha divides by d^2 in floating point
+    # the profile's breakdown takes d^2 as a float (``_taylor_terms``), and
+    # the sweep's config check passes d = inf for a c n^3 past the floats
     if d * d > sys.float_info.max:
         raise InvalidParameterError(
             f"d = {d} is too large: d^2 overflows a float")
@@ -163,13 +164,14 @@ def _block_count(n: int, samples: int, side: str) -> int:
 
 
 def _blocks(n, ds, samples, rng, side, first, stop, m, empty=np.empty):
-    """Yield, for each of blocks first..stop-1 and each group of its d
-    values, ``(lo, dev, off2, alpha, in_q, psd, integrand, rows)``: the
-    index in ``ds`` of the group's first d, the tridiagonal batch X the
-    block draws, in arrays made by ``empty(shape)``, the
-    ``alpha_from_tridiagonal`` arrays of its evaluations with their
-    integrands, one row per d of the group, and an (m + 1, k) array whose
-    rows 1.. hold the m ``_control_rows`` of its k draws (``_controls``).
+    """Yield, for each of blocks first..stop-1, its d-free part once,
+    ``(dev, off2, in_q, rows, passes)``: the tridiagonal batch X the block
+    draws, in arrays made by ``empty(shape)``, the ``q_window_flags`` of
+    its evaluations, an (m + 1, k) array whose rows 1.. hold the m
+    ``_control_rows`` of its k draws (``_controls``), and an iterator,
+    read before the next block, over the passes: per group of d values,
+    ``alpha_from_tridiagonal`` of the evaluations and their integrands,
+    one row per d.
 
     A run of ``samples`` evaluations is cut into blocks of
     ``_batch_size(n, side)``, the last holding the rest; block b draws
@@ -179,9 +181,9 @@ def _blocks(n, ds, samples, rng, side, first, stop, m, empty=np.empty):
     ``size`` evaluations is ``size`` draws.  A GOE-side block is
     k = ceil(size / 2) draws, each evaluated mirrored: the k draws, then
     their k mirrors, of which an odd block drops the last.  So pair j is
-    evaluations j and k + j.  A group holds as many d values as
-    ``_PASS_COLUMNS`` allows, and at least one.  A block's arrays from
-    ``SCRATCH.take`` are freed as the next is drawn.
+    evaluations j and k + j, and a mirror has its draw's Q flag.  A group
+    holds as many d values as ``_PASS_COLUMNS`` allows, and at least one.
+    A block's arrays from ``SCRATCH.take`` are freed as the next is drawn.
     """
     batch = _batch_size(n, side)
     mirrored = side == GOE_SIDE
@@ -194,6 +196,8 @@ def _blocks(n, ds, samples, rng, side, first, stop, m, empty=np.empty):
                 dev, off2 = goe_tridiagonal(n, size - size // 2, gen, empty)
             else:
                 dev, off2 = wishart_tridiagonal(n, ds[0], size, gen, empty)
+            q = np.concatenate([q_window_flags(dev, off2, n)]
+                               * (1 + mirrored))[:size]
             # p1, p2 and, for m > 1, p3 and Y, once for every d
             k = dev.shape[1]
             power = power_sums(dev, off2, empty((4 if m > 1 else 2, k)))
@@ -201,14 +205,13 @@ def _blocks(n, ds, samples, rng, side, first, stop, m, empty=np.empty):
             rows = empty((m + 1, k))
             if m:
                 _control_rows(power, off2, n, rows[1:])
-            for lo in range(0, len(ds), group):
-                alpha, q, psd = alpha_from_tridiagonal(
-                    dev, off2, n, ds[lo:lo + group], mirrored, power[:2])
-                alpha, q, psd = alpha[:, :size], q[:size], psd[:, :size]
-                yield (lo, dev, off2, alpha, q, psd, _integrand(alpha, side),
-                       rows)
+            alphas = (alpha_from_tridiagonal(dev, off2, n, ds[lo:lo + group],
+                                             mirrored, power[:2])[:, :size]
+                      for lo in range(0, len(ds), group))
+            yield (dev, off2, q, rows,
+                   ((alpha, _integrand(alpha, side)) for alpha in alphas))
             # hold no array of the frame as it is left (``Scratch``)
-            del dev, off2, power, rows, alpha, q, psd
+            del dev, off2, power, rows, alphas
 
 
 def _control_rows(power, off2, n, out):
@@ -287,31 +290,29 @@ def _controls(n: int, side: str, pairs: int) -> int:
 
 
 def _block_stats(task):
-    """Per-block partials of one task's range, one list per block: for
-    each d, the sum of its integrand values, its Q and PSD counts, the
-    ``_moments`` of its units and, on a GOE-side run of odd ``samples``, the
-    ``_moments`` of its values (None elsewhere)."""
+    """Per-block partials of one task's range, one per block: its Q count
+    and a list with, for each d, the sum of its integrand values, its PSD
+    count (of finite alpha), the ``_moments`` of its units and, on a
+    GOE-side run of odd ``samples``, the ``_moments`` of its values (None
+    elsewhere)."""
     n, _, samples, _, side = task[:5]
     odd = side == GOE_SIDE and samples % 2
     blocks = _blocks(*task, _controls(n, side, samples // 2), SCRATCH.take)
     parts = []
-    for lo, dev, _, _, q, psd, values, rows in blocks:
+    for dev, _, q, rows, passes in blocks:
         # a GOE-side unit is the pair of draw j and evaluation k + j; a
         # Wishart-side unit is one value
         k = dev.shape[1] if side == GOE_SIDE else 0
-        z = rows[:, :values.shape[1] - k]
-        if not lo:
-            parts.append([])
-            # the controls are d-free: centered and reduced once per block
-            controls = _moments(z[1:], out=z[1:])
-        for v, flag in zip(values, psd):
-            units = v[:v.size - k] + v[k:] if k else v
-            parts[-1].append((float(v.sum()), int(np.count_nonzero(q)),
-                              int(np.count_nonzero(flag)),
-                              _unit_moments(units, z, controls),
-                              _moments(v[None]) if odd else None))
+        z = rows[:, :q.size - k]
+        # the controls are d-free: centered and reduced once per block
+        controls = _moments(z[1:], out=z[1:])
+        parts.append((int(np.count_nonzero(q)), [
+            (float(v.sum()), int(np.count_nonzero(a > -np.inf)),
+             _unit_moments(v[:v.size - k] + v[k:] if k else v, z, controls),
+             _moments(v[None]) if odd else None)
+            for alpha, values in passes for a, v in zip(alpha, values)]))
         # as in _blocks: the next block may leave the outermost frame
-        del dev, _, q, psd, values, rows, z, v, flag, units
+        del dev, _, q, rows, passes, z
     return parts
 
 
@@ -477,8 +478,9 @@ def _estimate(n, ds, samples, rng, side, workers):
         parts = _block_stats(tasks[0])
     single = samples % 2 if side == GOE_SIDE else 0
     keep, out = None, []
-    for d, col in zip(ds, zip(*parts)):
-        sums, n_q, n_psd, units, values = zip(*col)
+    q_counts, per_d = zip(*parts)
+    for d, col in zip(ds, zip(*per_d)):
+        sums, n_psd, units, values = zip(*col)
         units = _merge_moments(units)
         # the controls are d-free, and so are their moments: one gate per
         # pass, on its first d
@@ -491,7 +493,7 @@ def _estimate(n, ds, samples, rng, side, workers):
         out.append(TvEstimate(
             *mc_summary((math.fsum(sums) - shift) / samples, stderr),
             samples=samples, side=side, seed=rng.seed, n=n, d=d,
-            frac_in_q=sum(n_q) / samples, frac_psd=sum(n_psd) / samples,
+            frac_in_q=sum(q_counts) / samples, frac_psd=sum(n_psd) / samples,
             var_ratio=ratio))
     return out
 
@@ -543,14 +545,14 @@ def tv_profile(n: int, d: int, samples: int, rng: RngState):
     by one block.
     """
     groups = profile_columns(n, d, samples, rng)
-    return (ProfileRecord(*rec) for alpha, terms, q, psd, values in groups
-            for rec in zip(breakdown_records(alpha, terms, q, psd),
+    return (ProfileRecord(*rec) for alpha, terms, q, values in groups
+            for rec in zip(breakdown_records(alpha, terms, q),
                            values.tolist()))
 
 
 def profile_columns(n: int, d: int, samples: int, rng: RngState):
     """The evaluations of ``tv_profile`` as columns: an iterator over
-    tuples ``(alpha, terms, in_q, psd, integrand)`` of arrays, with
+    tuples ``(alpha, terms, in_q, integrand)`` of arrays, with
     ``terms`` as returned by ``breakdown_columns``; per block, one tuple for
     the draws as drawn, then one for their mirrors.  The parameters are
     checked at once; no control row is made."""
@@ -561,10 +563,12 @@ def profile_columns(n: int, d: int, samples: int, rng: RngState):
             for group in _profile_groups(*block, n, d))
 
 
-def _profile_groups(_, dev, off2, alpha, q, psd, values, __, n, d):
+def _profile_groups(dev, off2, q, _, passes, n, d):
+    # one d, so one pass
+    [(alpha, values)] = passes
     k = dev.shape[1]
     m = q.size - k
     for tri, cols in (((dev, off2), slice(k)),
                       ((-dev[:, :m], off2[:, :m]), slice(k, None))):
         yield (alpha[0, cols], breakdown_columns(*tri, alpha[0, cols], n, d),
-               q[cols], psd[0, cols], values[0, cols])
+               q[cols], values[0, cols])

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,8 +18,8 @@ from wglab.cli import cli_dispatch
 from wglab.densities import (_sturm_counts, _taylor_terms,
                              alpha_from_eigenvalues, alpha_from_tridiagonal,
                              in_q_mask, linear_statistic_variance,
-                             power_sum_moments, q_half_width,
-                             spectrum_constant)
+                             power_sum_moments, power_sums, q_half_width,
+                             q_window_flags, spectrum_constant)
 from wglab.ensembles import (goe_tridiagonal, sample_goe_dense,
                              wishart_tridiagonal)
 from wglab.spectral import batch_eigenvalues
@@ -307,6 +308,22 @@ def test_s_decomposition_non_psd():
     assert not bd.psd
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_alpha_at_a_tiny_positive_eigenvalue(d):
+    # n = 2 with lambda_min = 2e-17 d, so that t = lambda / d - 1 rounds to
+    # -1, where log1p would give -inf: alpha is finite at d = n, n + 1 and
+    # above, matches the direct subtraction of the log densities, warns of
+    # nothing, and the spectrum is PSD
+    s = Spectrum(np.array([2e-17 * d, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = alpha_exact(s, 2, d)
+        bd = s_decomposition(s, 2, d)
+    assert math.isfinite(got)
+    assert got == pytest.approx(alpha_from_densities(s, 2, d), rel=1e-12)
+    assert bd.psd and bd.alpha == got
+
+
 def test_in_q():
     n, d = 4, 100
     assert in_q(Spectrum(np.full(n, float(d))), n, d)
@@ -341,6 +358,13 @@ def dense_tridiagonal(dev, off2, d):
     return t
 
 
+def tri_alpha(dev, off2, n, ds, mirrored=False):
+    """alpha_from_tridiagonal with p1 and p2 from power_sums, as the
+    estimator passes them."""
+    power = power_sums(dev, off2, np.empty((2, dev.shape[1])))
+    return alpha_from_tridiagonal(dev, off2, n, ds, mirrored, power)
+
+
 def eigenvalue_reference(dev, off2, n, d):
     """(alpha, in_q, psd, eigenvalues) through the dense eigensolver path,
     with psd lambda_min > 0, as alpha_from_eigenvalues reads it."""
@@ -368,13 +392,14 @@ def d_group(sampler, n, d):
     return [d]
 
 
-def check_against_eigenvalues(sampler, dev, off2, n, ds, alpha, q, psd):
+def check_against_eigenvalues(sampler, dev, off2, n, ds, alpha, q):
     """Each row of a group call against the eigenvalues of its T, with the
-    flags exactly and alpha within 1e-9 of max(1, |alpha|)."""
+    Q flags and PSD (finite alpha) exactly and alpha within 1e-9 of
+    max(1, |alpha|)."""
     for row, d in enumerate(ds):
         ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
         np.testing.assert_array_equal(q, ref_q)
-        np.testing.assert_array_equal(psd[row], ref_psd)
+        np.testing.assert_array_equal(alpha[row] > -np.inf, ref_psd)
         finite = np.isfinite(ref_alpha)
         np.testing.assert_array_equal(np.isfinite(alpha[row]), finite)
         assert np.all(alpha[row][~finite] == -np.inf)
@@ -398,13 +423,12 @@ def test_tridiagonal_alpha_matches_eigenvalues(sampler, n, d):
     # call at its d alone, and matches the eigenvalues of its T
     dev, off2 = draw(sampler, n, d, 400, RngState(900 + n + d).generator())
     ds = d_group(sampler, n, d)
-    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, ds)
-    assert alpha.shape == psd.shape == (len(ds), 400) and q.shape == (400,)
+    alpha, q = tri_alpha(dev, off2, n, ds), q_window_flags(dev, off2, n)
+    assert alpha.shape == (len(ds), 400) and q.shape == (400,)
     for row, one in enumerate(ds):
-        got = alpha_from_tridiagonal(dev, off2, n, [one])
-        for g, x in zip(got, (alpha[row:row + 1], q, psd[row:row + 1])):
-            assert g.tobytes() == x.tobytes()
-    check_against_eigenvalues(sampler, dev, off2, n, ds, alpha, q, psd)
+        got = tri_alpha(dev, off2, n, [one])
+        assert got.tobytes() == alpha[row:row + 1].tobytes()
+    check_against_eigenvalues(sampler, dev, off2, n, ds, alpha, q)
 
 
 @pytest.mark.parametrize("sampler", [goe_tridiagonal, wishart_tridiagonal])
@@ -421,14 +445,14 @@ def test_tridiagonal_alpha_matches_eigenvalues_at_large_n(sampler, n):
     d = n ** 3
     dev, off2 = draw(sampler, n, d, 6, RngState(n).generator())
     ds = d_group(sampler, n, d)
-    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, ds)
+    alpha, q = tri_alpha(dev, off2, n, ds), q_window_flags(dev, off2, n)
     for row, one in enumerate(ds):
         root = math.sqrt(one)
         eigs = np.array([eigvalsh_tridiagonal(one + root * x,
                                               np.sqrt(one * y))
                          for x, y in zip(dev.T, off2.T)])
         np.testing.assert_array_equal(q, in_q_mask(eigs, n, one))
-        np.testing.assert_array_equal(psd[row], eigs[:, 0] > 0.0)
+        np.testing.assert_array_equal(alpha[row] > -np.inf, eigs[:, 0] > 0.0)
         ref = alpha_from_eigenvalues(eigs, n, one)
         assert np.all(np.isfinite(ref))
         err = np.abs(alpha[row] - ref)
@@ -445,8 +469,9 @@ def sturm_flags(dev, off2, n, d):
     pivmin = np.finfo(float).tiny * np.max(off2, axis=0, initial=1.0)
     half = q_half_width(n, 1)
     counts = _sturm_counts(dev, off2, np.array([half, -math.sqrt(d)]),
-                           pivmin)
-    below = _sturm_counts(-dev, off2, np.array([half]), pivmin)[0]
+                           pivmin, np.array([-1.0, -1.0]))
+    below = _sturm_counts(-dev, off2, np.array([half]), pivmin,
+                          np.array([-1.0]))[0]
     return (counts[0] == n) & (below == n), counts[1] == 0
 
 
@@ -454,16 +479,19 @@ def sturm_flags(dev, off2, n, d):
 @pytest.mark.parametrize("n,d", EQUIVALENCE_POINTS)
 def test_certified_flags_match_sturm_counts(sampler, n, d):
     # the GOE-side batch with its mirrors, as the estimator evaluates it,
-    # at a group of d values; the Wishart side has no mirrors
+    # at a group of d values, a mirror taking its draw's Q flag; the
+    # Wishart side has no mirrors
     dev, off2 = draw(sampler, n, d, 2001, RngState(700 + n + d).generator())
     mirrored = sampler is goe_tridiagonal
     m = dev.shape[1] if mirrored else 0
     ds = d_group(sampler, n, d)
-    _, q, psd = alpha_from_tridiagonal(dev, off2, n, ds, mirrored)
+    alpha = tri_alpha(dev, off2, n, ds, mirrored)
+    q = q_window_flags(dev, off2, n)
     for row, one in enumerate(ds):
         flags = zip(sturm_flags(dev, off2, n, one),
                     sturm_flags(-dev[:, :m], off2[:, :m], n, one))
-        for got, (plain, mirror) in zip((q, psd[row]), flags):
+        for got, (plain, mirror) in zip((np.concatenate([q, q[:m]]),
+                                         alpha[row] > -np.inf), flags):
             np.testing.assert_array_equal(got,
                                           np.concatenate([plain, mirror]))
 
@@ -472,14 +500,16 @@ def test_certified_flags_match_sturm_counts(sampler, n, d):
 @pytest.mark.parametrize("width", [1, 2, 3, 6, 201, 401, 402])
 def test_one_pass_matches_separate_calls(n, width):
     # one mirrored call at d = n and n^3 gives bit for bit what a call on
-    # the draws and a call on the negated columns, of the same width, give
+    # the draws and a call on the negated columns, of the same width, give,
+    # and the negated columns have the draws' Q flags
     ds = [n, n ** 3]
     dev, off2 = goe_tridiagonal(n, width, RngState(width, n).generator())
-    got = alpha_from_tridiagonal(dev, off2, n, ds, True)
-    ref = zip(alpha_from_tridiagonal(dev, off2, n, ds),
-              alpha_from_tridiagonal(-dev, off2, n, ds))
-    for g, (plain, mirror) in zip(got, ref):
-        assert g.tobytes() == np.concatenate([plain, mirror], -1).tobytes()
+    got = tri_alpha(dev, off2, n, ds, True)
+    ref = np.concatenate([tri_alpha(dev, off2, n, ds),
+                          tri_alpha(-dev, off2, n, ds)], -1)
+    assert got.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(q_window_flags(-dev, off2, n),
+                                  q_window_flags(dev, off2, n))
 
 
 def test_one_pass_matches_separate_calls_at_exact_ties():
@@ -495,15 +525,15 @@ def test_one_pass_matches_separate_calls_at_exact_ties():
     s = (1.0 + 1e-8) * r
     dev = np.array([[r, -r, s, -s, -half, half, 0.0]])
     off2 = np.zeros((0, dev.shape[1]))
-    got = alpha_from_tridiagonal(dev, off2, n, [d], True)
-    ref = zip(alpha_from_tridiagonal(dev, off2, n, [d]),
-              alpha_from_tridiagonal(-dev, off2, n, [d]))
-    for g, (plain, mirror) in zip(got, ref):
-        assert g.tobytes() == np.concatenate([plain, mirror], -1).tobytes()
-    alpha, _, psd = got
+    alpha = tri_alpha(dev, off2, n, [d], True)
+    ref = np.concatenate([tri_alpha(dev, off2, n, [d]),
+                          tri_alpha(-dev, off2, n, [d])], -1)
+    assert alpha.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(q_window_flags(-dev, off2, n),
+                                  q_window_flags(dev, off2, n))
     drawn = [True, False, True, False, True, True, True]
-    assert list(psd[0]) == drawn + [not x for x in drawn[:4]] + [True] * 3
-    np.testing.assert_array_equal(psd, alpha > -np.inf)
+    assert list(alpha[0] > -np.inf) == (
+        drawn + [not x for x in drawn[:4]] + [True] * 3)
     for lam in (0.0, -1e-8 * d):
         bd = s_decomposition(Spectrum(np.array([lam])), n, d)
         assert not bd.psd and bd.alpha == -math.inf
@@ -529,10 +559,11 @@ def test_q_certificate_boundary():
     bound = np.abs(x) + e
     assert np.all(bound == np.concatenate([t, t]))
     assert np.any(bound < edge) and np.any(bound >= edge)
-    _, q, psd = alpha_from_tridiagonal(dev, off2, n, [d])
+    q = q_window_flags(dev, off2, n)
     ref_q, ref_psd = sturm_flags(dev, off2, n, d)
     np.testing.assert_array_equal(q, ref_q)
-    np.testing.assert_array_equal(psd[0], ref_psd)
+    np.testing.assert_array_equal(tri_alpha(dev, off2, n, [d])[0] > -np.inf,
+                                  ref_psd)
     assert q[0] and q[x.size // 2] and not q[-1]
 
 
@@ -543,15 +574,14 @@ def test_q_window_closed_at_both_edges(t, expected):
     # eigenvalue t, X = [(t - 36) / 6] the single eigenvalue -+3 on the
     # window's edges on the scale of X.  An eigenvalue on an edge is
     # inside, as in in_q_mask, and one ulp outside is out.  The mirror
-    # [-x] of each X gets its flag, as does a direct count on the mirror
+    # [-x] of each X has its flag, as a direct count on the mirror says
     n, d = 1, 36
     ts = np.array([np.nextafter(t, 0.0), t, np.nextafter(t, 100.0)])
     dev, off2 = ((ts - d) / math.sqrt(d)).reshape(1, -1), np.zeros((0, 3))
     assert abs(dev[0, 1]) == q_half_width(n, 1)
-    _, q, _ = alpha_from_tridiagonal(dev, off2, n, [d], True)
-    _, q_mirror, _ = alpha_from_tridiagonal(-dev, off2, n, [d])
+    q, q_mirror = (q_window_flags(x, off2, n) for x in (dev, -dev))
     assert list(in_q_mask(ts[:, None], n, d)) == expected
-    assert list(q) == expected * 2 and list(q_mirror) == expected
+    assert list(q) == list(q_mirror) == expected
     for sign in (1.0, -1.0):
         assert list(sturm_flags(sign * dev, off2, n, d)[0]) == expected
 
@@ -568,8 +598,8 @@ def test_q_window_closed_at_both_edges_n2():
                       np.nextafter(h * h, 1e3)]])
     assert -h + off2[0, 0] / h == 0.0
     dev = np.zeros((2, 3))
-    _, q, _ = alpha_from_tridiagonal(dev, off2, n, [d], True)
-    assert list(q) == [True, True, False] * 2
+    q, q_mirror = (q_window_flags(x, off2, n) for x in (dev, -dev))
+    assert list(q) == list(q_mirror) == [True, True, False]
     np.testing.assert_array_equal(q[:3], sturm_flags(dev, off2, n, d)[0])
     assert in_q_mask(np.array([[0.0, 36.0]]), n, d)[0]
 
@@ -578,7 +608,7 @@ def test_tridiagonal_alpha_rejects_d_below_n():
     dev, off2 = goe_tridiagonal(3, 2, RngState(0).generator())
     for ds in ([2], [3, 2]):
         with pytest.raises(InvalidParameterError):
-            alpha_from_tridiagonal(dev, off2, 3, ds)
+            tri_alpha(dev, off2, 3, ds)
 
 
 def test_tridiagonal_exactly_zero_pivots():
@@ -598,39 +628,44 @@ def test_tridiagonal_exactly_zero_pivots():
     dev = np.array([[-4.0, -h, h - 1.0, -2.0], [0.0, 0.0, h - 4.0, -2.0]])
     off2 = np.array([[1.0, 4.0, 4.0, 4.0]])
     with np.errstate(all="raise"):
-        alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, [d])
+        alpha, q = tri_alpha(dev, off2, n, [d]), q_window_flags(dev, off2, n)
+    psd = alpha[0] > -np.inf
     ref_alpha, ref_q, ref_psd, _ = eigenvalue_reference(dev, off2, n, d)
     assert list(alpha[0, :2]) == [-np.inf, -np.inf] == list(ref_alpha[:2])
     assert alpha[0, 2] == pytest.approx(ref_alpha[2], rel=1e-12)
     assert alpha[0, 3] == -np.inf
     assert list(q) == [True, False, True, True]
     assert list(q[:2]) == list(ref_q[:2])
-    assert list(psd[0]) == [False, False, True, False] == list(ref_psd)
-    for got, ref in zip((q, psd[0]), sturm_flags(dev, off2, n, d)):
+    assert list(psd) == [False, False, True, False] == list(ref_psd)
+    for got, ref in zip((q, psd), sturm_flags(dev, off2, n, d)):
         np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("n", [1, 4, 32])
 def test_psd_flag_is_finite_alpha(n):
-    # at d = n, where most GOE-side draws are not PSD, the PSD flag is True
-    # exactly where alpha is finite: on mirrored GOE-side batches and on
-    # Wishart batches, in s_decomposition of the eigenvalues of each draw
-    # and mirror, and in every row of the profile CSV
+    # at d = n, where most GOE-side draws are not PSD, alpha is finite
+    # wherever it is not -inf, so PSD, alpha > -inf, is finite alpha: on
+    # mirrored GOE-side batches and on Wishart batches, and in
+    # s_decomposition of the eigenvalues of each draw and mirror, where it
+    # is also lambda_min > 0; and in every row of the profile CSV
     d = n
     gen = RngState(40 + n).generator()
     for sampler, mirrored in ((goe_tridiagonal, True),
                               (wishart_tridiagonal, False)):
         dev, off2 = draw(sampler, n, d, 300, gen)
-        alpha, _, psd = alpha_from_tridiagonal(dev, off2, n, [d], mirrored)
-        np.testing.assert_array_equal(psd, alpha > -np.inf)
+        alpha = tri_alpha(dev, off2, n, [d], mirrored)
+        psd = alpha > -np.inf
+        np.testing.assert_array_equal(psd, np.isfinite(alpha))
         if mirrored:
             assert not psd.all()
             dev = np.concatenate([dev, -dev], axis=1)
             off2 = np.concatenate([off2, off2], axis=1)
         for x, y in zip(dev.T, off2.T):
-            bd = s_decomposition(Spectrum(eigvalsh_tridiagonal(
-                d + math.sqrt(d) * x, np.sqrt(d * y))), n, d)
-            assert bd.psd == (bd.alpha > -math.inf)
+            eigs = eigvalsh_tridiagonal(d + math.sqrt(d) * x,
+                                        np.sqrt(d * y))
+            bd = s_decomposition(Spectrum(eigs), n, d)
+            assert bd.psd == (bd.alpha > -math.inf) == (eigs[0] > 0.0)
+            assert bd.psd == math.isfinite(bd.alpha)
     out = io.StringIO()
     assert cli_dispatch(["profile", "--n", str(n), "--d", str(d),
                          "--samples", "601", "--seed", "5"], out=out) == 0
@@ -653,7 +688,7 @@ def test_tridiagonal_alpha_property(n, ratios, data):
                            max_size=n - 1))
     dev = math.sqrt(ds[0]) * np.array(x, dtype=float).reshape(n, 1)
     off2 = ds[0] * np.array(y, dtype=float).reshape(n - 1, 1)
-    alpha, q, psd = alpha_from_tridiagonal(dev, off2, n, ds)
+    alpha, q = tri_alpha(dev, off2, n, ds), q_window_flags(dev, off2, n)
     for row, d in enumerate(ds):
         ref_alpha, ref_q, ref_psd, eigs = eigenvalue_reference(dev, off2, n,
                                                                d)
@@ -663,7 +698,8 @@ def test_tridiagonal_alpha_property(n, ratios, data):
         if any(np.any(np.abs(eigs[0] - edge) <= 1e-6 * d)
                for edge in (0.0, d - half, d + half)):
             continue
-        assert q[0] == ref_q[0] and psd[row, 0] == ref_psd[0]
+        assert q[0] == ref_q[0]
+        assert (alpha[row, 0] > -np.inf) == ref_psd[0]
         if ref_alpha[0] == -np.inf:
             assert alpha[row, 0] == -np.inf
         else:

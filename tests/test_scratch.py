@@ -55,6 +55,14 @@ def test_samplers_fill_the_given_arrays(sampler):
     assert np.shares_memory(dev, s.buf) and np.shares_memory(off2, s.buf)
 
 
+def alpha_and_flags(dev, off2, n, d, mirrored):
+    """alpha at d and the Q-window flags of a tridiagonal batch."""
+    power = densities.power_sums(dev, off2, np.empty((2, dev.shape[1])))
+    return (densities.alpha_from_tridiagonal(dev, off2, n, [d], mirrored,
+                                             power),
+            densities.q_window_flags(dev, off2, n))
+
+
 def test_alpha_reuses_scratch_exactly(monkeypatch):
     # calls at other (n, width, mirrored) in between reuse the buffer; each
     # result is what a call with a fresh buffer gives, in arrays of its own
@@ -66,11 +74,10 @@ def test_alpha_reuses_scratch_exactly(monkeypatch):
         refs = []
         for (n, d, _, mirrored), batch in zip(cases, batches):
             m.setattr(densities, "SCRATCH", Scratch())
-            refs.append(densities.alpha_from_tridiagonal(*batch, n, [d],
-                                                         mirrored))
+            refs.append(alpha_and_flags(*batch, n, d, mirrored))
     for _ in range(2):
         for (n, d, _, mirrored), batch, ref in zip(cases, batches, refs):
-            got = densities.alpha_from_tridiagonal(*batch, n, [d], mirrored)
+            got = alpha_and_flags(*batch, n, d, mirrored)
             for x, y in zip(got, ref):
                 assert x.tobytes() == y.tobytes()
                 assert not np.shares_memory(x, SCRATCH.buf)

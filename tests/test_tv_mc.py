@@ -44,6 +44,22 @@ def test_invalid_parameters():
         tv_profile(3, 2, 10, RngState(0))
 
 
+def single_d_blocks(n, d, samples, rng, side, stop, m=0):
+    """Blocks 0..stop-1 of a run at d alone, each as
+    ``(dev, off2, in_q, rows, alpha, integrand)``: its d-free part and its
+    one pass."""
+    for dev, off2, q, rows, passes in tv_mc._blocks(n, [d], samples, rng,
+                                                    side, 0, stop, m):
+        [(alpha, values)] = passes
+        yield dev, off2, q, rows, alpha, values
+
+
+def alpha_at(dev, off2, n, d):
+    """alpha at d of each column of a tridiagonal batch, unmirrored."""
+    power = power_sums(dev, off2, np.empty((2, dev.shape[1])))
+    return alpha_from_tridiagonal(dev, off2, n, [d], False, power)[0]
+
+
 def kernel_rows_reference(n, dev, off2):
     """The six kernel control rows of each draw (dev, off2), by an
     explicit loop over i with ``math.exp``: the slow path the estimator's
@@ -186,10 +202,10 @@ def test_frac_psd_is_the_share_of_finite_alpha():
     n = d = 59
     side, samples = tv_mc.WISHART_SIDE, 7001
     est = tv_estimate_wishart_side(n, d, samples, RngState(59))
-    blocks = tv_mc._blocks(n, (d,), samples, RngState(59), side, 0,
-                           tv_mc._block_count(n, samples, side), 0)
+    blocks = single_d_blocks(n, d, samples, RngState(59), side,
+                             tv_mc._block_count(n, samples, side))
     finite = sum(int(np.count_nonzero(alpha > -np.inf))
-                 for _, _, _, alpha, *_ in blocks)
+                 for *_, alpha, _ in blocks)
     assert finite == samples - 1
     assert est.frac_psd == finite / samples
 
@@ -274,18 +290,18 @@ def test_profile_matches_eigenvalue_decomposition(n, monkeypatch):
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 128 * n)
     d, samples, rng = n ** 3, 301, RngState(15 + n)
     records = list(tv_profile(n, d, samples, rng))
-    blocks = tv_mc._blocks(n, [d], samples, rng, tv_mc.GOE_SIDE, 0,
-                           tv_mc._block_count(n, samples, tv_mc.GOE_SIDE), 0)
+    blocks = single_d_blocks(n, d, samples, rng, tv_mc.GOE_SIDE,
+                             tv_mc._block_count(n, samples, tv_mc.GOE_SIDE))
     # each block's draws, then their mirrors: the plain batches of the
     # evaluations in record order
-    batches = [batch for _, dev, off2, alpha, *_ in blocks
+    batches = [batch for dev, off2, _, _, alpha, _ in blocks
                for m in [alpha.size - dev.shape[1]]
                for batch in ((dev, off2), (-dev[:, :m], off2[:, :m]))]
     assert len(batches) == 6
     dev, off2 = (np.concatenate(x, axis=1) for x in zip(*batches))
     assert dev.shape == (n, samples)
-    alpha, _, _ = alpha_from_tridiagonal(dev, off2, n, [d])
-    assert [r.breakdown.alpha for r in records] == alpha[0].tolist()
+    alpha = alpha_at(dev, off2, n, d)
+    assert [r.breakdown.alpha for r in records] == alpha.tolist()
     checked = 0
     for k, rec in enumerate(records):
         eigs = eigvalsh_tridiagonal(d + math.sqrt(d) * dev[:, k],
@@ -339,10 +355,10 @@ def test_tridiagonal_and_dense_draws_agree_in_law(side):
     # the as-drawn columns and, on the GOE side, the mirrored columns each
     # against the dense ensemble; within a group the columns are independent
     n, d, samples = 8, 512, 20_000
-    blocks = tv_mc._blocks(n, [d], samples, RngState(41), side, 0,
-                           tv_mc._block_count(n, samples, side), 0)
+    blocks = single_d_blocks(n, d, samples, RngState(41), side,
+                             tv_mc._block_count(n, samples, side))
     drawn, mirrored = [], []
-    for _, dev, *_, values, _ in blocks:
+    for dev, *_, values in blocks:
         drawn.append(values[0, :dev.shape[1]])
         mirrored.append(values[0, dev.shape[1]:])
     groups = [g for g in map(np.concatenate, (drawn, mirrored)) if g.size]
@@ -374,10 +390,8 @@ def test_pair_mean_matches_plain_path(samples, monkeypatch):
         dev, off2 = goe_tridiagonal(n, size - size // 2,
                                     rng.substream(b).generator())
         m = size // 2
-        v = tv_mc._integrand(alpha_from_tridiagonal(dev, off2, n, [d])[0][0],
-                             tv_mc.GOE_SIDE)
-        w = tv_mc._integrand(alpha_from_tridiagonal(-dev, off2, n, [d])[0][0],
-                             tv_mc.GOE_SIDE)
+        v = tv_mc._integrand(alpha_at(dev, off2, n, d), tv_mc.GOE_SIDE)
+        w = tv_mc._integrand(alpha_at(-dev, off2, n, d), tv_mc.GOE_SIDE)
         pair_sums.append(v[:m] + w[:m])
         values += [v, w[:m]]
         # p1..p3 of X, then of T - dI = sqrt(d) X
@@ -660,7 +674,8 @@ def _goe_units(n, samples, seed, d=None):
     side = tv_mc.GOE_SIDE
     task = (n, (d or n ** 3,), samples, RngState(seed), side, 0,
             tv_mc._block_count(n, samples, side))
-    return tv_mc._merge_moments([b[0][3] for b in tv_mc._block_stats(task)])
+    return tv_mc._merge_moments([per_d[0][2]
+                                 for _, per_d in tv_mc._block_stats(task)])
 
 
 def _fit_cases():
@@ -713,8 +728,8 @@ def test_wishart_side_is_the_plain_mean(monkeypatch):
     n, d, samples, side = 8, 512, 1701, tv_mc.WISHART_SIDE
     est = tv_estimate_wishart_side(n, d, samples, RngState(17))
     assert tv_mc._block_count(n, samples, side) == 4
-    blocks = [values[0].copy() for *_, values, _ in tv_mc._blocks(
-        n, [d], samples, RngState(17), side, 0, 4, 0)]
+    blocks = [values[0] for *_, values in single_d_blocks(
+        n, d, samples, RngState(17), side, 4)]
     values = np.concatenate(blocks)
     assert values.size == samples and est.var_ratio == 1.0
     assert est.mean == math.fsum(float(v.sum()) for v in blocks) / samples
@@ -752,15 +767,15 @@ def test_mirrored_columns_match_eigenvalues(n):
     # 100; the mirrors' alpha and flags from the estimator's one-pass call
     # match the eigenvalues of each draw with its diagonal negated
     d, samples = n ** 3, 201
-    [(_, dev, off2, alpha, q, psd, _, _)] = tv_mc._blocks(
-        n, [d], samples, RngState(60 + n), tv_mc.GOE_SIDE, 0, 1, 0)
+    [(dev, off2, q, _, alpha, _)] = single_d_blocks(
+        n, d, samples, RngState(60 + n), tv_mc.GOE_SIDE, 1)
     assert dev.shape == (n, 101) and alpha.shape == (1, 201)
-    alpha, q, psd = alpha[0, 101:], q[101:], psd[0, 101:]
+    alpha, q = alpha[0, 101:], q[101:]
     eigs = np.array([eigvalsh_tridiagonal(d - math.sqrt(d) * dev[:, k],
                                           np.sqrt(d * off2[:, k]))
                      for k in range(100)])
     np.testing.assert_array_equal(q, in_q_mask(eigs, n, d))
-    np.testing.assert_array_equal(psd, eigs[:, 0] > 0.0)
+    np.testing.assert_array_equal(alpha > -np.inf, eigs[:, 0] > 0.0)
     ref = alpha_from_eigenvalues(eigs, n, d)
     finite = np.isfinite(ref)
     np.testing.assert_array_equal(np.isfinite(alpha), finite)
@@ -860,8 +875,8 @@ def test_stderr_matches_two_pass_variance_near_one(blocks, monkeypatch):
     side = tv_mc.WISHART_SIDE
     assert tv_mc._block_count(n, samples, side) == blocks
     est = tv_estimate_wishart_side(n, d, samples, RngState(22401))
-    values = np.concatenate([v[0].copy() for *_, v, _ in tv_mc._blocks(
-        n, [d], samples, RngState(22401), side, 0, blocks, 0)])
+    values = np.concatenate([v[0] for *_, v in single_d_blocks(
+        n, d, samples, RngState(22401), side, blocks)])
     two_pass = math.sqrt(np.var(values, ddof=1) / samples)
     assert est.mean > 0.99
     assert est.stderr == pytest.approx(two_pass, rel=1e-6)
@@ -891,18 +906,31 @@ def test_pass_groups_change_no_bit(monkeypatch):
     # the d values of one call share the draws and are grouped into passes
     # by _PASS_COLUMNS; any grouping, down to one d per pass, gives bit for
     # bit the estimates of separate calls on the same stream, over four
-    # blocks, the last with an unpaired draw, with the controls on
+    # blocks, the last with an unpaired draw, with the controls on.  The
+    # d-free Q flags are made once per block of a call, whatever the
+    # number of passes
     monkeypatch.setattr(tv_mc, "_BATCH_BUDGET", 2000 * 8)
     monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
+    flags, calls = tv_mc.q_window_flags, []
+
+    def counting_flags(dev, off2, n):
+        calls.append(dev.shape[1])
+        return flags(dev, off2, n)
+
+    monkeypatch.setattr(tv_mc, "q_window_flags", counting_flags)
     n, samples, rng = 8, 7001, RngState(23)
     ds = [8, 9, 64, 512, 512, 4096, 10 ** 6]
+    per_call = [1000, 1000, 1000, 501]
     assert tv_mc._block_count(n, samples, tv_mc.GOE_SIDE) == 4
     grouped = tv_mc.tv_estimates_goe_side(n, ds, samples, rng)
     assert [e.d for e in grouped] == ds
     assert all(e.var_ratio != 1.0 for e in grouped[2:])
+    assert calls == per_call
     monkeypatch.setattr(tv_mc, "_PASS_COLUMNS", 1)
     assert tv_mc.tv_estimates_goe_side(n, ds, samples, rng) == grouped
+    assert calls == per_call * 2
     assert [tv_estimate_goe_side(n, d, samples, rng) for d in ds] == grouped
+    assert calls == per_call * (2 + len(ds))
 
 
 def test_pass_memory_is_bounded_by_the_column_budget(monkeypatch):
@@ -985,7 +1013,7 @@ def test_kernel_rows_match_the_slow_reference(n, monkeypatch):
     monkeypatch.setattr(tv_mc, "_SKEW_TOL", math.inf)
     m = tv_mc._controls(n, tv_mc.GOE_SIDE, 201)
     assert m == (10 if n >= tv_mc._R_ROWS_MIN_N else 7)
-    [(_, dev, off2, *_, rows)] = tv_mc._blocks(
+    [(dev, off2, _, rows, _)] = tv_mc._blocks(
         n, [n ** 3], 402, RngState(80 + n), tv_mc.GOE_SIDE, 0, 1, m)
     ref = kernel_rows_reference(n, dev, off2)
     assert rows.shape == (m + 1, 201)

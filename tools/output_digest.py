@@ -12,14 +12,16 @@ the tool exits 2 where that import resolves elsewhere.  For each output of
   d = n^3, at an odd number of samples that is past the floor of every
   control;
 - `tvs`: the same fields at each d of one multi-d GOE-side run, whose d
-  values share their draws;
+  values share their draws; at 7,001 samples each block is one pass over
+  every d, and the n = 4 run of 70,001 samples has a first block of
+  65,536 evaluations, which takes one pass per d;
 - `tv` with `workers=2`: runs of several blocks, spread over two processes;
 - `profile`: the standard output of `wglab profile`, the CSV;
 - `sweep`: the bytes of `sweep.csv` and `figure1.svg` of `wglab sweep` on
   the benchmark's grid at two workers, at ten seeds.
 
 Two checkouts give bit-identical outputs on the grid where their lines
-are the same, which `diff` shows.  The grid takes about 4 s on two cores
+are the same, which `diff` shows.  The grid takes about 5 s on two cores
 of a 2-vCPU Linux host.
 """
 
@@ -44,6 +46,7 @@ GRID = (
      for n in range(1, 65) for d in (n, n ** 3)]
     + [("tvs", n, (n, n ** 2, n ** 3, 4 * n ** 3), 7001, 100 + n)
        for n in (2, 8, 32)]
+    + [("tvs", 4, (4, 16, 64, 256, 1024), 70001, 104)]
     + [("tv", side, n, n ** 3, samples, 200 + n, 2)
        for side in (GOE, WISHART) for n, samples in ((8, 70001),
                                                      (64, 20001))]
